@@ -1,10 +1,11 @@
-"""Content-addressed on-disk cache for strata enumerations and relation
-matrices.
+"""Content-addressed on-disk cache of computed results.
 
-Entries are keyed by a hash of (artifact version, kind, n, k), so version
-bumps invalidate old files automatically; a header echo inside each file
-is checked on load and mismatches fall back to recomputation.  Writes go
-through a temp file and an atomic rename.
+`cached(kind, params, compute)` stores the JSON value of compute() under
+a hash of (package version, kind, params), so version bumps invalidate
+old files automatically; a header echo inside each file is checked on
+load and mismatches fall back to recomputation.  Writes go through a
+temp file and an atomic rename.  The CLI stores strata enumerations,
+keyed by (n, k), and certified Betti numbers, keyed by (n, k, seed).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .relations import generate_relations
-from .trees import MarkedTree, enumerate_strata
 
 ENV_VAR = "STRATA_CACHE_DIR"
 
@@ -29,71 +29,42 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "strata-lab"
 
 
-def _key(kind: str, n: int, k: int) -> tuple[str, dict]:
-    params = {"version": __version__, "kind": kind, "n": n, "k": k}
-    digest = hashlib.sha256(
-        json.dumps(params, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    return f"{kind}-n{n}-k{k}-{digest}.json", params
-
-
-def _load(path: Path, params: dict):
+def _load(path: Path, header: dict):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, ValueError):
         return None
-    if obj.get("header") != params:
+    # strata files of the former layout have the same header but no "value"
+    if not isinstance(obj, dict) or obj.get("header") != header or "value" not in obj:
         return None
     return obj
 
 
-def _store(path: Path, params: dict, payload: dict) -> None:
+def _store(path: Path, header: dict, value) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    obj = {"header": params, **payload}
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, separators=(",", ":"), sort_keys=True)
+            json.dump({"header": header, "value": value}, fh,
+                      separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def cached_strata(n: int, k: int, cache_dir: Path | None = None):
-    """Strata list via the cache; identical to enumerate_strata(n, k)."""
-    cache_dir = cache_dir or default_cache_dir()
-    name, params = _key("strata", n, k)
-    path = cache_dir / name
-    obj = _load(path, params)
+def cached(kind: str, params: dict, compute: Callable[[], object],
+           cache_dir: Path | None = None):
+    """compute(), or the value a previous call with the same kind and
+    params stored.  The value must survive a JSON round trip unchanged."""
+    header = {"version": __version__, "kind": kind, **params}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()[:16]
+    name = "-".join([kind, *(f"{key}{val}" for key, val in params.items()), digest])
+    path = (cache_dir or default_cache_dir()) / f"{name}.json"
+    obj = _load(path, header)
     if obj is not None:
-        return tuple(MarkedTree(n, tuple(tuple(s) for s in item)) for item in obj["trees"])
-    trees = enumerate_strata(n, k)
-    _store(path, params, {"trees": [[list(s) for s in t.splits] for t in trees]})
-    return trees
-
-
-def cached_relation_entries(n: int, k: int, cache_dir: Path | None = None):
-    """Relation matrix as (n_rows, n_cols, [(row, col, coeff), ...])."""
-    cache_dir = cache_dir or default_cache_dir()
-    name, params = _key("relmatrix", n, k)
-    path = cache_dir / name
-    obj = _load(path, params)
-    if obj is not None:
-        return obj["n_rows"], obj["n_cols"], [tuple(e) for e in obj["entries"]]
-    trees = cached_strata(n, k, cache_dir)
-    index = {t: i for i, t in enumerate(trees)}
-    entries = []
-    n_rows = 0
-    if k < n - 3:
-        for rel in generate_relations(n, k):
-            row = rel.row(index)
-            entries.extend((n_rows, c, v) for c, v in sorted(row.items()))
-            n_rows += 1
-    _store(
-        path,
-        params,
-        {"n_rows": n_rows, "n_cols": len(trees), "entries": entries},
-    )
-    return n_rows, len(trees), entries
+        return obj["value"]
+    value = compute()
+    _store(path, header, value)
+    return value

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .characters import cycle_type_key, partitions_of
 from .conjecture import betti_formula, q_dim_formula
-from .exact_linalg import SparseIntMatrix, rank_bareiss, rank_exact, unique_rows
+from .exact_linalg import rank_bareiss
 from .homology import (
     betti,
     character_graded,
@@ -26,9 +26,10 @@ from .homology import (
     graded_class_equal,
     graded_dims,
     inner_graded_dims,
+    relation_matrix,
 )
 from .psets import character_pset
-from .trees import DomainError, enumerate_strata, filtration_level
+from .trees import DomainError, MarkedTree, enumerate_strata, filtration_level
 from .wtilde import (
     apply_move,
     rewrite_to_standard,
@@ -69,10 +70,16 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    from .cache import cached_strata
+    from .cache import cached
 
-    trees = cached_strata(args.n, args.k, args.cache_dir)
-    for t in trees:
+    n, k = args.n, args.k
+    trees = cached(
+        "strata", {"n": n, "k": k},
+        lambda: [[list(s) for s in t.splits] for t in enumerate_strata(n, k)],
+        args.cache_dir,
+    )
+    for splits in trees:
+        t = MarkedTree(n, tuple(map(tuple, splits)))
         if args.min_r and filtration_level(t) < args.min_r:
             continue
         sys.stdout.write(t.to_json() + "\n")
@@ -80,24 +87,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    from .cache import cached_relation_entries, cached_strata
+    from .cache import cached
 
-    ks = [args.k] if args.k is not None else list(range(args.n - 2))
+    n, seed = args.n, args.seed
+    if args.exact and n > 6:
+        raise DomainError("exact audit elimination is limited to n <= 6")
+    ks = [args.k] if args.k is not None else list(range(n - 2))
     rows = []
     for k in ks:
-        trees = cached_strata(args.n, k, args.cache_dir)
-        n_rows, n_cols, entries = cached_relation_entries(args.n, k, args.cache_dir)
-        sparse: list[dict[int, int]] = [dict() for _ in range(n_rows)]
-        for i, c, v in entries:
-            sparse[i][c] = v
-        M = SparseIntMatrix.from_rows(n_cols, unique_rows(sparse))
         if args.exact:
-            if args.n > 6:
-                raise DomainError("exact audit elimination is limited to n <= 6")
-            rank = rank_bareiss(M)
+            b = len(enumerate_strata(n, k)) - rank_bareiss(relation_matrix(n, k))
         else:
-            rank = rank_exact(M, seed=args.seed)
-        rows.append({"n": args.n, "k": k, "betti": len(trees) - rank})
+            b = cached("betti", {"n": n, "k": k, "seed": seed},
+                       lambda: betti(n, k, seed), args.cache_dir)
+        rows.append({"n": n, "k": k, "betti": b})
     _emit_table(rows, args.format)
     return EXIT_OK
 

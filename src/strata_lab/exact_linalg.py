@@ -1,8 +1,7 @@
 """Exact sparse linear algebra over Q via modular arithmetic.
 
 Ranks and reduced forms are computed modulo random 62-bit primes and
-certified by agreement at two independent primes (unlucky primes only
-ever lower the rank, so escalation returns the maximum once repeated).
+certified by `certified_value`, the one loop that repeats across primes.
 A fraction-free Bareiss elimination is available as an audit fallback
 for small matrices.
 """
@@ -16,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 DEFAULT_PRIME_BITS = 62
+MAX_PRIMES = 12
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class RankCertificationError(RuntimeError):
-    """No two primes agreed within the retry budget."""
+    """A certified value could not be established or failed a cross-check."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -175,32 +175,32 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
 
 
 def certified_value(compute: Callable[[int], object], seed: int = 0,
-                    max_primes: int = 12, what: str = "value"):
-    """Evaluate at random primes until the same result appears twice."""
-    counts: dict = {}
-    for i, p in enumerate(prime_stream(seed)):
-        if i >= max_primes:
-            raise RankCertificationError(
-                f"no two of {max_primes} primes agreed on {what}: {counts}"
-            )
-        v = compute(p)
-        counts[v] = counts.get(v, 0) + 1
-        if counts[v] == 2:
+                    what: str = "value", lower_bound: bool = False):
+    """Evaluate compute(p) at the primes of prime_stream(seed) until a value
+    is certified.
+
+    With lower_bound=True (ranks) the largest value seen so far is returned
+    once it has been seen twice: reduction mod p can only lower a rank, so
+    no value below the maximum is the rank over Q, and the maximum is wrong
+    only if every prime drawn so far was unlucky.  With lower_bound=False
+    the first value seen twice is returned.  Either way
+    RankCertificationError is raised after MAX_PRIMES primes.
+    """
+    seen: list = []
+    for p in prime_stream(seed):
+        seen.append(compute(p))
+        v = max(seen) if lower_bound else seen[-1]
+        if seen.count(v) >= 2:
             return v
-
-
-def rank_exact(M: SparseIntMatrix, seed: int = 0, max_primes: int = 12) -> int:
-    """Rank over Q: modular ranks at escalating primes, maximum seen twice wins."""
-    ranks: list[int] = []
-    for i, p in enumerate(prime_stream(seed)):
-        if i >= max_primes:
+        if len(seen) == MAX_PRIMES:
             raise RankCertificationError(
-                f"no two of {max_primes} primes agreed on a rank: {ranks}"
+                f"no value of {what} certified at {MAX_PRIMES} primes: {seen}"
             )
-        ranks.append(rank_mod_p(M, p))
-        best = max(ranks)
-        if ranks.count(best) >= 2:
-            return best
+
+
+def rank_exact(M: SparseIntMatrix, seed: int = 0) -> int:
+    """Rank over Q, certified from ranks mod p."""
+    return certified_value(lambda p: rank_mod_p(M, p), seed, "rank", lower_bound=True)
 
 
 def rank_bareiss(M: SparseIntMatrix) -> int:

@@ -17,11 +17,11 @@ from .characters import Character, partitions_of, representative
 from .exact_linalg import (
     ModEchelon,
     QuotientBasis,
+    RankCertificationError,
     SparseIntMatrix,
     block_kernel_rows,
     certified_value,
     lift_symmetric,
-    prime_stream,
     quotient_basis,
     rank_bareiss,
     unique_rows,
@@ -75,20 +75,9 @@ def betti(n: int, k: int, seed: int = 0) -> int:
     """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
-    n_trees = len(enumerate_strata(n, k))
-    ranks: list[int] = []
-    for i, rank in enumerate(_certified_ranks(n, k, seed)):
-        ranks.append(rank)
-        best = max(ranks)
-        if ranks.count(best) >= 2:
-            return n_trees - best
-        if i > 10:
-            raise RuntimeError(f"rank certification failed for ({n}, {k})")
-
-
-def _certified_ranks(n, k, seed):
-    for p in prime_stream(seed):
-        yield _echelon(n, k, p).rank
+    rank = certified_value(lambda p: _echelon(n, k, p).rank, seed,
+                           f"relation rank ({n},{k})", lower_bound=True)
+    return len(enumerate_strata(n, k)) - rank
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +113,8 @@ def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
         return tuple(sdims[i] - sdims[i + 1] for i in range(rmax))
 
     dims = list(certified_value(compute, seed, what=f"graded dims ({n},{k})"))
-    assert sum(dims) == betti(n, k, seed)
+    if sum(dims) != betti(n, k, seed):
+        raise RankCertificationError(f"graded dims {dims} do not sum to b_{k} of n={n}")
     return dims
 
 
@@ -154,7 +144,8 @@ def inner_graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
         return tuple(sdims[b] - sdims[b + 1] for b in range(bmax + 1))
 
     dims = list(certified_value(compute, seed, what=f"inner dims ({n},{k})"))
-    assert sum(dims) == graded_dims(n, k, seed)[1]
+    if sum(dims) != graded_dims(n, k, seed)[1]:
+        raise RankCertificationError(f"inner dims {dims} do not sum to level 2 of ({n},{k})")
     return dims
 
 
@@ -164,7 +155,8 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
 
     Probabilistic-exact via two-prime membership of e_{t1} - e_{t2} in the
     relation row space; ``exact=True`` reruns with fraction-free integer
-    elimination (audit mode, small n only).
+    elimination (audit mode, small n only) and raises
+    RankCertificationError if the two verdicts differ.
     """
     if (t1.n, t1.k) != (t2.n, t2.k):
         raise DomainError("classes live in different homology groups")
@@ -175,14 +167,16 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
     diff = {idx[t1]: 1, idx[t2]: -1}
 
     def compute(p: int) -> bool:
-        return not any(_quotient_basis(n, k, p).quotient_reduce(diff))
+        return not _echelon(n, k, p).reduce(diff)
 
     verdict = certified_value(compute, seed, what="class membership")
     if exact:
-        rows = [dict(r) for r in _relation_rows(n, k)]
-        M = SparseIntMatrix(len(rows), len(idx), rows)
-        M2 = SparseIntMatrix(len(rows) + 1, len(idx), [dict(r) for r in rows] + [diff])
-        assert (rank_bareiss(M) == rank_bareiss(M2)) == verdict
+        M = relation_matrix(n, k)
+        M2 = SparseIntMatrix(M.n_rows + 1, M.n_cols, M.rows + [diff])
+        if (rank_bareiss(M) == rank_bareiss(M2)) != verdict:
+            raise RankCertificationError(
+                f"modular and exact class membership differ for {t1} and {t2}"
+            )
     return verdict
 
 

@@ -289,7 +289,7 @@ def _strictly_inside(side: frozenset, other: frozenset, region: tuple) -> bool:
     _, p1, mid = region[0], region[1], region[2]
     span = p1 | mid
     for s in (side, other):
-        if s < mid:
+        if s <= mid:
             return True
         if p1 < s < span:
             return True

@@ -4,9 +4,12 @@ import pytest
 from oracles import rank_fraction
 
 from strata_lab.exact_linalg import (
+    MAX_PRIMES,
     ModEchelon,
+    RankCertificationError,
     SparseIntMatrix,
     block_kernel_rows,
+    certified_value,
     is_probable_prime,
     lift_symmetric,
     prime_stream,
@@ -64,6 +67,29 @@ def test_rank_examples():
     assert rank_mod_p(m50, p) == 14
     m61 = _relation_matrix(6, 1)
     assert rank_exact(m61) == 105 - 16  # betti oracle: h2 of the 6-marked space is 16
+
+
+def test_certifier_rules():
+    # ranks: the largest value seen so far wins once seen twice
+    values = iter([3, 5, 3, 5])
+    assert certified_value(lambda p: next(values), lower_bound=True) == 5
+    # other values: the first value seen twice wins
+    values = iter([3, 5, 3, 5])
+    assert certified_value(lambda p: next(values)) == 3
+
+
+def test_certifier_gives_up():
+    calls = []
+
+    def distinct(p):
+        calls.append(p)
+        return p
+
+    for lower_bound in (False, True):
+        calls.clear()
+        with pytest.raises(RankCertificationError):
+            certified_value(distinct, lower_bound=lower_bound)
+        assert len(calls) == MAX_PRIMES
 
 
 def test_rank_matches_fraction_oracle_on_random_matrices():

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import in_row_space, rank_fraction
 
+import strata_lab
+from strata_lab.exact_linalg import RankCertificationError
 from strata_lab.characters import partitions_of, representative
 from strata_lab.homology import (
     betti,
@@ -117,6 +123,45 @@ def test_class_equal_examples():
     assert class_equal(t, t)
     t2 = MarkedTree.from_sides(4, [(2, 4)])
     assert class_equal(t, t2, exact=True)
+
+
+AUDIT_UNDER_O = """
+import sys
+import strata_lab.homology as h
+from strata_lab.exact_linalg import RankCertificationError
+from strata_lab.trees import MarkedTree
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+t = MarkedTree.from_sides(4, [(3, 4)])
+t2 = MarkedTree.from_sides(4, [(2, 4)])
+h.rank_bareiss = lambda M: M.n_rows  # an exact rank that disagrees
+try:
+    h.class_equal(t, t2, exact=True)
+except RankCertificationError:
+    sys.exit(0)
+sys.exit("the audit let a disagreement through")
+"""
+
+
+def test_exact_audit_survives_python_O():
+    src = str(Path(strata_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-O", "-c", AUDIT_UNDER_O],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sum_checks_raise(monkeypatch):
+    import strata_lab.homology as h
+
+    monkeypatch.setattr(h, "betti", lambda n, k, seed=0: -1)
+    with pytest.raises(RankCertificationError):
+        h.graded_dims(6, 2)
+    monkeypatch.setattr(h, "graded_dims", lambda n, k, seed=0: [0, -1])
+    with pytest.raises(RankCertificationError):
+        h.inner_graded_dims(7, 2)
 
 
 def test_two_term_swap_pair_is_graded_equal_only():

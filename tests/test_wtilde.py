@@ -182,7 +182,7 @@ def test_rewrite_idempotent():
 
 
 def test_rewrite_well_defined_exhaustive_small():
-    for n in range(6, 8):
+    for n in range(6, 9):
         for k in range(2, n - 3):
             fibers = {}
             for t in enumerate_strata(n, k):
