@@ -14,6 +14,10 @@ from math import factorial
 from .trees import DomainError
 
 
+class FormulaError(ArithmeticError):
+    """The candidate formula produced a non-integral dimension."""
+
+
 def _compositions(total: int, parts: int):
     """Ordered tuples of `parts` positive integers summing to `total`."""
     if parts == 1:
@@ -42,7 +46,7 @@ def q_dim_formula(n: int, k: int, r: int) -> int:
 
     Sum over weight compositions (a_1..a_r) of k and sizes p_i >= a_i + 2
     with p_1 + .. + p_r + b = n + r - 2, of multinomial(n+r-2; p, b) / r!.
-    The accumulated rational is asserted to be an integer.
+    The accumulated rational must be an integer; FormulaError otherwise.
     """
     if not 1 <= r <= min(k, n - 2 - k):
         raise DomainError(f"no graded piece for (n, k, r) = ({n}, {k}, {r})")
@@ -58,7 +62,8 @@ def q_dim_formula(n: int, k: int, r: int) -> int:
                 multi //= factorial(x)
             multi //= factorial(b)
             total += Fraction(multi, rfact)
-    assert total.denominator == 1, f"non-integral value {total} at ({n},{k},{r})"
+    if total.denominator != 1:
+        raise FormulaError(f"non-integral value {total} at ({n},{k},{r})")
     return int(total)
 
 

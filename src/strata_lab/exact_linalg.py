@@ -108,10 +108,10 @@ def unique_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
 class ModEchelon:
     """Incremental row-echelon form mod p.
 
-    Stored pivot rows are never mutated after insertion, so clones share
-    them.  The pivot of a reduced row is its least column in `key` order;
-    with a block ordering this makes rows pivoted in the trailing block
-    supported entirely inside that block.
+    Stored pivot rows are never mutated after insertion.  The pivot of a
+    reduced row is its least column in `key` order (natural order when
+    `key` is None), so every stored row is supported on its pivot column
+    and the columns after it.
     """
 
     def __init__(self, p: int, key: Callable[[int], object] | None = None):
@@ -122,11 +122,6 @@ class ModEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def clone(self) -> "ModEchelon":
-        other = ModEchelon(self.p, self.key)
-        other.pivots = dict(self.pivots)
-        return other
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Fold row against the current pivots; the result has no pivot column
@@ -325,25 +320,6 @@ def span_dim_in_quotient(M: SparseIntMatrix, vectors: Sequence[dict[int, int]],
         return ech.rank - base
 
     return certified_value(compute, seed, what="span dimension")
-
-
-def block_kernel_rows(rows: Iterable[dict[int, int]], block: frozenset[int],
-                      p: int) -> list[dict[int, int]]:
-    """Basis of (rowspace of rows) intersected with the coordinate subspace
-    spanned by the block columns.
-
-    Eliminating all non-block columns first, the echelon rows pivoted in
-    the block are supported inside it and span exactly the intersection.
-    """
-    key = lambda c: (c in block, c)
-    ech = ModEchelon(p, key=key)
-    ech.add_rows(unique_rows(list(rows)))
-    out = []
-    for c, row in sorted(ech.pivots.items()):
-        if c in block:
-            assert all(x in block for x in row)
-            out.append(row)
-    return out
 
 
 def lift_symmetric(x: int, p: int) -> int:

@@ -1,10 +1,11 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
-Everything reduces to ranks and reduced forms of the relation matrix.
-The graded piece spanned by the level >= r strata is handled through its
-permutation presentation: the span of their images in the quotient is
-isomorphic to Q(S^{>=r}) modulo (rowspace of relations) intersected with
-the level >= r coordinate subspace, and the trace of a permutation on
+Everything is computed in the coordinates of the reduced quotient basis
+of one natural-order echelon of the relation matrix per prime: a free
+column is a basis vector of the quotient, and the class of a pivot column
+is minus its reduced row.  The graded piece spanned by the level >= r
+strata is handled through its permutation presentation, Q(S^{>=r})
+modulo the kernel of e_j -> [e_j], and the trace of a permutation on
 that presentation is read off its reduced form, free column by free
 column.  Every reported number is certified at two independent primes.
 """
@@ -19,7 +20,6 @@ from .exact_linalg import (
     QuotientBasis,
     RankCertificationError,
     SparseIntMatrix,
-    block_kernel_rows,
     certified_value,
     lift_symmetric,
     quotient_basis,
@@ -65,9 +65,7 @@ def _echelon(n: int, k: int, p: int) -> ModEchelon:
 
 @lru_cache(maxsize=None)
 def _quotient_basis(n: int, k: int, p: int) -> QuotientBasis:
-    return quotient_basis(
-        (), len(_index(n, k)), p, echelon=_echelon(n, k, p).clone()
-    )
+    return quotient_basis((), len(_index(n, k)), p, echelon=_echelon(n, k, p))
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +86,20 @@ def _level_ids(n: int, k: int, r: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _projected_echelon(n: int, k: int, ids: tuple[int, ...], p: int) -> ModEchelon:
+    """Echelon of the reduced rows of the pivot columns in ids without the
+    free columns in ids; with those free basis vectors, its row space spans
+    the classes of the strata in ids."""
+    rows, drop = _quotient_basis(n, k, p)._rows, set(ids)
+    ech = ModEchelon(p)
+    ech.add_rows({c: v for c, v in zip(*rows[i]) if c not in drop} for i in ids if i in rows)
+    return ech
+
+
 def _span_dim(n: int, k: int, ids: tuple[int, ...], p: int) -> int:
-    if not ids:
-        return 0
-    if len(ids) == len(_index(n, k)):
-        # the whole basis spans the whole quotient
-        return len(ids) - _echelon(n, k, p).rank
-    ech = _echelon(n, k, p).clone()
-    base = ech.rank
-    ech.add_rows(({i: 1} for i in ids), presorted=True)
-    return ech.rank - base
+    rows = _quotient_basis(n, k, p)._rows
+    return sum(i not in rows for i in ids) + _projected_echelon(n, k, ids, p).rank
 
 
 def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
@@ -155,11 +157,13 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
 
     Probabilistic-exact via two-prime membership of e_{t1} - e_{t2} in the
     relation row space; ``exact=True`` reruns with fraction-free integer
-    elimination (audit mode, small n only) and raises
+    elimination (audit mode, n <= 6 only) and raises
     RankCertificationError if the two verdicts differ.
     """
     if (t1.n, t1.k) != (t2.n, t2.k):
         raise DomainError("classes live in different homology groups")
+    if exact and t1.n > 6:
+        raise DomainError("exact audit elimination is limited to n <= 6")
     if t1 == t2:
         return True
     n, k = t1.n, t1.k
@@ -203,9 +207,11 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
     ids = _inner_ids(n, k, b1 + 1)
 
     def compute(p: int) -> bool:
-        ech = _echelon(n, k, p).clone()
-        ech.add_rows(({i: 1} for i in ids), presorted=True)
-        return ech.add_row(dict(diff)) is None
+        qb = _quotient_basis(n, k, p)
+        drop = set(ids)
+        cls = qb.quotient_reduce(diff)
+        v = {c: x for c, x in zip(qb.free_cols, cls) if x and c not in drop}
+        return not _projected_echelon(n, k, ids, p).reduce(v)
 
     return certified_value(compute, seed, what="graded class membership")
 
@@ -247,12 +253,17 @@ def _graded_presentation(n: int, k: int, r: int, p: int) -> _Presentation | None
     sub = tuple(strata[i] for i in ids)
     if len(ids) == len(strata):
         return _homology_presentation(n, k, p)
-    local = {tree_id: j for j, tree_id in enumerate(ids)}
-    kernel = block_kernel_rows(
-        [dict(r) for r in _relation_rows(n, k)], frozenset(ids), p
-    )
-    rows = [{local[c]: v for c, v in row.items()} for row in kernel]
-    return _Presentation(sub, quotient_basis(rows, len(ids), p))
+    # the kernel of e_j -> [e_j]: eliminate the rows [class(e_j) | e_j], class
+    # columns first; the pivot rows past the class columns span it
+    qb = _quotient_basis(n, k, p)
+    shift, rows = qb.n_cols, qb._rows
+    ech = ModEchelon(p)
+    ech.add_rows((({c: -v % p for c, v in zip(*rows[i])} if i in rows else {i: 1})
+                  | {shift + j: 1}) for j, i in enumerate(ids))
+    kernel = ModEchelon(p)
+    kernel.pivots = {c - shift: {x - shift: v for x, v in row.items()}
+                     for c, row in ech.pivots.items() if c >= shift}
+    return _Presentation(sub, quotient_basis((), len(ids), p, echelon=kernel))
 
 
 def character_homology(n: int, k: int, seed: int = 0) -> Character:

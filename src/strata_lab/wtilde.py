@@ -37,6 +37,10 @@ from .trees import (
 PVector = dict  # PairLabel -> Fraction, exact, denominators are powers of 2
 
 
+class RewriteError(RuntimeError):
+    """A rewrite did not end at the standard form of its pair fiber."""
+
+
 def w_map(t: MarkedTree) -> PairLabel:
     """Weighted pair of a level-2 tree: mark sets at the two fat vertices."""
     _, p1, a1, _, p2, a2, _ = _two_vertex_data(t)
@@ -408,5 +412,6 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
         )
         do_rearrange(("middle", frozenset(pair.p1), mid), chain)
     expected = standard_tree(cur.n, pair)
-    assert cur == expected, f"rewrite ended at {cur} instead of {expected}"
+    if cur != expected:
+        raise RewriteError(f"rewrite ended at {cur} instead of {expected}")
     return cur, moves

@@ -5,10 +5,8 @@ from oracles import rank_fraction
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
-    ModEchelon,
     RankCertificationError,
     SparseIntMatrix,
-    block_kernel_rows,
     certified_value,
     is_probable_prime,
     lift_symmetric,
@@ -169,35 +167,9 @@ def test_span_dim_monotone():
     ) for j, d in enumerate(dims))
 
 
-def test_block_kernel_rows():
-    p = next(iter(prime_stream(0)))
-    # rowspace of [[1,1,0],[0,1,1]] meets span(e1,e2) in span(e1+e2... ) check dims
-    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    kern = block_kernel_rows(rows, frozenset({1, 2}), p)
-    assert len(kern) == 1
-    assert set(kern[0]) <= {1, 2}
-    # and against the relation matrix: kernel dim = |block| - span_dim
-    M = _relation_matrix(6, 2)
-    from strata_lab.trees import filtration_level
-
-    trees = enumerate_strata(6, 2)
-    block = frozenset(i for i, t in enumerate(trees) if filtration_level(t) >= 2)
-    kern = block_kernel_rows(M.rows, block, p)
-    assert len(block) - len(kern) == 10
-
-
 def test_unique_rows_sign_normalization():
     rows = [{0: 1, 1: -1}, {0: -1, 1: 1}, {0: 1, 1: -1}, {2: 3}]
     assert unique_rows(rows) == [{0: 1, 1: -1}, {2: 3}]
-
-
-def test_echelon_clone_independent():
-    p = next(iter(prime_stream(0)))
-    ech = ModEchelon(p)
-    ech.add_rows([{0: 1, 1: 1}])
-    c = ech.clone()
-    c.add_rows([{1: 1}])
-    assert ech.rank == 1 and c.rank == 2
 
 
 def test_lift_symmetric():

@@ -2,14 +2,24 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from oracles import in_row_space, rank_fraction
 
 import strata_lab
-from strata_lab.exact_linalg import RankCertificationError
+import strata_lab.exact_linalg as el
+from strata_lab.exact_linalg import (
+    ModEchelon,
+    RankCertificationError,
+    SparseIntMatrix,
+    prime_stream,
+    rank_mod_p,
+    unique_rows,
+)
 from strata_lab.characters import partitions_of, representative
 from strata_lab.homology import (
     betti,
@@ -26,9 +36,11 @@ from strata_lab.trees import (
     DomainError,
     MarkedTree,
     apply_permutation,
+    decompose_two_vertex,
     enumerate_strata,
     filtration_level,
 )
+from strata_lab.wtilde import apply_move, rewrite_to_standard
 
 BETTI_TABLES = {
     4: [1, 1],
@@ -118,6 +130,115 @@ def test_inner_dims_domain_error():
         inner_graded_dims(5, 1)
 
 
+def _level_set(trees, r):
+    return [i for i, t in enumerate(trees) if filtration_level(t) >= r]
+
+
+def _inner_set(trees, b):
+    return [
+        i for i, t in enumerate(trees)
+        if filtration_level(t) >= 3
+        or (filtration_level(t) == 2 and len(decompose_two_vertex(t)[4]) >= b)
+    ]
+
+
+def _stacked_span_dim(M, ids, p):
+    """rank(M stacked with the unit rows of ids) - rank(M), at the prime p."""
+    stacked = SparseIntMatrix.from_rows(M.n_cols, M.rows + [{i: 1} for i in ids])
+    return rank_mod_p(stacked, p) - rank_mod_p(M, p)
+
+
+def test_graded_dims_match_stacked_rank_oracle():
+    p = next(iter(prime_stream(0)))
+    for n in range(4, 8):
+        for k in range(1, n - 2):
+            trees = enumerate_strata(n, k)
+            M = relation_matrix(n, k)
+            rmax = min(k, n - 2 - k)
+            span = [_stacked_span_dim(M, _level_set(trees, r), p) for r in range(1, rmax + 2)]
+            assert graded_dims(n, k) == [span[r] - span[r + 1] for r in range(rmax)], (n, k)
+            if 2 <= k <= n - 4:
+                bmax = n - k - 4
+                span = [_stacked_span_dim(M, _inner_set(trees, b), p) for b in range(bmax + 2)]
+                want = [span[b] - span[b + 1] for b in range(bmax + 1)]
+                assert inner_graded_dims(n, k) == want, (n, k)
+
+
+def test_graded_class_equal_matches_stacked_membership():
+    p = next(iter(prime_stream(0)))
+    rng = random.Random(3)
+    verdicts = Counter()
+    for n, k in [(6, 2), (7, 2), (7, 3)]:
+        trees = enumerate_strata(n, k)
+        idx = {t: i for i, t in enumerate(trees)}
+        M = relation_matrix(n, k)
+        by_level: dict[int, list[MarkedTree]] = {}
+        for t in trees:
+            if filtration_level(t) == 2:
+                by_level.setdefault(len(decompose_two_vertex(t)[4]), []).append(t)
+        pairs = []
+        for _ in range(15):
+            same = by_level[rng.choice(sorted(by_level))]
+            if len(same) >= 2:
+                pairs.append(tuple(rng.sample(same, 2)))
+        # the two-term swaps of the rewriting engine are graded equalities
+        level2 = [t for same in by_level.values() for t in same]
+        for t in rng.sample(level2, min(12, len(level2))):
+            cur = t
+            for mv in rewrite_to_standard(t)[1]:
+                nxt = apply_move(cur, mv)
+                if mv.kind == "km_swap":
+                    pairs.append((cur, nxt))
+                cur = nxt
+        stacked = {}
+        for a, b in pairs:
+            level = len(decompose_two_vertex(a)[4])
+            if level not in stacked:
+                ech = ModEchelon(p)
+                units = [{i: 1} for i in _inner_set(trees, level + 1)]
+                ech.add_rows(unique_rows(M.rows + units))
+                stacked[level] = ech
+            want = not stacked[level].reduce({idx[a]: 1, idx[b]: -1})
+            assert graded_class_equal(a, b) == want, (a, b)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
+    """The graded quantities reuse the one relation echelon per prime."""
+    import strata_lab.homology as h
+
+    n, k, seed = 7, 2, 4242
+    relation = Counter(frozenset(r.items()) for r in h._relation_rows(n, k))
+    # every relation row has a negative entry, so no reduced row mod p
+    # (entries in 1..p-1) and no unit row can be mistaken for one
+    assert all(min(v for _, v in r) < 0 for r in relation)
+    fed, drawn = Counter(), set()
+    add_rows, stream = ModEchelon.add_rows, el.prime_stream
+
+    def counting_add_rows(self, rows, presorted=False):
+        rows = list(rows)
+        fed[self.p] += sum(frozenset(r.items()) in relation for r in rows)
+        return add_rows(self, rows, presorted)
+
+    def recording_stream(*args, **kwargs):
+        for p in stream(*args, **kwargs):
+            drawn.add(p)
+            yield p
+
+    monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
+    monkeypatch.setattr(el, "prime_stream", recording_stream)
+    graded_dims(n, k, seed)
+    inner_graded_dims(n, k, seed)
+    character_graded(n, k, 2, seed)
+    a, *rest = [t for t in enumerate_strata(n, k) if filtration_level(t) == 2]
+    level = len(decompose_two_vertex(a)[4])
+    graded_class_equal(a, next(t for t in rest if len(decompose_two_vertex(t)[4]) == level),
+                       seed)
+    assert drawn and set(fed) == drawn
+    assert all(fed[p] == sum(relation.values()) for p in drawn), fed
+
+
 def test_class_equal_examples():
     t = MarkedTree.from_sides(4, [(3, 4)])
     assert class_equal(t, t)
@@ -144,13 +265,72 @@ sys.exit("the audit let a disagreement through")
 """
 
 
-def test_exact_audit_survives_python_O():
+REWRITE_UNDER_O = """
+import importlib
+import sys
+from strata_lab.trees import MarkedTree, enumerate_strata, filtration_level
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
+t = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 2)
+w.standard_tree = lambda n, pair: MarkedTree.star(n)  # a form no rewrite reaches
+try:
+    w.rewrite_to_standard(t)
+except w.RewriteError:
+    sys.exit(0)
+sys.exit("the rewrite end check let a wrong form through")
+"""
+
+FORMULA_UNDER_O = """
+import sys
+import strata_lab.conjecture as c
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+c._size_vectors = lambda minima, budget: [(4, 2)]  # one term, 15/2
+try:
+    c.q_dim_formula(6, 2, 2)
+except c.FormulaError:
+    sys.exit(0)
+sys.exit("the integrality check let 15/2 through")
+"""
+
+
+def _succeeds_under_O(script):
     src = str(Path(strata_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-O", "-c", AUDIT_UNDER_O],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_audit_survives_python_O():
+    _succeeds_under_O(AUDIT_UNDER_O)
+
+
+@pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O],
+                         ids=["rewrite-end", "integrality"])
+def test_named_checks_survive_python_O(script):
+    _succeeds_under_O(script)
+
+
+def test_exact_audit_refuses_large_n_before_any_work(monkeypatch):
+    import strata_lab.homology as h
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size guard")
+
+    monkeypatch.setattr(h, "certified_value", no_work)
+    monkeypatch.setattr(h, "relation_matrix", no_work)
+    monkeypatch.setattr(h, "rank_bareiss", no_work)
+    a = MarkedTree.from_sides(7, [(2, 3, 4, 5), (4, 5)])
+    b = MarkedTree.from_sides(7, [(2, 3, 4, 5), (2, 3)])
+    with pytest.raises(DomainError):
+        class_equal(a, b, exact=True)
+    with pytest.raises(DomainError):
+        class_equal(a, a, exact=True)
 
 
 def test_sum_checks_raise(monkeypatch):
@@ -271,13 +451,10 @@ def test_character_values_independent_of_seed():
     assert a == b
 
 
-def test_character_matches_fraction_restriction_oracle():
-    """Direct invariant-subspace restriction over Q, cross-checked at (6, 2)."""
-    n, k, r = 6, 2, 2
-    trees = enumerate_strata(n, k)
-    idx = {t: i for i, t in enumerate(trees)}
+@lru_cache(maxsize=None)
+def _fraction_rref(n, k):
+    """Pivot rows of the RREF of the relation matrix over Q, by pivot column."""
     M = relation_matrix(n, k)
-    # fraction RREF of the relation space
     rows = [[Fraction(r_.get(c, 0)) for c in range(M.n_cols)] for r_ in M.rows]
     rank = 0
     pivots = []
@@ -293,7 +470,16 @@ def test_character_matches_fraction_restriction_oracle():
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
-    free = [c for c in range(M.n_cols) if c not in pivots]
+    return dict(zip(pivots, rows))
+
+
+def _fraction_level_traces(n, k, r):
+    """Traces over Q of every cycle type on the span of the level >= r
+    classes, by direct invariant-subspace restriction."""
+    trees = enumerate_strata(n, k)
+    idx = {t: i for i, t in enumerate(trees)}
+    pivot_rows = _fraction_rref(n, k)
+    free = [c for c in range(len(trees)) if c not in pivot_rows]
     fpos = {c: i for i, c in enumerate(free)}
 
     def reduce_unit(tid):
@@ -301,17 +487,17 @@ def test_character_matches_fraction_restriction_oracle():
             vec = [Fraction(0)] * len(free)
             vec[fpos[tid]] = Fraction(1)
             return vec
-        row = rows[pivots.index(tid)]
+        row = pivot_rows[tid]
         return [-row[c] for c in free]
 
-    level2 = [i for i, t in enumerate(trees) if filtration_level(t) >= 2]
-    images = [reduce_unit(i) for i in level2]
+    level = [i for i, t in enumerate(trees) if filtration_level(t) >= r]
+    images = [reduce_unit(i) for i in level]
     # subset basis by fraction elimination, with coordinates tracked
     basis: list[tuple[int, list[Fraction]]] = []
     echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
 
     def reduce_against(vec):
-        coords = [Fraction(0)] * len(level2)
+        coords = [Fraction(0)] * len(level)
         v = list(vec)
         for lead, evec, ecoords in echelon:
             if v[lead]:
@@ -326,23 +512,34 @@ def test_character_matches_fraction_restriction_oracle():
         if lead is None:
             continue
         basis.append((j, vec))
-        unit = [Fraction(0)] * len(level2)
+        unit = [Fraction(0)] * len(level)
         unit[j] = Fraction(1)
         # invariant: echelon vector = sum of ecoords[i] * images[i]
         newc = [(u + c) / v[lead] for u, c in zip(unit, coords)]
         echelon.append((lead, [x / v[lead] for x in v], newc))
 
-    want = {}
+    traces = {}
     for parts in partitions_of(n):
         g = representative(parts)
         tr = Fraction(0)
         for pos, (j, _) in enumerate(basis):
-            gt = apply_permutation(trees[level2[j]], g)
+            gt = apply_permutation(trees[level[j]], g)
             v, coords = reduce_against(reduce_unit(idx[gt]))
             assert all(x == 0 for x in v)
             full_coords = [-c for c in coords]
             # coefficient on basis vector `pos`
             tr += full_coords[basis[pos][0]]
         assert tr.denominator == 1
-        want[parts] = int(tr)
-    assert character_graded(n, k, r).values == want
+        traces[parts] = int(tr)
+    return traces
+
+
+def test_character_matches_fraction_restriction_oracle():
+    """Direct invariant-subspace restriction over Q, for every graded piece
+    at (5, 1), (6, 2) and (6, 3)."""
+    for n, k in [(5, 1), (6, 2), (6, 3)]:
+        rmax = min(k, n - 2 - k)
+        traces = [_fraction_level_traces(n, k, r) for r in range(1, rmax + 2)]
+        for r in range(1, rmax + 1):
+            want = {g: traces[r - 1][g] - traces[r][g] for g in traces[r - 1]}
+            assert character_graded(n, k, r).values == want, (n, k, r)
