@@ -11,7 +11,6 @@ from .exact_linalg import (  # noqa: F401
     rank_bareiss,
     rank_exact,
     rank_mod_p,
-    span_dim_in_quotient,
 )
 from .homology import (  # noqa: F401
     betti,

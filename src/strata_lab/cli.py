@@ -1,7 +1,9 @@
 """Command-line driver: enumeration, tables, characters, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 domain error, 3 resource
-bound exceeded.  All output is deterministic given --seed and the inputs.
+Exit codes: 0 success, 1 verification failure (a failed check, or a
+certification, rewrite or formula error raised while verifying), 2 domain
+error, 3 resource bound exceeded.  All output is deterministic given
+--seed and the inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from .characters import cycle_type_key, partitions_of
-from .conjecture import betti_formula, q_dim_formula
-from .exact_linalg import rank_bareiss
+from .conjecture import FormulaError, betti_formula, q_dim_formula
+from .exact_linalg import RankCertificationError, rank_bareiss
 from .homology import (
     betti,
     character_graded,
@@ -31,6 +33,7 @@ from .homology import (
 from .psets import character_pset
 from .trees import DomainError, MarkedTree, enumerate_strata, filtration_level
 from .wtilde import (
+    RewriteError,
     apply_move,
     rewrite_to_standard,
     standard_tree,
@@ -284,7 +287,16 @@ def cmd_verify(args) -> int:
         "forgetful": _verify_forgetful,
         "conjecture": _verify_conjecture,
     }[args.target]
-    report = handler(args)
+    try:
+        report = handler(args)
+    except (RankCertificationError, RewriteError, FormulaError) as exc:
+        _emit({
+            "target": args.target,
+            "n": args.n,
+            "status": "fail",
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        })
+        return EXIT_FAIL
     bad = report.get("failures") or report.get("mismatches")
     report["target"] = args.target
     report["status"] = "fail" if bad else "pass"

@@ -12,7 +12,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 DEFAULT_PRIME_BITS = 62
 MAX_PRIMES = 12
@@ -68,7 +68,8 @@ class SparseIntMatrix:
     rows: list[dict[int, int]]
 
     def __post_init__(self):
-        assert self.n_rows == len(self.rows)
+        if self.n_rows != len(self.rows):
+            raise ValueError(f"n_rows is {self.n_rows} but {len(self.rows)} rows are given")
         for r in self.rows:
             for c, v in r.items():
                 if not 0 <= c < self.n_cols:
@@ -282,7 +283,8 @@ def quotient_basis(rows: Iterable[dict[int, int]], n_cols: int, p: int,
     if echelon is None:
         echelon = ModEchelon(p)
         echelon.add_rows(unique_rows(list(rows)))
-    assert echelon.key is None, "quotient basis needs natural column order"
+    if echelon.key is not None:
+        raise ValueError("quotient basis needs natural column order")
     pivots = echelon.pivots
     pivot_cols = sorted(pivots)
     pivot_set = set(pivot_cols)
@@ -306,20 +308,6 @@ def quotient_basis(rows: Iterable[dict[int, int]], n_cols: int, p: int,
         vals = array("q", (row[x] for x in cols))
         packed[c] = (cols, vals)
     return QuotientBasis(p, n_cols, tuple(pivot_cols), free_cols, packed)
-
-
-def span_dim_in_quotient(M: SparseIntMatrix, vectors: Sequence[dict[int, int]],
-                         seed: int = 0) -> int:
-    """rank(M stacked with vectors) - rank(M), certified at two primes."""
-
-    def compute(p: int) -> int:
-        ech = ModEchelon(p)
-        ech.add_rows(unique_rows(M.rows))
-        base = ech.rank
-        ech.add_rows([dict(v) for v in vectors], presorted=True)
-        return ech.rank - base
-
-    return certified_value(compute, seed, what="span dimension")
 
 
 def lift_symmetric(x: int, p: int) -> int:

@@ -1,7 +1,8 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
 Everything is computed in the coordinates of the reduced quotient basis
-of one natural-order echelon of the relation matrix per prime: a free
+of one natural-order echelon of the relation matrix per prime, whose rows
+are the spanning subfamily `relations.spanning_relations`: a free
 column is a basis vector of the quotient, and the class of a pivot column
 is minus its reduced row.  The graded piece spanned by the level >= r
 strata is handled through its permutation presentation, Q(S^{>=r})
@@ -26,7 +27,7 @@ from .exact_linalg import (
     rank_bareiss,
     unique_rows,
 )
-from .relations import generate_relations
+from .relations import spanning_relations
 from .trees import (
     DomainError,
     MarkedTree,
@@ -44,11 +45,13 @@ def _index(n: int, k: int) -> dict[MarkedTree, int]:
 
 @lru_cache(maxsize=None)
 def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
-    """Deduplicated sparse rows of the relation matrix for (n, k)."""
+    """Deduplicated sparse rows of the relation matrix for (n, k), from the
+    spanning subfamily: the row space, hence every rank and reduced form
+    computed from it, is that of all the relations."""
     if k == n - 3:
         return ()
     idx = _index(n, k)
-    return tuple(unique_rows(r.row(idx) for r in generate_relations(n, k)))
+    return tuple(unique_rows(r.row(idx) for r in spanning_relations(n, k)))
 
 
 def relation_matrix(n: int, k: int) -> SparseIntMatrix:

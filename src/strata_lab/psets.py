@@ -104,7 +104,8 @@ def cardinality_p2(n: int, k: int) -> int:
         for s1 in range(a1 + 2, n + 1):
             for s2 in range(a2 + 2, n - s1 + 1):
                 total += comb(n, s1) * comb(n - s1, s2)
-    assert total % 2 == 0
+    if total % 2:
+        raise ArithmeticError(f"ordered level-2 label count {total} is odd")
     return total // 2
 
 

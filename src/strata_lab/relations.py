@@ -9,6 +9,15 @@ for the remaining flags at v, the relation is
 with (X, Y) = (C, D) for pairing 1 and (D, C) for pairing 2; every term
 is produced by splitting v.  Only two of the three flag pairings are
 emitted per 4-subset since the third is their difference.
+
+Two families are generated, both site by site in the same order:
+
+* `generate_relations`: every 4-subset of the flags at every site.  It is
+  the family that is serialized and that `wtilde.verify_relations_killed`
+  checks relation by relation.
+* `spanning_relations`: only the 4-subsets through the two least flags
+  at each site, a subfamily with the same row space (see its docstring).
+  It is the family that `homology` eliminates.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .trees import DomainError, MarkedTree, _structure, enumerate_strata, split_vertex
 
@@ -77,8 +86,9 @@ def expand_relation(
     return KMRelation(sigma, vertex, quad, pairing, terms)
 
 
-def generate_relations(n: int, k: int) -> list[KMRelation]:
-    """All emitted relations for S_{k,n}, in deterministic order."""
+def _relations(n: int, k: int,
+               quads: Callable[[tuple], Iterable[tuple]]) -> list[KMRelation]:
+    """Both pairings of the 4-subsets quads(fl) at every site (sigma, v)."""
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
     out = []
@@ -86,10 +96,49 @@ def generate_relations(n: int, k: int) -> list[KMRelation]:
         for v, fl in enumerate(_structure(sigma).flags):
             if len(fl) < 4:
                 continue
-            for quad in combinations(fl, 4):
+            for quad in quads(fl):
                 for pairing in (1, 2):
                     out.append(expand_relation(sigma, v, *quad, pairing))
     return out
+
+
+def generate_relations(n: int, k: int) -> list[KMRelation]:
+    """All emitted relations for S_{k,n}, in deterministic order."""
+    return _relations(n, k, lambda fl: combinations(fl, 4))
+
+
+def spanning_relations(n: int, k: int) -> list[KMRelation]:
+    """The relations of generate_relations(n, k) whose 4-subset contains
+    the two least flags fl[0], fl[1] of its site, in the same order.
+
+    A site of valence m emits (m-2)(m-3) of its 2*C(m,4) relations, and
+    they span the same row space:
+
+    * Per-site linearity.  The relations at (sigma, v) with flag set F are
+      the image of the 4-point relations of the F-pointed space
+      M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
+      the same with B and X exchanged) under the linear map
+      D_S -> split_vertex(sigma, v, S, F - S).  So it is enough that the
+      subfamily spans the full family on M_{0,F}, as formal combinations
+      of the D_S.
+    * Pullback.  For a flag t outside a 4-subset Q, the map
+      D_S -> D_S + D_{S+t} (forgetting t) sends the Q-relation on F - t
+      to the Q-relation on F, term by term.  If t is not fl[0] or fl[1],
+      the two least flags of F - t are those of F, so it sends subfamily
+      relations to subfamily relations.
+    * Induction on m = |F|.  Given Q, forget the flags outside
+      Q + {fl[0], fl[1]} one at a time: the Q-relation on F is the image
+      of the Q-relation on Q + {fl[0], fl[1]}, and the images of
+      subfamily relations there are subfamily relations on F.  So it is
+      enough that the claim holds on Q + {fl[0], fl[1]}, which has 4, 5
+      or 6 flags.  With 4 the Q-relation is in the subfamily.  With 5 and
+      6 the claim is a finite rank check, and since S_m permutes the pairs
+      of flags transitively one labelling suffices: on the star of 5
+      marks the subfamily has 6 rows of rank 5, on the star of 6 marks 12
+      rows of rank 9, the ranks of the full families
+      (tests/test_relations.py checks these over Q).
+    """
+    return _relations(n, k, lambda fl: (fl[:2] + rest for rest in combinations(fl[2:], 2)))
 
 
 def relations_jsonl(n: int, k: int) -> Iterable[str]:

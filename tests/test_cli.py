@@ -2,7 +2,12 @@ import io
 import json
 import sys
 
+import pytest
+
 from strata_lab.cli import main
+from strata_lab.conjecture import FormulaError
+from strata_lab.exact_linalg import RankCertificationError
+from strata_lab.wtilde import RewriteError
 
 
 def run_cli(args, tmp_path):
@@ -115,6 +120,7 @@ def test_verify_wtilde_all_k(tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["k"] == [2, 3] and obj["max_residual"] == "0"
+    assert obj["relations"] == 1120  # every emitted relation, not a subfamily
 
 
 def test_verify_resource_bound(tmp_path):
@@ -135,6 +141,26 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert obj["status"] == "fail" and obj["failures"]
+
+
+@pytest.mark.parametrize("target, name, error", [
+    ("main-theorem", "character_homology", RankCertificationError),
+    ("rewrite", "rewrite_to_standard", RewriteError),
+    ("conjecture", "betti_formula", FormulaError),
+])
+def test_verify_reports_named_errors(tmp_path, monkeypatch, target, name, error):
+    import strata_lab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out = run_cli(["verify", target, "--n", "6"], tmp_path)
+    assert code == 1
+    assert json.loads(out) == {
+        "target": target, "n": 6, "status": "fail",
+        "error": {"type": error.__name__, "message": "broken on purpose"},
+    }
 
 
 def test_character_generic_graded_space(tmp_path):

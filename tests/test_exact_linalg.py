@@ -15,7 +15,6 @@ from strata_lab.exact_linalg import (
     rank_bareiss,
     rank_exact,
     rank_mod_p,
-    span_dim_in_quotient,
     unique_rows,
 )
 from strata_lab.relations import generate_relations
@@ -142,29 +141,9 @@ def test_quotient_reduce_rejects_out_of_range():
         qb.quotient_reduce({5: 1})
 
 
-def test_span_dim_examples():
-    M = _relation_matrix(6, 2)
-    assert span_dim_in_quotient(M, []) == 0
-    units = [{i: 1} for i in range(M.n_cols)]
-    assert span_dim_in_quotient(M, units) == 16  # whole quotient
-    from strata_lab.trees import filtration_level
-
-    trees = enumerate_strata(6, 2)
-    lvl2 = [{i: 1} for i, t in enumerate(trees) if filtration_level(t) >= 2]
-    assert span_dim_in_quotient(M, lvl2) == 10
-
-
-def test_span_dim_monotone():
-    rng = random.Random(5)
-    M = _random_sparse(rng, 6, 8)
-    units = [{i: 1} for i in range(8)]
-    rng.shuffle(units)
-    dims = [span_dim_in_quotient(M, units[:j]) for j in range(9)]
-    assert all(a <= b for a, b in zip(dims, dims[1:]))
-    base = rank_exact(M)
-    assert all(base + d == rank_exact(
-        SparseIntMatrix.from_rows(8, M.rows + units[:j])
-    ) for j, d in enumerate(dims))
+def test_matrix_row_count_checked():
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 3, [{0: 1}])
 
 
 def test_unique_rows_sign_normalization():

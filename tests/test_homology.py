@@ -297,6 +297,22 @@ sys.exit("the integrality check let 15/2 through")
 """
 
 
+KEYED_ECHELON_UNDER_O = """
+import sys
+from strata_lab.exact_linalg import ModEchelon, quotient_basis
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+ech = ModEchelon(101, key=lambda c: -c)
+ech.add_rows([{0: 1, 1: 1}])  # pivot at column 1, not the natural column 0
+try:
+    quotient_basis((), 2, 101, echelon=ech)
+except ValueError:
+    sys.exit(0)
+sys.exit("the column-order check let a keyed echelon through")
+"""
+
+
 def _succeeds_under_O(script):
     src = str(Path(strata_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -310,8 +326,8 @@ def test_exact_audit_survives_python_O():
     _succeeds_under_O(AUDIT_UNDER_O)
 
 
-@pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O],
-                         ids=["rewrite-end", "integrality"])
+@pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O, KEYED_ECHELON_UNDER_O],
+                         ids=["rewrite-end", "integrality", "keyed-echelon"])
 def test_named_checks_survive_python_O(script):
     _succeeds_under_O(script)
 

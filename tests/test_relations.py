@@ -4,7 +4,14 @@ import random
 import pytest
 from oracles import rank_fraction
 
-from strata_lab.relations import expand_relation, generate_relations, relations_jsonl
+import strata_lab.homology as h
+from strata_lab.exact_linalg import ModEchelon, prime_stream, quotient_basis, unique_rows
+from strata_lab.relations import (
+    expand_relation,
+    generate_relations,
+    relations_jsonl,
+    spanning_relations,
+)
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
@@ -138,3 +145,50 @@ def test_jsonl_round_trip():
         obj = json.loads(line)
         assert obj["terms"] == sorted([idx[t], c] for t, c in rel.terms.items())
         assert MarkedTree.from_obj(obj["sigma"]) == rel.sigma
+
+
+def _full_rows(n, k):
+    idx = _index(n, k)
+    return unique_rows(r.row(idx) for r in generate_relations(n, k))
+
+
+@pytest.mark.parametrize("n, rows, rank", [(5, 6, 5), (6, 12, 9), (7, 20, 14)])
+def test_spanning_family_on_stars(n, rows, rank):
+    # the base cases (5 and 6 marks) of the spanning argument, and 7 marks
+    # as a check of its induction: at k = n-4 the only site is the star
+    idx = _index(n, n - 4)
+    sub = [r.row(idx) for r in spanning_relations(n, n - 4)]
+    assert len(sub) == rows
+    assert rank_fraction(sub, len(idx)) == rank
+    assert rank_fraction(_full_rows(n, n - 4), len(idx)) == rank
+
+
+def test_spanning_family_is_the_subfamily_through_the_two_least_flags():
+    def key(rel):
+        return rel.sigma, rel.vertex, rel.flags, rel.pairing, rel.terms
+
+    for n in (4, 5, 6, 7):
+        for k in range(n - 3):
+            want = [
+                key(r) for r in generate_relations(n, k)
+                if set(vertex_flags(r.sigma)[r.vertex][:2]) <= set(r.flags)
+            ]
+            assert [key(r) for r in spanning_relations(n, k)] == want
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5, 6, 7) for k in range(n - 3)]
+                         + [(8, 3), (8, 4)])
+def test_spanning_family_has_the_full_rank(n, k):
+    for p in [p for _, p in zip(range(2), prime_stream(31))]:
+        full = ModEchelon(p)
+        full.add_rows(_full_rows(n, k))
+        assert h._echelon(n, k, p).rank == full.rank
+
+
+def test_spanning_family_gives_the_same_quotient_basis():
+    n, k = 7, 2
+    p = next(iter(prime_stream(5)))
+    want = quotient_basis(_full_rows(n, k), len(_index(n, k)), p)
+    have = h._quotient_basis(n, k, p)
+    assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
+    assert have._rows == want._rows
