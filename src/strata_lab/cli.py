@@ -1,9 +1,9 @@
 """Command-line driver: enumeration, tables, characters, verification.
 
 Exit codes: 0 success, 1 verification failure (a failed check, or a
-certification, rewrite or formula error raised while verifying), 2 domain
-error, 3 resource bound exceeded.  All output is deterministic given
---seed and the inputs.
+certification, rewrite, formula or half-integer error raised while
+verifying), 2 domain error, 3 resource bound exceeded.  All output is
+deterministic given --seed and the inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .homology import (
 from .psets import character_pset
 from .trees import DomainError, MarkedTree, enumerate_strata, filtration_level
 from .wtilde import (
+    HalfIntegerError,
     RewriteError,
     apply_move,
     rewrite_to_standard,
@@ -243,12 +244,16 @@ def _verify_forgetful(args) -> dict:
     if args.k is not None and args.b is not None:
         rep = verify_forgetful_square(args.n, args.k, args.b)
         return rep.to_obj()
+    # --k or --b given alone narrows the sweep to the cases it names
+    cases = [(k, b) for k in range(2, args.n - 3) for b in range(0, args.n - k - 4 + 1)
+             if args.k in (None, k) and args.b in (None, b)]
+    if not cases and (args.k, args.b) != (None, None):
+        raise DomainError(f"no trees to check for n={args.n}, k={args.k}, b={args.b}")
     checked, mismatches = 0, []
-    for k in range(2, args.n - 3):
-        for b in range(0, args.n - k - 4 + 1):
-            rep = verify_forgetful_square(args.n, k, b)
-            checked += rep.checked
-            mismatches.extend(rep.mismatches)
+    for k, b in cases:
+        rep = verify_forgetful_square(args.n, k, b)
+        checked += rep.checked
+        mismatches.extend(rep.mismatches)
     return {"n": args.n, "checked": checked, "mismatches": mismatches}
 
 
@@ -289,7 +294,7 @@ def cmd_verify(args) -> int:
     }[args.target]
     try:
         report = handler(args)
-    except (RankCertificationError, RewriteError, FormulaError) as exc:
+    except (RankCertificationError, RewriteError, FormulaError, HalfIntegerError) as exc:
         _emit({
             "target": args.target,
             "n": args.n,

@@ -18,6 +18,12 @@ Two families are generated, both site by site in the same order:
 * `spanning_relations`: only the 4-subsets through the two least flags
   at each site, a subfamily with the same row space (see its docstring).
   It is the family that `homology` eliminates.
+
+A site of valence m has only 2^(m-1) - m - 1 distinct splits, shared by
+all its relations, so both families keep one split table per site: it
+maps the flags on the side of a split away from the site's least flag to
+the tree `split_vertex` returns for it, and every term at the site reads
+its tree from there.  Each tree is built and validated once per site.
 """
 
 from __future__ import annotations
@@ -74,13 +80,29 @@ def expand_relation(
         raise DomainError(f"flags must all be incident to vertex {vertex}")
     if pairing not in (1, 2):
         raise DomainError(f"pairing must be 1 or 2, got {pairing}")
+    return _expand(sigma, vertex, here, quad, pairing, {})
+
+
+def _expand(sigma: MarkedTree, vertex: int, here: tuple, quad: tuple,
+            pairing: int, table: dict) -> KMRelation:
+    """The relation (quad, pairing) at the site (sigma, vertex) whose flags
+    are `here`, with every term's tree read from the site's split table.
+
+    `table` maps the flags on the side of a split away from here[0] to the
+    tree split_vertex returns for it; a missing entry is split and stored.
+    """
+    a, b, c, d = quad
     rest = tuple(f for f in here if f not in quad)
     minus = (a, c, b, d) if pairing == 1 else (a, d, b, c)
     terms: dict[MarkedTree, int] = {}
     for (x1, x2, y1, y2), sign in (((a, b, c, d), 1), (minus, -1)):
         for u1 in _subsets(rest):
             u2 = tuple(f for f in rest if f not in u1)
-            t = split_vertex(sigma, vertex, (x1, x2) + u1, (y1, y2) + u2)
+            side_a, side_b = (x1, x2) + u1, (y1, y2) + u2
+            key = frozenset(side_b if here[0] in side_a else side_a)
+            t = table.get(key)
+            if t is None:
+                t = table[key] = split_vertex(sigma, vertex, side_a, side_b)
             terms[t] = terms.get(t, 0) + sign
     terms = {t: v for t, v in terms.items() if v}
     return KMRelation(sigma, vertex, quad, pairing, terms)
@@ -88,7 +110,8 @@ def expand_relation(
 
 def _relations(n: int, k: int,
                quads: Callable[[tuple], Iterable[tuple]]) -> list[KMRelation]:
-    """Both pairings of the 4-subsets quads(fl) at every site (sigma, v)."""
+    """Both pairings of the 4-subsets quads(fl) at every site (sigma, v),
+    all reading their trees from one split table per site."""
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
     out = []
@@ -96,9 +119,10 @@ def _relations(n: int, k: int,
         for v, fl in enumerate(_structure(sigma).flags):
             if len(fl) < 4:
                 continue
+            table: dict = {}
             for quad in quads(fl):
                 for pairing in (1, 2):
-                    out.append(expand_relation(sigma, v, *quad, pairing))
+                    out.append(_expand(sigma, v, fl, quad, pairing, table))
     return out
 
 

@@ -263,6 +263,10 @@ def forget_mark(t: MarkedTree, m: int | None = None) -> tuple[MarkedTree, bool]:
 def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     if n_edges == 0:
         return (MarkedTree.star(n),)
+    # Candidates are deduplicated as split families before any tree is
+    # built.  fl[0] is the flag holding mark 1, so a side grouped from
+    # fl[1:] is already in normal form; MarkedTree orders by (n, splits),
+    # so sorting the families sorts the trees.
     out = set()
     for t in _level(n, n_edges - 1):
         for v, fl in enumerate(_structure(t).flags):
@@ -271,9 +275,9 @@ def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
             rest = fl[1:]
             for size in range(2, len(fl) - 1):
                 for group in combinations(rest, size):
-                    side = [m for f in group for m in f]
-                    out.add(MarkedTree.from_sides(n, t.splits + (tuple(side),)))
-    return tuple(sorted(out))
+                    side = tuple(sorted(m for f in group for m in f))
+                    out.add(tuple(sorted(t.splits + (side,))))
+    return tuple(MarkedTree(n, splits) for splits in sorted(out))
 
 
 def enumerate_strata(n: int, k: int) -> tuple[MarkedTree, ...]:

@@ -7,7 +7,7 @@ strata: on level-1 trees it is a signed sum over the covering pairs
 refined by the fat vertex, with coefficient (-1)^e / 2, on level-2 trees
 it is the single pair, and it vanishes on level >= 3.  The extension is
 checked at runtime to kill every relation modulo pairs of inner level
->= 1, in exact rational arithmetic.
+>= 1, in exact integer half-units.
 
 rewrite_to_standard normalizes a level-2 tree within its homology class
 to the canonical representative of its pair fiber, recording a replayable
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .psets import PairLabel, inner_level
 from .relations import KMRelation, generate_relations
@@ -107,23 +108,38 @@ def wtilde(t: MarkedTree) -> PVector:
     return out
 
 
-def wtilde_relation(rel: KMRelation, memo: dict | None = None) -> PVector:
-    """wtilde of a relation, by linearity, in exact rational arithmetic."""
-    acc: PVector = {}
+def _by_linearity(rel: KMRelation, image: Callable[[MarkedTree], dict]) -> dict:
+    """Sum of coeff * image(tree) over the terms of rel, zeros dropped."""
+    acc: dict = {}
     for tree, coeff in rel.terms.items():
-        if memo is not None and tree in memo:
-            img = memo[tree]
-        else:
-            img = wtilde(tree)
-            if memo is not None:
-                memo[tree] = img
-        for gamma, q in img.items():
-            val = acc.get(gamma, Fraction(0)) + coeff * q
+        for gamma, q in image(tree).items():
+            val = acc.get(gamma, 0) + coeff * q
             if val:
                 acc[gamma] = val
             else:
                 acc.pop(gamma, None)
     return acc
+
+
+def wtilde_relation(rel: KMRelation) -> PVector:
+    """wtilde of a relation, by linearity, in exact rational arithmetic."""
+    return _by_linearity(rel, wtilde)
+
+
+class HalfIntegerError(ArithmeticError):
+    """A value of wtilde lies outside (1/2)Z, the lattice the killing check sums in."""
+
+
+def _covering_half_units(t: MarkedTree, n: int) -> dict[PairLabel, int]:
+    """2 * wtilde(t) on the pairs of inner level 0, as ints."""
+    out = {}
+    for gamma, q in wtilde(t).items():
+        if inner_level(gamma, n) == 0:
+            twice = 2 * q
+            if twice.denominator != 1:
+                raise HalfIntegerError(f"wtilde({t}) has coefficient {q} at {gamma}")
+            out[gamma] = twice.numerator
+    return out
 
 
 @dataclass
@@ -152,18 +168,22 @@ class KilledReport:
 
 def verify_relations_killed(n: int, k: int) -> KilledReport:
     """Check the covering-pair component of wtilde(R) vanishes for every
-    relation R; residuals are exact rationals, zero means zero."""
+    relation R; residuals are exact rationals, zero means zero.
+
+    Restricting to inner level 0 commutes with summing over the terms, so
+    each tree's restricted image is taken once, in half-units (every value
+    of wtilde lies in (1/2)Z; HalfIntegerError otherwise), and each
+    relation is summed in integers.
+    """
     if not 2 <= k <= n - 4:
         raise DomainError(f"check needs 2 <= k <= n-4, got ({n}, {k})")
     rels = generate_relations(n, k)
     report = KilledReport(n, k, len(rels))
-    memo: dict = {}
+    half_units = lru_cache(maxsize=None)(lambda t: _covering_half_units(t, n))
     for rel in rels:
-        image = wtilde_relation(rel, memo)
-        residual = {
-            g: q for g, q in image.items() if inner_level(g, n) == 0 and q != 0
-        }
-        if residual:
+        acc = _by_linearity(rel, half_units)
+        if acc:
+            residual = {g: Fraction(h, 2) for g, h in acc.items()}
             report.max_residual = max(
                 report.max_residual, *(abs(q) for q in residual.values())
             )

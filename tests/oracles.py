@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the library's modular elimination and
 enumeration strategies: ranks are fraction Gaussian elimination, strata
-counts come from brute-force search over compatible split families, and
-characters are fixed-point counts.
+counts come from brute-force search over compatible split families,
+characters are fixed-point counts, and Betti numbers come from Keel's
+recursion, which is a theorem.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 
 def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
@@ -64,3 +67,27 @@ def brute_force_strata_count(n: int, n_edges: int) -> int:
             if all(compatible(c, x) for x in chosen):
                 stack.append((chosen + (c,), i + 1))
     return count
+
+
+@lru_cache(maxsize=None)
+def keel_betti(n: int) -> tuple[int, ...]:
+    """dim H_{2k} of the n-marked space for k = 0..n-3, from Keel's
+    recursion for the Poincare polynomial (Keel 1992):
+
+        P_3 = 1,  P_{m+1} = (1+q) P_m + (q/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}.
+    """
+    if n == 3:
+        return (1,)
+    m = n - 1
+    prev = keel_betti(m)
+    out = [Fraction(0)] * (n - 2)
+    for i, c in enumerate(prev):
+        out[i] += c
+        out[i + 1] += c
+    for j in range(2, m - 1):
+        for x, ca in enumerate(keel_betti(j + 1)):
+            for y, cb in enumerate(keel_betti(m - j + 1)):
+                out[x + y + 1] += Fraction(comb(m, j) * ca * cb, 2)
+    if any(c.denominator != 1 for c in out):
+        raise ArithmeticError(f"Keel's recursion gave a non-integer at n={n}")
+    return tuple(int(c) for c in out)

@@ -7,7 +7,7 @@ import pytest
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
 from strata_lab.exact_linalg import RankCertificationError
-from strata_lab.wtilde import RewriteError
+from strata_lab.wtilde import HalfIntegerError, RewriteError, verify_forgetful_square
 
 
 def run_cli(args, tmp_path):
@@ -123,6 +123,19 @@ def test_verify_wtilde_all_k(tmp_path):
     assert obj["relations"] == 1120  # every emitted relation, not a subfamily
 
 
+@pytest.mark.parametrize("flag, value, cases", [
+    ("--k", 3, [(3, 0)]),
+    ("--b", 1, [(2, 1)]),
+])
+def test_verify_forgetful_narrows_to_a_lone_k_or_b(tmp_path, flag, value, cases):
+    code, out = run_cli(["verify", "forgetful", "--n", "7", flag, str(value)], tmp_path)
+    assert code == 0
+    want = sum(verify_forgetful_square(7, k, b).checked for k, b in cases)
+    assert json.loads(out)["checked"] == want < 2800  # 2800: every (k, b)
+    code, _ = run_cli(["verify", "forgetful", "--n", "7", flag, "9"], tmp_path)
+    assert code == 2
+
+
 def test_verify_resource_bound(tmp_path):
     code, out = run_cli(["verify", "main-theorem", "--n", "9", "--max-n", "8"], tmp_path)
     assert code == 3
@@ -147,6 +160,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     ("main-theorem", "character_homology", RankCertificationError),
     ("rewrite", "rewrite_to_standard", RewriteError),
     ("conjecture", "betti_formula", FormulaError),
+    ("wtilde", "verify_relations_killed", HalfIntegerError),
 ])
 def test_verify_reports_named_errors(tmp_path, monkeypatch, target, name, error):
     import strata_lab.cli as cli

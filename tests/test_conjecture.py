@@ -1,4 +1,5 @@
 import pytest
+from oracles import keel_betti
 
 from strata_lab.conjecture import betti_formula, q_dim_formula
 from strata_lab.psets import cardinality_p1, cardinality_p2
@@ -43,6 +44,11 @@ def test_level2_matches_pair_count_to_n12():
         for k in range(2, n - 2):
             if min(k, n - 2 - k) >= 2:
                 assert q_dim_formula(n, k, 2) == cardinality_p2(n, k)
+
+
+def test_betti_formula_matches_keel_recursion_to_n16():
+    for n in range(4, 17):
+        assert tuple(betti_formula(n, k) for k in range(n - 2)) == keel_betti(n)
 
 
 def test_betti_formula_palindromic_to_n12():

@@ -8,7 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from oracles import in_row_space, rank_fraction
+from oracles import in_row_space, keel_betti, rank_fraction
 
 import strata_lab
 import strata_lab.exact_linalg as el
@@ -64,6 +64,11 @@ def test_betti_matches_fraction_oracle():
     for n, k in [(4, 0), (5, 0), (5, 1), (6, 1), (6, 2)]:
         M = relation_matrix(n, k)
         assert betti(n, k) == M.n_cols - rank_fraction(M.rows, M.n_cols)
+
+
+def test_betti_matches_keel_recursion():
+    for n in range(3, 8):
+        assert tuple(betti(n, k) for k in range(n - 2)) == keel_betti(n)
 
 
 def test_betti_poincare_palindrome():

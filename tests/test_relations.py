@@ -5,6 +5,7 @@ import pytest
 from oracles import rank_fraction
 
 import strata_lab.homology as h
+import strata_lab.relations as rel_mod
 from strata_lab.exact_linalg import ModEchelon, prime_stream, quotient_basis, unique_rows
 from strata_lab.relations import (
     expand_relation,
@@ -192,3 +193,23 @@ def test_spanning_family_gives_the_same_quotient_basis():
     have = h._quotient_basis(n, k, p)
     assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
     assert have._rows == want._rows
+
+
+def test_each_split_tree_is_built_once_per_site(monkeypatch):
+    """generate_relations splits each (site, bipartition) exactly once."""
+    calls = []
+    split = rel_mod.split_vertex
+
+    def counting_split(sigma, v, flags_a, flags_b):
+        calls.append((sigma, v, frozenset([frozenset(flags_a), frozenset(flags_b)])))
+        return split(sigma, v, flags_a, flags_b)
+
+    monkeypatch.setattr(rel_mod, "split_vertex", counting_split)
+    n, k = 7, 2
+    rels = generate_relations(n, k)
+    # every bipartition of the m flags at a site into two sides of at
+    # least two flags occurs in some relation: 2^(m-1) - m - 1 of them
+    sites = [len(fl) for sigma in enumerate_strata(n, k + 1)
+             for fl in vertex_flags(sigma) if len(fl) >= 4]
+    assert len(calls) == len(set(calls)) == sum(2 ** (m - 1) - m - 1 for m in sites)
+    assert sum(len(r.terms) for r in rels) > len(calls)

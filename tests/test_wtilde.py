@@ -1,7 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from test_homology import _succeeds_under_O
 
 from strata_lab.homology import class_equal, graded_class_equal
 from strata_lab.psets import PairLabel, enumerate_p2, inner_level
@@ -127,6 +129,55 @@ def test_relations_killed_examples():
 def test_relations_killed_rejects_bad_range():
     with pytest.raises(DomainError):
         verify_relations_killed(5, 1)
+
+
+def test_killing_check_reports_a_flipped_image(monkeypatch):
+    # the package attribute strata_lab.wtilde is the function, not the module
+    module = sys.modules["strata_lab.wtilde"]
+    n, k = 7, 2
+    bad = next(t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and wtilde(t))
+
+    def flipped(t):
+        img = wtilde(t)
+        return {g: -q for g, q in img.items()} if t == bad else img
+
+    monkeypatch.setattr(module, "wtilde", flipped)
+    rep = verify_relations_killed(n, k)
+    # the image of a level-1 tree lies in inner level 0, so every relation
+    # through it, and no other, is left with a residual: the covering part
+    # of its image summed in Fractions
+    failing = [r for r in generate_relations(n, k) if bad in r.terms]
+    assert len(rep.failures) == len(failing) > 0
+    for f, rel in zip(rep.failures, failing):
+        want = {g: q for g, q in wtilde_relation(rel).items() if inner_level(g, n) == 0}
+        assert f["residual"] == {str(g.to_obj()): str(q) for g, q in want.items()}
+    residuals = [Fraction(q) for f in rep.failures for q in f["residual"].values()]
+    assert all(q != 0 and (2 * q).denominator == 1 for q in residuals)
+    assert rep.max_residual == max(abs(q) for q in residuals) > 0
+
+
+THIRD_UNDER_O = """
+import sys
+from fractions import Fraction
+import strata_lab
+from strata_lab.trees import enumerate_strata, filtration_level
+
+module = sys.modules["strata_lab.wtilde"]
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+wtilde = module.wtilde
+bad = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 1 and wtilde(t))
+module.wtilde = lambda t: {g: Fraction(1, 3) for g in wtilde(t)} if t == bad else wtilde(t)
+try:
+    module.verify_relations_killed(6, 2)
+except module.HalfIntegerError:
+    sys.exit(0)
+sys.exit("the half-unit check let 1/3 through")
+"""
+
+
+def test_killing_check_refuses_a_third_under_python_O():
+    _succeeds_under_O(THIRD_UNDER_O)
 
 
 def test_wtilde_relation_linearity():
