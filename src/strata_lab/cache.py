@@ -4,8 +4,9 @@
 a hash of (package version, kind, params), so version bumps invalidate
 old files automatically; a header echo inside each file is checked on
 load and mismatches fall back to recomputation.  Writes go through a
-temp file and an atomic rename.  The CLI stores strata enumerations,
-keyed by (n, k), and certified Betti numbers, keyed by (n, k, seed).
+temp file and an atomic rename.  The CLI stores certified Betti numbers
+only, keyed by (n, k, seed): they are the results that cost eliminations,
+while strata are recomputed faster than a cache file is read.
 """
 
 from __future__ import annotations

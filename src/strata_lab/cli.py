@@ -31,7 +31,7 @@ from .homology import (
     relation_matrix,
 )
 from .psets import character_pset
-from .trees import DomainError, MarkedTree, enumerate_strata, filtration_level
+from .trees import DomainError, enumerate_strata, filtration_level
 from .wtilde import (
     HalfIntegerError,
     RewriteError,
@@ -74,16 +74,7 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    from .cache import cached
-
-    n, k = args.n, args.k
-    trees = cached(
-        "strata", {"n": n, "k": k},
-        lambda: [[list(s) for s in t.splits] for t in enumerate_strata(n, k)],
-        args.cache_dir,
-    )
-    for splits in trees:
-        t = MarkedTree(n, tuple(map(tuple, splits)))
+    for t in enumerate_strata(args.n, args.k):
         if args.min_r and filtration_level(t) < args.min_r:
             continue
         sys.stdout.write(t.to_json() + "\n")

@@ -8,12 +8,18 @@ is minus its reduced row.  The graded piece spanned by the level >= r
 strata is handled through its permutation presentation, Q(S^{>=r})
 modulo the kernel of e_j -> [e_j], and the trace of a permutation on
 that presentation is read off its reduced form, free column by free
-column.  Every reported number is certified at two independent primes.
+column.  Every reported number is certified at two independent primes,
+except a Betti number whose relation rank reaches its known value at the
+first prime: reduction mod p can only lower a rank, and the rank over Q is
+|S_{k,n}| - b_k with b_k from Keel's recursion (a theorem), so a mod-p
+rank equal to that bound is the rank over Q.  A wrong relation matrix
+misses the bound and is certified at two primes as before.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .characters import Character, partitions_of, representative
 from .exact_linalg import (
@@ -23,6 +29,7 @@ from .exact_linalg import (
     SparseIntMatrix,
     certified_value,
     lift_symmetric,
+    prime_stream,
     quotient_basis,
     rank_bareiss,
     unique_rows,
@@ -31,6 +38,7 @@ from .relations import spanning_relations
 from .trees import (
     DomainError,
     MarkedTree,
+    _inner_levels,
     apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
@@ -72,13 +80,40 @@ def _quotient_basis(n: int, k: int, p: int) -> QuotientBasis:
 
 
 @lru_cache(maxsize=None)
+def _keel_row(n: int) -> tuple[int, ...]:
+    """b_0 .. b_{n-3} of the n-marked space from Keel's recursion for the
+    Poincare polynomial (Keel, Trans. AMS 330, 1992), q of degree 2:
+    P_3 = 1,  P_{m+1} = (1+q) P_m + (q/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}.
+    The sum is even: its terms j and m-j are equal, and C(m, m/2) is even."""
+    if n == 3:
+        return (1,)
+    m = n - 1
+    row = [0, *_keel_row(m)]
+    for i, c in enumerate(_keel_row(m)):
+        row[i] += c
+    pairs = [0] * (m - 2)
+    for j in range(2, m - 1):
+        for x, a in enumerate(_keel_row(j + 1)):
+            for y, b in enumerate(_keel_row(m - j + 1)):
+                pairs[x + y] += comb(m, j) * a * b
+    return tuple(c + (pairs[i - 1] // 2 if i else 0) for i, c in enumerate(row))
+
+
+@lru_cache(maxsize=None)
 def betti(n: int, k: int, seed: int = 0) -> int:
-    """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank."""
+    """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank.
+
+    The rank at the first prime is returned when it reaches |S_{k,n}| - b_k,
+    b_k from Keel's recursion; otherwise the rank is certified at two
+    primes, starting at that same prime."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
-    rank = certified_value(lambda p: _echelon(n, k, p).rank, seed,
-                           f"relation rank ({n},{k})", lower_bound=True)
-    return len(enumerate_strata(n, k)) - rank
+    size = len(enumerate_strata(n, k))
+    rank = _echelon(n, k, next(prime_stream(seed))).rank
+    if rank != size - _keel_row(n)[k]:
+        rank = certified_value(lambda p: _echelon(n, k, p).rank, seed,
+                               f"relation rank ({n},{k})", lower_bound=True)
+    return size - rank
 
 
 @lru_cache(maxsize=None)
@@ -126,16 +161,8 @@ def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
 @lru_cache(maxsize=None)
 def _inner_ids(n: int, k: int, b: int) -> tuple[int, ...]:
     """Ids of level >= 3 strata plus level-2 strata with inner level >= b."""
-    out = []
-    for i, t in enumerate(enumerate_strata(n, k)):
-        lvl = filtration_level(t)
-        if lvl >= 3:
-            out.append(i)
-        elif lvl == 2:
-            mid = decompose_two_vertex(t)[4]
-            if len(mid) >= b:
-                out.append(i)
-    return tuple(out)
+    inner = {i for i, c in enumerate(_inner_levels(n, k)) if c is not None and c >= b}
+    return tuple(sorted(inner.union(_level_ids(n, k, 3))))
 
 
 def inner_graded_dims(n: int, k: int, seed: int = 0) -> list[int]:

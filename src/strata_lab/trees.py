@@ -10,6 +10,11 @@ for free from tuple comparison.
 Vertex numbering convention used by all surgery operations: vertex 0 is
 the internal vertex incident to mark 1, and vertex i >= 1 is the far
 endpoint of the edge recorded by ``t.splits[i-1]``.
+
+Strata are enumerated by the forget-map recursion: forgetting mark n
+sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
+on, so re-attaching mark n at every place of every (n-1)-marked tree
+yields each n-marked tree exactly once.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ Side = tuple  # sorted marks on the side of an edge away from mark 1
 
 class DomainError(ValueError):
     """Raised for (n, k) or surgery arguments outside the valid range."""
+
+
+class TreeStructureError(RuntimeError):
+    """An internal invariant of a tree's vertex structure does not hold."""
 
 
 def _norm_side(side: Iterable[int], n: int) -> Side:
@@ -148,7 +157,8 @@ def valence_partition(t: MarkedTree) -> tuple[int, ...]:
     parts = sorted(
         (len(f) - 3 for f in _structure(t).flags if len(f) > 3), reverse=True
     )
-    assert sum(parts) == t.k
+    if sum(parts) != t.k:
+        raise TreeStructureError(f"valence partition {parts} does not sum to k={t.k}")
     return tuple(parts)
 
 
@@ -200,7 +210,8 @@ def _edge_toward(t: MarkedTree, st: _Structure, v: int, w: int) -> Side:
     for i, pv in enumerate(st.parent_vertex):
         if pv == v and w >= 1 and sets[w - 1] <= sets[i]:
             return t.splits[i]
-    assert v >= 1, "vertex 0 reaches every other vertex through a child edge"
+    if v < 1:
+        raise TreeStructureError(f"vertex 0 has no child edge toward vertex {w}")
     full = frozenset(range(1, t.n + 1))
     return tuple(sorted(full - sets[v - 1]))
 
@@ -232,8 +243,17 @@ def decompose_two_vertex(t: MarkedTree):
     min(P1) < min(P2), plus the marks on the connecting subtree.
     """
     _, p1, a1, _, p2, a2, mid = _two_vertex_data(t)
-    assert a1 + a2 == t.k and len(p1) >= a1 + 2 and len(p2) >= a2 + 2
+    if a1 + a2 != t.k or len(p1) < a1 + 2 or len(p2) < a2 + 2:
+        raise TreeStructureError(f"fat vertices {a1}, {a2} do not fit {canonical_form(t)}")
     return p1, a1, p2, a2, mid
+
+
+@lru_cache(maxsize=None)
+def _inner_levels(n: int, k: int) -> tuple[int | None, ...]:
+    """Inner level (marks on the connecting subtree) of each level-2 tree in
+    enumerate_strata(n, k), and None for every tree of another level."""
+    return tuple(len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2 else None
+                 for t in enumerate_strata(n, k))
 
 
 def forget_mark(t: MarkedTree, m: int | None = None) -> tuple[MarkedTree, bool]:
@@ -263,28 +283,33 @@ def forget_mark(t: MarkedTree, m: int | None = None) -> tuple[MarkedTree, bool]:
 def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     if n_edges == 0:
         return (MarkedTree.star(n),)
-    # Candidates are deduplicated as split families before any tree is
-    # built.  fl[0] is the flag holding mark 1, so a side grouped from
-    # fl[1:] is already in normal form; MarkedTree orders by (n, splits),
-    # so sorting the families sorts the trees.
-    out = set()
-    for t in _level(n, n_edges - 1):
-        for v, fl in enumerate(_structure(t).flags):
-            if len(fl) < 4:
-                continue
-            rest = fl[1:]
-            for size in range(2, len(fl) - 1):
-                for group in combinations(rest, size):
-                    side = tuple(sorted(m for f in group for m in f))
-                    out.add(tuple(sorted(t.splits + (side,))))
+    out = []
+    # mark n at vertex 0 (no split changes) or at the far end of edge s:
+    # n joins s and every split containing s
+    for t in _level(n - 1, n_edges) if n_edges <= n - 4 else ():
+        sets = [frozenset(s) for s in t.splits]
+        out.append(t.splits)
+        for s in sets:
+            out.append(tuple(sorted(x + (n,) if s <= u else x for x, u in zip(t.splits, sets))))
+    # mark n on a new trivalent vertex inside the leaf edge of mark 1 (new
+    # split {2..n-1}), or inside the edge whose far side s is a leaf {m} or
+    # a split: s stays, s + {n} is new, n joins every split strictly above s
+    for t in _level(n - 1, n_edges - 1):
+        sets = [frozenset(s) for s in t.splits]
+        out.append(tuple(sorted(t.splits + (tuple(range(2, n)),))))
+        for s in [(m,) for m in range(2, n)] + list(t.splits):
+            f = frozenset(s)
+            out.append(tuple(sorted(
+                [s + (n,), *(x + (n,) if f < u else x for x, u in zip(t.splits, sets))])))
     return tuple(MarkedTree(n, splits) for splits in sorted(out))
 
 
 def enumerate_strata(n: int, k: int) -> tuple[MarkedTree, ...]:
     """Every stable n-marked tree with n-3-k internal edges, each once.
 
-    Built by recursive vertex splitting from the star tree, deduplicated
-    by canonical form; output sorted lexicographically on the form.
+    Built by the forget-map recursion: mark n at a vertex of an (n-1)-marked
+    tree of dimension k-1, or on a new trivalent vertex inside an edge of
+    one of dimension k; output sorted on the split families.
     """
     if n < 3 or k < 0 or k > n - 3:
         raise DomainError(f"no strata for n={n}, k={k}")

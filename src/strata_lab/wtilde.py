@@ -27,6 +27,7 @@ from .relations import KMRelation, generate_relations
 from .trees import (
     DomainError,
     MarkedTree,
+    _inner_levels,
     _structure,
     _two_vertex_data,
     decompose_two_vertex,
@@ -230,12 +231,10 @@ def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
     if not 2 <= k <= (n + 1) - 4 or b < 0 or b + 1 > (n + 1) - k - 4:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
     report = SquareReport(n, k, b, 0)
-    for sigma in enumerate_strata(n + 1, k):
-        if filtration_level(sigma) != 2:
+    for sigma, inner in zip(enumerate_strata(n + 1, k), _inner_levels(n + 1, k)):
+        if inner != b + 1:
             continue
         p1, a1, p2, a2, mid = decompose_two_vertex(sigma)
-        if len(mid) != b + 1:
-            continue
         report.checked += 1
         pair = PairLabel.from_parts(p1, a1, p2, a2)
         pair_route = None if (n + 1) in (set(p1) | set(p2)) else pair

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's modular elimination and
 enumeration strategies: ranks are fraction Gaussian elimination, strata
-counts come from brute-force search over compatible split families,
+come from brute-force search over compatible split families,
 characters are fixed-point counts, and Betti numbers come from Keel's
 recursion, which is a theorem.
 """
@@ -39,34 +39,32 @@ def in_row_space(rows: list[dict[int, int]], vec: dict[int, int], n_cols: int) -
     return rank_fraction(rows + [vec], n_cols) == base
 
 
-def brute_force_strata_count(n: int, n_edges: int) -> int:
-    """Count compatible families of `n_edges` splits by direct search.
+def brute_force_strata(n: int, n_edges: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every compatible family of `n_edges` splits, by direct search, sorted.
 
-    Candidate splits are all subsets of {2..n} of size 2..n-2; compatible
-    means any two are nested or disjoint.  Exponential; keep n small.
+    Candidate splits are all subsets of {2..n} of size 2..n-2, as sorted
+    tuples; compatible means any two are nested or disjoint.  Each family
+    is a sorted tuple of splits.  Exponential; keep n small.
     """
     marks = range(2, n + 1)
-    candidates = [
-        frozenset(c)
-        for size in range(2, n - 1)
-        for c in combinations(marks, size)
-    ]
+    candidates = [c for size in range(2, n - 1) for c in combinations(marks, size)]
 
     def compatible(a, b):
+        a, b = set(a), set(b)
         return a <= b or b <= a or not (a & b)
 
-    count = 0
+    out = []
     stack = [((), 0)]
     while stack:
         chosen, start = stack.pop()
         if len(chosen) == n_edges:
-            count += 1
+            out.append(tuple(sorted(chosen)))
             continue
         for i in range(start, len(candidates)):
             c = candidates[i]
             if all(compatible(c, x) for x in chosen):
                 stack.append((chosen + (c,), i + 1))
-    return count
+    return sorted(out)
 
 
 @lru_cache(maxsize=None)

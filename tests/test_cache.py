@@ -75,10 +75,9 @@ def test_warm_betti_reads_certified_results(tmp_path, monkeypatch):
         run_cli(["betti", "--n", "6", "--k", "1", "--seed", "0"], tmp_path)
 
 
-def test_warm_enumerate_reads_the_strata(tmp_path, monkeypatch):
-    import strata_lab.cli as cli
-
+def test_enumerate_leaves_the_cache_empty(tmp_path):
     args = ["enumerate", "--n", "6", "--k", "1", "--min-r", "1"]
     cold = run_cli(args, tmp_path)
-    monkeypatch.setattr(cli, "enumerate_strata", None)
-    assert run_cli(args, tmp_path) == cold
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+    assert run_cli(args, tmp_path) == cold and cold[0] == 0 and cold[1]

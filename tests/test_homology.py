@@ -244,6 +244,66 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     assert all(fed[p] == sum(relation.values()) for p in drawn), fed
 
 
+def test_keel_row_matches_the_test_oracle():
+    import strata_lab.homology as h
+
+    for n in range(3, 17):
+        assert h._keel_row(n) == keel_betti(n)
+
+
+@pytest.fixture
+def fresh_betti(monkeypatch):
+    """The homology module with betti and _echelon on caches of their own,
+    so patched relation rows leave nothing behind in the shared ones."""
+    import strata_lab.homology as h
+
+    for name in ("_echelon", "betti"):
+        monkeypatch.setattr(h, name, lru_cache(maxsize=None)(getattr(h, name).__wrapped__))
+    return h
+
+
+def test_one_prime_certificate_masks_no_fault(fresh_betti, monkeypatch):
+    h = fresh_betti
+    n, k = 6, 2
+    b, width = h.betti(n, k), len(h._index(n, k))
+    # every relation row lies in the span of the others, so take an
+    # independent subfamily with the same span, row by row over Q
+    basis = []
+    for r in h._relation_rows(n, k):
+        if rank_fraction(basis + [dict(r)], width) > len(basis):
+            basis.append(dict(r))
+    assert len(basis) == width - b == width - h._keel_row(n)[k]
+    unit = next({c: 1} for c in range(width) if rank_fraction(basis + [{c: 1}], width) > len(basis))
+    # dropping an independent row lowers the rank over Q, so the bound is
+    # missed at every prime and the two-prime certificate reports b + 1;
+    # an extra unit row outside the row space raises it: b - 1
+    for rows, want, primes in [(basis, b, 1), (basis[1:], b + 1, 2), (basis + [unit], b - 1, 2)]:
+        h.betti.cache_clear()
+        h._echelon.cache_clear()
+        monkeypatch.setattr(h, "_relation_rows", lambda n, k, rows=rows: tuple(rows))
+        assert h.betti(n, k) == want
+        assert h._echelon.cache_info().currsize == primes
+
+
+def test_betti_eliminates_at_one_prime(fresh_betti, monkeypatch):
+    h = fresh_betti
+    n, k, seed = 8, 3, 0
+    relation = {frozenset(r.items()) for r in h._relation_rows(n, k)}
+    fed = Counter()
+    add_rows = ModEchelon.add_rows
+
+    def counting_add_rows(self, rows, presorted=False):
+        rows = list(rows)
+        if any(frozenset(r.items()) in relation for r in rows):
+            fed[self.p] += 1
+        return add_rows(self, rows, presorted)
+
+    monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
+    assert h.betti(n, k, seed) == keel_betti(n)[k]
+    assert list(fed.values()) == [1]
+    assert list(fed) == [next(prime_stream(seed))]
+
+
 def test_class_equal_examples():
     t = MarkedTree.from_sides(4, [(3, 4)])
     assert class_equal(t, t)

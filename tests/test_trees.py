@@ -2,7 +2,8 @@ import math
 import random
 
 import pytest
-from oracles import brute_force_strata_count
+from oracles import brute_force_strata
+from test_homology import _succeeds_under_O
 
 from strata_lab.trees import (
     DomainError,
@@ -28,9 +29,18 @@ def test_enumerate_counts_trivalent():
 
 
 def test_enumerate_matches_brute_force_family_search():
-    # independent oracle: search over all compatible split families
-    for n, k in [(4, 0), (5, 1), (5, 0), (6, 1), (6, 2), (6, 0)]:
-        assert len(enumerate_strata(n, k)) == brute_force_strata_count(n, n - 3 - k)
+    # independent oracle: search over all compatible split families; the
+    # families must agree exactly, order included
+    for n in range(3, 8):
+        for k in range(n - 2):
+            want = brute_force_strata(n, n - 3 - k)
+            assert [t.splits for t in enumerate_strata(n, k)] == want, (n, k)
+
+
+@pytest.mark.slow
+def test_enumerate_n9_row_sizes():
+    sizes = [len(enumerate_strata(9, k)) for k in range(7)]
+    assert sizes == [135135, 270270, 190575, 56980, 6825, 246, 1]
 
 
 def test_enumerate_examples():
@@ -222,3 +232,55 @@ def test_json_round_trip():
     assert MarkedTree.from_json('{"n": 6, "splits": [[3,4],[5,6]]}') == (
         MarkedTree.from_sides(6, [(3, 4), (5, 6)])
     )
+
+
+VALENCE_UNDER_O = """
+import sys
+import strata_lab.trees as tr
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real = tr._structure
+tr._structure = lambda t: real(tr.MarkedTree.star(6))  # one part of 3, not k = 2
+try:
+    tr.valence_partition(tr.MarkedTree.star(5))
+except tr.TreeStructureError:
+    sys.exit(0)
+sys.exit("the valence partition check let a wrong sum through")
+"""
+
+EDGE_TOWARD_UNDER_O = """
+import sys
+import strata_lab.trees as tr
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+t = tr.MarkedTree.from_sides(6, [(4, 5, 6)])
+try:
+    tr._edge_toward(t, tr._structure(t), 0, 0)  # vertex 0 has no edge toward itself
+except tr.TreeStructureError:
+    sys.exit(0)
+sys.exit("the edge search let vertex 0 through")
+"""
+
+DECOMPOSE_UNDER_O = """
+import sys
+import strata_lab.trees as tr
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+t = tr.MarkedTree.from_sides(6, [(4, 5, 6)])
+# a fat vertex with two marks cannot carry excess valence 1
+tr._two_vertex_data = lambda t: (0, frozenset({1, 2}), 1, 1, frozenset({3, 4, 5, 6}), 1, frozenset())
+try:
+    tr.decompose_two_vertex(t)
+except tr.TreeStructureError:
+    sys.exit(0)
+sys.exit("the decomposition check let an unstable vertex through")
+"""
+
+
+@pytest.mark.parametrize("script", [VALENCE_UNDER_O, EDGE_TOWARD_UNDER_O, DECOMPOSE_UNDER_O],
+                         ids=["valence-partition", "edge-toward", "decompose"])
+def test_tree_invariants_survive_python_O(script):
+    _succeeds_under_O(script)

@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 from fractions import Fraction
@@ -201,6 +202,27 @@ def test_forgetful_square_more_cases():
     for n, k, b in [(7, 2, 0), (7, 2, 1), (7, 3, 0)]:
         rep = verify_forgetful_square(n, k, b)
         assert rep.passed and rep.checked > 0
+
+
+def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
+    from strata_lab.trees import _inner_levels
+
+    w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
+    n, k = 7, 2
+    inner = _inner_levels(n + 1, k)
+    assert inner == tuple(len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2
+                          else None for t in enumerate_strata(n + 1, k))
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return decompose_two_vertex(t)
+
+    monkeypatch.setattr(w, "decompose_two_vertex", counting)
+    for b in range(n - k - 3):
+        calls.clear()
+        rep = verify_forgetful_square(n, k, b)
+        assert rep.passed and len(calls) == rep.checked == inner.count(b + 1) > 0
 
 
 def test_forgetful_square_bad_range():
