@@ -283,10 +283,12 @@ def forget_mark(t: MarkedTree, m: int | None = None) -> tuple[MarkedTree, bool]:
 def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     if n_edges == 0:
         return (MarkedTree.star(n),)
+    if n_edges > n - 3:
+        return ()
     out = []
     # mark n at vertex 0 (no split changes) or at the far end of edge s:
     # n joins s and every split containing s
-    for t in _level(n - 1, n_edges) if n_edges <= n - 4 else ():
+    for t in _level(n - 1, n_edges):
         sets = [frozenset(s) for s in t.splits]
         out.append(t.splits)
         for s in sets:
