@@ -4,14 +4,6 @@ __version__ = "0.1.0"
 
 from .characters import Character, cycle_type_key, partitions_of, representative  # noqa: F401
 from .conjecture import betti_formula, q_dim_formula  # noqa: F401
-from .exact_linalg import (  # noqa: F401
-    QuotientBasis,
-    SparseIntMatrix,
-    quotient_basis,
-    rank_bareiss,
-    rank_exact,
-    rank_mod_p,
-)
 from .homology import (  # noqa: F401
     betti,
     character_graded,

@@ -97,10 +97,6 @@ def cycle_type(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """g after h: (compose(g, h))(i) = g(h(i))."""
     return tuple(g[h[i] - 1] for i in range(len(g)))

@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cache-dir", type=Path, default=None)
         p.add_argument("--max-n", type=int, default=8)
-        p.add_argument("--exact", action="store_true",
-                       help="audit mode: fraction-free elimination (n <= 6)")
 
     p = sub.add_parser("enumerate", help="list strata as JSON lines")
     common(p, need_k=True)
@@ -329,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti numbers from the rank oracle")
     common(p, opt_k=True)
+    p.add_argument("--exact", action="store_true",
+                   help="audit mode: fraction-free elimination (n <= 6)")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("graded", help="graded dimensions by filtration level")

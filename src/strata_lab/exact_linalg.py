@@ -47,8 +47,9 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def prime_stream(seed: int, bits: int = DEFAULT_PRIME_BITS) -> Iterable[int]:
-    """Deterministic stream of distinct random primes with the given bit size."""
+def prime_stream(seed: int) -> Iterable[int]:
+    """Deterministic stream of distinct random primes of DEFAULT_PRIME_BITS bits."""
+    bits = DEFAULT_PRIME_BITS
     rng = random.Random(seed)
     seen = set()
     while True:
@@ -82,28 +83,9 @@ class SparseIntMatrix:
         rows = [dict(r) for r in rows]
         return SparseIntMatrix(len(rows), n_cols, rows)
 
-    def entries(self) -> list[tuple[int, int, int]]:
-        return [(i, c, v) for i, r in enumerate(self.rows) for c, v in sorted(r.items())]
-
 
 def _row_order_key(row: dict[int, int]):
     return (len(row), sorted(row.items()))
-
-
-def unique_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """Drop duplicate rows up to sign; preserves the row span."""
-    seen = set()
-    out = []
-    for r in rows:
-        if not r:
-            continue
-        lead = min(r)
-        sign = 1 if r[lead] > 0 else -1
-        key = frozenset((c, sign * v) for c, v in r.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
 
 
 class ModEchelon:
@@ -166,7 +148,7 @@ class ModEchelon:
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over the field with p elements."""
     ech = ModEchelon(p)
-    ech.add_rows(unique_rows(M.rows))
+    ech.add_rows(M.rows)
     return ech.rank
 
 
@@ -192,11 +174,6 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
             raise RankCertificationError(
                 f"no value of {what} certified at {MAX_PRIMES} primes: {seen}"
             )
-
-
-def rank_exact(M: SparseIntMatrix, seed: int = 0) -> int:
-    """Rank over Q, certified from ranks mod p."""
-    return certified_value(lambda p: rank_mod_p(M, p), seed, "rank", lower_bound=True)
 
 
 def rank_bareiss(M: SparseIntMatrix) -> int:
@@ -273,18 +250,12 @@ class QuotientBasis:
         self._free_index = {c: i for i, c in enumerate(self.free_cols)}
 
 
-def quotient_basis(rows: Iterable[dict[int, int]], n_cols: int, p: int,
-                   echelon: ModEchelon | None = None) -> QuotientBasis:
-    """Full RREF of the row space, packed column-compactly.
-
-    An existing natural-order echelon of the same rows may be passed and
-    is not modified.
-    """
-    if echelon is None:
-        echelon = ModEchelon(p)
-        echelon.add_rows(unique_rows(list(rows)))
+def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
+    """Full RREF of the row space of a natural-order echelon, packed
+    column-compactly; the echelon is not modified."""
     if echelon.key is not None:
         raise ValueError("quotient basis needs natural column order")
+    p = echelon.p
     pivots = echelon.pivots
     pivot_cols = sorted(pivots)
     pivot_set = set(pivot_cols)

@@ -18,6 +18,7 @@ misses the bound and is certified at two primes as before.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
@@ -32,17 +33,15 @@ from .exact_linalg import (
     prime_stream,
     quotient_basis,
     rank_bareiss,
-    unique_rows,
 )
 from .relations import spanning_relations
 from .trees import (
     DomainError,
     MarkedTree,
-    _inner_levels,
+    _filtration_keys,
     apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
-    filtration_level,
 )
 
 
@@ -53,30 +52,29 @@ def _index(n: int, k: int) -> dict[MarkedTree, int]:
 
 @lru_cache(maxsize=None)
 def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
-    """Deduplicated sparse rows of the relation matrix for (n, k), from the
-    spanning subfamily: the row space, hence every rank and reduced form
-    computed from it, is that of all the relations."""
+    """Sparse rows of the relation matrix for (n, k), from the spanning
+    subfamily: the row space, hence every rank and reduced form computed
+    from it, is that of all the relations.  Shared; never mutate a row."""
     if k == n - 3:
         return ()
     idx = _index(n, k)
-    return tuple(unique_rows(r.row(idx) for r in spanning_relations(n, k)))
+    return tuple(r.row(idx) for r in spanning_relations(n, k))
 
 
 def relation_matrix(n: int, k: int) -> SparseIntMatrix:
-    rows = [dict(r) for r in _relation_rows(n, k)]
-    return SparseIntMatrix(len(rows), len(_index(n, k)), rows)
+    return SparseIntMatrix.from_rows(len(_index(n, k)), _relation_rows(n, k))
 
 
 @lru_cache(maxsize=None)
 def _echelon(n: int, k: int, p: int) -> ModEchelon:
     ech = ModEchelon(p)
-    ech.add_rows([dict(r) for r in _relation_rows(n, k)])
+    ech.add_rows(_relation_rows(n, k))
     return ech
 
 
 @lru_cache(maxsize=None)
 def _quotient_basis(n: int, k: int, p: int) -> QuotientBasis:
-    return quotient_basis((), len(_index(n, k)), p, echelon=_echelon(n, k, p))
+    return quotient_basis(_echelon(n, k, p), len(_index(n, k)))
 
 
 @lru_cache(maxsize=None)
@@ -117,27 +115,34 @@ def betti(n: int, k: int, seed: int = 0) -> int:
 
 
 @lru_cache(maxsize=None)
-def _level_ids(n: int, k: int, r: int) -> tuple[int, ...]:
-    """Ids of the strata whose valence partition has at least r parts."""
-    return tuple(
-        i for i, t in enumerate(enumerate_strata(n, k)) if filtration_level(t) >= r
-    )
+def _ids(n: int, k: int, key_min: int) -> tuple[int, ...]:
+    """Ids of the strata of filtration key >= key_min (`trees._filtration_keys`):
+    level >= r at n*r; level >= 3 or level 2 with inner level >= b at 2n + b."""
+    return tuple(i for i, key in enumerate(_filtration_keys(n, k)) if key >= key_min)
 
 
 @lru_cache(maxsize=None)
-def _projected_echelon(n: int, k: int, ids: tuple[int, ...], p: int) -> ModEchelon:
+def _projected_echelon(n: int, k: int, key_min: int, p: int) -> ModEchelon:
     """Echelon of the reduced rows of the pivot columns in ids without the
-    free columns in ids; with those free basis vectors, its row space spans
-    the classes of the strata in ids."""
+    free columns in ids, ids = _ids(n, k, key_min); with those free basis
+    vectors, its row space spans the classes of the strata in ids."""
+    ids = _ids(n, k, key_min)
     rows, drop = _quotient_basis(n, k, p)._rows, set(ids)
     ech = ModEchelon(p)
     ech.add_rows({c: v for c, v in zip(*rows[i]) if c not in drop} for i in ids if i in rows)
     return ech
 
 
-def _span_dim(n: int, k: int, ids: tuple[int, ...], p: int) -> int:
-    rows = _quotient_basis(n, k, p)._rows
-    return sum(i not in rows for i in ids) + _projected_echelon(n, k, ids, p).rank
+def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:
+    """Certified dimensions of the successive quotients of the chain of spans
+    of the strata of filtration key >= each of key_mins, in increasing order."""
+    def compute(p: int) -> tuple[int, ...]:
+        rows = _quotient_basis(n, k, p)._rows
+        sdims = [sum(i not in rows for i in _ids(n, k, m)) + _projected_echelon(n, k, m, p).rank
+                 for m in key_mins]
+        return tuple(a - b for a, b in zip(sdims, sdims[1:]))
+
+    return list(certified_value(compute, seed, what=what))
 
 
 def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
@@ -146,39 +151,31 @@ def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     if k == 0:
         return []
-    rmax = min(k, n - 2 - k)
-
-    def compute(p: int) -> tuple[int, ...]:
-        sdims = [_span_dim(n, k, _level_ids(n, k, r), p) for r in range(1, rmax + 2)]
-        return tuple(sdims[i] - sdims[i + 1] for i in range(rmax))
-
-    dims = list(certified_value(compute, seed, what=f"graded dims ({n},{k})"))
+    key_mins = [n * r for r in range(1, min(k, n - 2 - k) + 2)]
+    dims = _graded_pieces(n, k, key_mins, seed, f"graded dims ({n},{k})")
     if sum(dims) != betti(n, k, seed):
         raise RankCertificationError(f"graded dims {dims} do not sum to b_{k} of n={n}")
     return dims
-
-
-@lru_cache(maxsize=None)
-def _inner_ids(n: int, k: int, b: int) -> tuple[int, ...]:
-    """Ids of level >= 3 strata plus level-2 strata with inner level >= b."""
-    inner = {i for i, c in enumerate(_inner_levels(n, k)) if c is not None and c >= b}
-    return tuple(sorted(inner.union(_level_ids(n, k, 3))))
 
 
 def inner_graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
     """Dimensions of the inner graded pieces of the level-2 part, b = 0..n-k-4."""
     if not 2 <= k <= n - 4:
         raise DomainError(f"inner filtration needs 2 <= k <= n-4, got ({n}, {k})")
-    bmax = n - k - 4
-
-    def compute(p: int) -> tuple[int, ...]:
-        sdims = [_span_dim(n, k, _inner_ids(n, k, b), p) for b in range(bmax + 2)]
-        return tuple(sdims[b] - sdims[b + 1] for b in range(bmax + 1))
-
-    dims = list(certified_value(compute, seed, what=f"inner dims ({n},{k})"))
+    key_mins = [2 * n + b for b in range(n - k - 2)]
+    dims = _graded_pieces(n, k, key_mins, seed, f"inner dims ({n},{k})")
     if sum(dims) != graded_dims(n, k, seed)[1]:
         raise RankCertificationError(f"inner dims {dims} do not sum to level 2 of ({n},{k})")
     return dims
+
+
+def _difference(t1: MarkedTree, t2: MarkedTree) -> dict[int, int]:
+    """e_{t1} - e_{t2} in the strata coordinates of their homology group
+    (meaningless for t1 == t2, which both class tests answer first)."""
+    if (t1.n, t1.k) != (t2.n, t2.k):
+        raise DomainError("classes live in different homology groups")
+    idx = _index(t1.n, t1.k)
+    return {idx[t1]: 1, idx[t2]: -1}
 
 
 def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
@@ -190,15 +187,12 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
     elimination (audit mode, n <= 6 only) and raises
     RankCertificationError if the two verdicts differ.
     """
-    if (t1.n, t1.k) != (t2.n, t2.k):
-        raise DomainError("classes live in different homology groups")
+    diff = _difference(t1, t2)
     if exact and t1.n > 6:
         raise DomainError("exact audit elimination is limited to n <= 6")
     if t1 == t2:
         return True
     n, k = t1.n, t1.k
-    idx = _index(n, k)
-    diff = {idx[t1]: 1, idx[t2]: -1}
 
     def compute(p: int) -> bool:
         return not _echelon(n, k, p).reduce(diff)
@@ -223,8 +217,7 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
     level >= b+1.  This is the equality the two-term rewriting relation
     lives at; it is strictly weaker than class_equal.
     """
-    if (t1.n, t1.k) != (t2.n, t2.k):
-        raise DomainError("classes live in different homology groups")
+    diff = _difference(t1, t2)
     n, k = t1.n, t1.k
     b1 = len(decompose_two_vertex(t1)[4])
     b2 = len(decompose_two_vertex(t2)[4])
@@ -232,35 +225,33 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
         raise DomainError(f"inner levels differ: {b1} vs {b2}")
     if t1 == t2:
         return True
-    idx = _index(n, k)
-    diff = {idx[t1]: 1, idx[t2]: -1}
-    ids = _inner_ids(n, k, b1 + 1)
+    key_min = 2 * n + b1 + 1
 
     def compute(p: int) -> bool:
         qb = _quotient_basis(n, k, p)
-        drop = set(ids)
+        drop = set(_ids(n, k, key_min))
         cls = qb.quotient_reduce(diff)
         v = {c: x for c, x in zip(qb.free_cols, cls) if x and c not in drop}
-        return not _projected_echelon(n, k, ids, p).reduce(v)
+        return not _projected_echelon(n, k, key_min, p).reduce(v)
 
     return certified_value(compute, seed, what="graded class membership")
 
 
 class _Presentation:
-    """Permutation presentation of an invariant span: trees, index, reduced form."""
+    """Permutation presentation of the invariant span of the strata ids of
+    (n, k), increasing: a reduced form over the positions in ids."""
 
-    def __init__(self, trees: tuple[MarkedTree, ...], qb: QuotientBasis):
-        self.trees = trees
-        self.index = {t: i for i, t in enumerate(trees)}
-        self.qb = qb
+    def __init__(self, n: int, k: int, ids: tuple[int, ...], qb: QuotientBasis):
+        self.strata, self.index = enumerate_strata(n, k), _index(n, k)
+        self.ids, self.qb = ids, qb
 
     def trace(self, g: tuple[int, ...]) -> int:
         """Trace of the permutation action, as an exact integer."""
-        qb = self.qb
+        qb, ids = self.qb, self.ids
         total = 0
         rows = qb._rows
-        for pos, f in enumerate(qb.free_cols):
-            u = self.index[apply_permutation(self.trees[f], g)]
+        for f in qb.free_cols:
+            u = bisect_left(ids, self.index[apply_permutation(self.strata[ids[f]], g)])
             if u == f:
                 total += 1
             elif u in rows:
@@ -269,23 +260,17 @@ class _Presentation:
 
 
 @lru_cache(maxsize=None)
-def _homology_presentation(n: int, k: int, p: int) -> _Presentation:
-    return _Presentation(enumerate_strata(n, k), _quotient_basis(n, k, p))
-
-
-@lru_cache(maxsize=None)
 def _graded_presentation(n: int, k: int, r: int, p: int) -> _Presentation | None:
-    """Presentation of the span of the level >= r strata inside the quotient."""
-    ids = _level_ids(n, k, r)
+    """Presentation of the span of the level >= r strata inside the quotient
+    (r = 0: the homology group itself)."""
+    ids = _ids(n, k, n * r)
     if not ids:
         return None
-    strata = enumerate_strata(n, k)
-    sub = tuple(strata[i] for i in ids)
-    if len(ids) == len(strata):
-        return _homology_presentation(n, k, p)
+    qb = _quotient_basis(n, k, p)
+    if len(ids) == qb.n_cols:
+        return _Presentation(n, k, ids, qb)
     # the kernel of e_j -> [e_j]: eliminate the rows [class(e_j) | e_j], class
     # columns first; the pivot rows past the class columns span it
-    qb = _quotient_basis(n, k, p)
     shift, rows = qb.n_cols, qb._rows
     ech = ModEchelon(p)
     ech.add_rows((({c: -v % p for c, v in zip(*rows[i])} if i in rows else {i: 1})
@@ -293,7 +278,7 @@ def _graded_presentation(n: int, k: int, r: int, p: int) -> _Presentation | None
     kernel = ModEchelon(p)
     kernel.pivots = {c - shift: {x - shift: v for x, v in row.items()}
                      for c, row in ech.pivots.items() if c >= shift}
-    return _Presentation(sub, quotient_basis((), len(ids), p, echelon=kernel))
+    return _Presentation(n, k, ids, quotient_basis(kernel, len(ids)))
 
 
 def character_homology(n: int, k: int, seed: int = 0) -> Character:
@@ -302,7 +287,7 @@ def character_homology(n: int, k: int, seed: int = 0) -> Character:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
 
     def compute(p: int) -> tuple[int, ...]:
-        pres = _homology_presentation(n, k, p)
+        pres = _graded_presentation(n, k, 0, p)
         return tuple(pres.trace(representative(t)) for t in partitions_of(n))
 
     vals = certified_value(compute, seed, what=f"character ({n},{k})")

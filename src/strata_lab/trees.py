@@ -249,30 +249,28 @@ def decompose_two_vertex(t: MarkedTree):
 
 
 @lru_cache(maxsize=None)
-def _inner_levels(n: int, k: int) -> tuple[int | None, ...]:
-    """Inner level (marks on the connecting subtree) of each level-2 tree in
-    enumerate_strata(n, k), and None for every tree of another level."""
-    return tuple(len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2 else None
+def _filtration_keys(n: int, k: int) -> tuple[int, ...]:
+    """n * level + inner level of each tree in enumerate_strata(n, k), the
+    inner level (marks on the connecting subtree, < n) counted at level 2
+    only: level >= r is key >= n*r, and level >= 3 or level 2 with inner
+    level >= b is key >= 2n + b."""
+    return tuple(n * (level := filtration_level(t))
+                 + (len(decompose_two_vertex(t)[4]) if level == 2 else 0)
                  for t in enumerate_strata(n, k))
 
 
-def forget_mark(t: MarkedTree, m: int | None = None) -> tuple[MarkedTree, bool]:
-    """Remove the last mark and stabilize.
+def forget_mark(t: MarkedTree) -> tuple[MarkedTree, bool]:
+    """Remove the last mark and stabilize; relabel first to forget another.
 
-    Only m = n is supported; relabel first to forget another mark.  The
-    returned flag says whether an internal edge was lost, i.e. whether a
-    vertex became 2-valent and was suppressed.
+    The returned flag says whether an internal edge was lost, i.e. whether
+    a vertex became 2-valent and was suppressed.
     """
     if t.n == 3:
         raise DomainError("cannot forget a mark of a 3-marked tree")
-    if m is None:
-        m = t.n
-    if m != t.n:
-        raise DomainError(f"only the last mark ({t.n}) can be forgotten, got {m}")
     n1 = t.n - 1
     kept = set()
     for s in t.splits:
-        s1 = tuple(x for x in s if x != m)
+        s1 = tuple(x for x in s if x != t.n)
         if 2 <= len(s1) <= n1 - 2:
             kept.add(s1)
     out = MarkedTree(n1, tuple(sorted(kept)))

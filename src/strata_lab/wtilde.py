@@ -27,7 +27,7 @@ from .relations import KMRelation, generate_relations
 from .trees import (
     DomainError,
     MarkedTree,
-    _inner_levels,
+    _filtration_keys,
     _structure,
     _two_vertex_data,
     decompose_two_vertex,
@@ -231,8 +231,9 @@ def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
     if not 2 <= k <= (n + 1) - 4 or b < 0 or b + 1 > (n + 1) - k - 4:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
     report = SquareReport(n, k, b, 0)
-    for sigma, inner in zip(enumerate_strata(n + 1, k), _inner_levels(n + 1, k)):
-        if inner != b + 1:
+    key = 2 * (n + 1) + b + 1  # level 2, inner level b+1, on n+1 marks
+    for sigma, sigma_key in zip(enumerate_strata(n + 1, k), _filtration_keys(n + 1, k)):
+        if sigma_key != key:
             continue
         p1, a1, p2, a2, mid = decompose_two_vertex(sigma)
         report.checked += 1

@@ -72,6 +72,12 @@ def test_betti_exact_audit(tmp_path):
     assert vals == [1, 5, 1]
 
 
+def test_exact_is_offered_on_betti_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["graded", "--n", "5", "--k", "1", "--exact"], tmp_path)
+    assert exc.value.code == 2
+
+
 def test_graded_and_inner_tables(tmp_path):
     code, out = run_cli(["graded", "--n", "7", "--k", "2", "--format", "csv"], tmp_path)
     assert code == 0

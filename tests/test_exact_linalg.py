@@ -5,6 +5,7 @@ from oracles import rank_fraction
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
+    ModEchelon,
     RankCertificationError,
     SparseIntMatrix,
     certified_value,
@@ -13,9 +14,7 @@ from strata_lab.exact_linalg import (
     prime_stream,
     quotient_basis,
     rank_bareiss,
-    rank_exact,
     rank_mod_p,
-    unique_rows,
 )
 from strata_lab.relations import generate_relations
 from strata_lab.trees import enumerate_strata
@@ -26,6 +25,17 @@ def _relation_matrix(n, k):
     idx = {t: i for i, t in enumerate(trees)}
     rows = [r.row(idx) for r in generate_relations(n, k)]
     return SparseIntMatrix.from_rows(len(trees), rows)
+
+
+def rank_exact(M, seed=0):
+    """Rank over Q, certified from ranks mod p."""
+    return certified_value(lambda p: rank_mod_p(M, p), seed, lower_bound=True)
+
+
+def _quotient_basis(rows, n_cols, p):
+    ech = ModEchelon(p)
+    ech.add_rows(rows)
+    return quotient_basis(ech, n_cols)
 
 
 def _random_sparse(rng, n_rows, n_cols, density=0.3, lo=-4, hi=4):
@@ -115,7 +125,7 @@ def test_bareiss_agrees_on_relation_matrices():
 def test_quotient_basis_and_reduce():
     p = next(iter(prime_stream(0)))
     M = _relation_matrix(4, 0)
-    qb = quotient_basis(M.rows, M.n_cols, p)
+    qb = _quotient_basis(M.rows, M.n_cols, p)
     assert qb.rank == 2 and qb.dim == 1
     # a relation row reduces to zero
     assert qb.quotient_reduce(M.rows[0]) == [0]
@@ -136,7 +146,7 @@ def test_quotient_basis_and_reduce():
 
 def test_quotient_reduce_rejects_out_of_range():
     p = next(iter(prime_stream(0)))
-    qb = quotient_basis([{0: 1, 1: -1}], 2, p)
+    qb = _quotient_basis([{0: 1, 1: -1}], 2, p)
     with pytest.raises(ValueError):
         qb.quotient_reduce({5: 1})
 
@@ -144,11 +154,6 @@ def test_quotient_reduce_rejects_out_of_range():
 def test_matrix_row_count_checked():
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 3, [{0: 1}])
-
-
-def test_unique_rows_sign_normalization():
-    rows = [{0: 1, 1: -1}, {0: -1, 1: 1}, {0: 1, 1: -1}, {2: 3}]
-    assert unique_rows(rows) == [{0: 1, 1: -1}, {2: 3}]
 
 
 def test_lift_symmetric():

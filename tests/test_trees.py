@@ -222,8 +222,6 @@ def test_forget_mark_examples():
 def test_forget_mark_domain_errors():
     with pytest.raises(DomainError):
         forget_mark(MarkedTree.star(3))
-    with pytest.raises(DomainError):
-        forget_mark(MarkedTree.star(5), 3)
 
 
 def test_json_round_trip():

@@ -205,13 +205,14 @@ def test_forgetful_square_more_cases():
 
 
 def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
-    from strata_lab.trees import _inner_levels
+    from strata_lab.trees import _filtration_keys
 
     w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
     n, k = 7, 2
-    inner = _inner_levels(n + 1, k)
-    assert inner == tuple(len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2
-                          else None for t in enumerate_strata(n + 1, k))
+    keys = _filtration_keys(n + 1, k)
+    assert keys == tuple((n + 1) * filtration_level(t)
+                         + (len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2 else 0)
+                         for t in enumerate_strata(n + 1, k))
     calls = []
 
     def counting(t):
@@ -222,7 +223,7 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     for b in range(n - k - 3):
         calls.clear()
         rep = verify_forgetful_square(n, k, b)
-        assert rep.passed and len(calls) == rep.checked == inner.count(b + 1) > 0
+        assert rep.passed and len(calls) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
 
 
 def test_forgetful_square_bad_range():
