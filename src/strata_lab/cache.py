@@ -2,8 +2,10 @@
 
 `cached(kind, params, compute)` stores the JSON value of compute() under
 a hash of (package version, kind, params), so version bumps invalidate
-old files automatically; a header echo inside each file is checked on
-load and mismatches fall back to recomputation.  Writes go through a
+old files automatically.  Each file echoes its header and carries the
+sha256 of its value's canonical JSON; a file whose header differs or
+whose hash is missing or does not match is recomputed and rewritten, so
+an edited or truncated value is never returned.  Writes go through a
 temp file and an atomic rename.  The CLI stores certified Betti numbers
 only, keyed by (n, k, seed): they are the results that cost eliminations,
 while strata are recomputed faster than a cache file is read.
@@ -39,7 +41,15 @@ def _load(path: Path, header: dict):
     # strata files of the former layout have the same header but no "value"
     if not isinstance(obj, dict) or obj.get("header") != header or "value" not in obj:
         return None
+    if obj.get("sha256") != _digest(obj["value"]):
+        return None
     return obj
+
+
+def _digest(value) -> str:
+    """sha256 of the canonical JSON of a cached value."""
+    text = json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _store(path: Path, header: dict, value) -> None:
@@ -47,7 +57,7 @@ def _store(path: Path, header: dict, value) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"header": header, "value": value}, fh,
+            json.dump({"header": header, "value": value, "sha256": _digest(value)}, fh,
                       separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
     finally:

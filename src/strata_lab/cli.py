@@ -266,16 +266,6 @@ def _verify_conjecture(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.n > args.max_n:
-        _emit(
-            {
-                "target": args.target,
-                "n": args.n,
-                "status": "skipped",
-                "reason": f"n exceeds --max-n {args.max_n}",
-            }
-        )
-        return EXIT_RESOURCE
     handler = {
         "main-theorem": _verify_main_theorem,
         "wtilde": _verify_wtilde,
@@ -318,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cache-dir", type=Path, default=None)
-        p.add_argument("--max-n", type=int, default=8)
+        p.add_argument("--max-n", type=int, default=8,
+                       help="refuse n above this bound (exit 3) before any work")
 
     p = sub.add_parser("enumerate", help="list strata as JSON lines")
     common(p, need_k=True)
@@ -363,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n > args.max_n:
+        which = {"target": args.target} if args.command == "verify" else {"command": args.command}
+        _emit({**which, "n": args.n, "status": "skipped",
+               "reason": f"n exceeds --max-n {args.max_n}"})
+        return EXIT_RESOURCE
     try:
         return args.func(args)
     except DomainError as exc:

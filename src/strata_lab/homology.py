@@ -34,7 +34,7 @@ from .exact_linalg import (
     quotient_basis,
     rank_bareiss,
 )
-from .relations import spanning_relations
+from .relations import _sites, _spanning_quads
 from .trees import (
     DomainError,
     MarkedTree,
@@ -57,8 +57,11 @@ def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
     from it, is that of all the relations.  Shared; never mutate a row."""
     if k == n - 3:
         return ()
-    idx = _index(n, k)
-    return tuple(r.row(idx) for r in spanning_relations(n, k))
+    idx, rows = _index(n, k), []
+    for _, _, trees, site_rows in _sites(n, k, _spanning_quads):
+        cols = [idx[t] for t in trees]
+        rows.extend({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
+    return tuple(rows)
 
 
 def relation_matrix(n: int, k: int) -> SparseIntMatrix:

@@ -20,10 +20,14 @@ Two families are generated, both site by site in the same order:
   It is the family that `homology` eliminates.
 
 A site of valence m has only 2^(m-1) - m - 1 distinct splits, shared by
-all its relations, so both families keep one split table per site: it
-maps the flags on the side of a split away from the site's least flag to
-the tree `split_vertex` returns for it, and every term at the site reads
-its tree from there.  Each tree is built and validated once per site.
+all its relations, so each site keeps one split table: it numbers the
+trees `split_vertex` returns in order of first use, keyed by the flags
+on the side of a split away from the site's least flag, and each
+relation at the site is a row {local id: coeff} over those numbers.
+Each tree is built and validated once per site.  `_sites` yields the
+table and rows of every site; `KMRelation`s are built from them only
+where a caller asks for relation objects, while `homology` maps local
+ids to column ids and the killing check sums images over them directly.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .trees import DomainError, MarkedTree, _structure, enumerate_strata, split_vertex
 
@@ -80,55 +84,91 @@ def expand_relation(
         raise DomainError(f"flags must all be incident to vertex {vertex}")
     if pairing not in (1, 2):
         raise DomainError(f"pairing must be 1 or 2, got {pairing}")
-    return _expand(sigma, vertex, here, quad, pairing, {})
+    trees, rows = _site(sigma, vertex, here, [quad])
+    _, _, row = rows[pairing - 1]
+    return KMRelation(sigma, vertex, quad, pairing, {trees[i]: c for i, c in row.items()})
 
 
-def _expand(sigma: MarkedTree, vertex: int, here: tuple, quad: tuple,
-            pairing: int, table: dict) -> KMRelation:
-    """The relation (quad, pairing) at the site (sigma, vertex) whose flags
-    are `here`, with every term's tree read from the site's split table.
+def _site(sigma: MarkedTree, vertex: int, here: tuple,
+          quads: Iterable[tuple]) -> tuple[list[MarkedTree], list[tuple]]:
+    """(trees, rows) of both pairings of each 4-subset in quads at the site
+    (sigma, vertex) whose flags are `here`.
 
-    `table` maps the flags on the side of a split away from here[0] to the
-    tree split_vertex returns for it; a missing entry is split and stored.
+    trees is the site's split table, in first-use order: the local id of a
+    tree is its position.  Each row is (quad, pairing, {local id: coeff}),
+    terms in the order the expansion first meets them, zeros dropped.  A
+    split is keyed by the bitmask (bit i for here[i]) of its side away from
+    here[0] and built by split_vertex on its first use.
     """
-    a, b, c, d = quad
-    rest = tuple(f for f in here if f not in quad)
-    minus = (a, c, b, d) if pairing == 1 else (a, d, b, c)
-    terms: dict[MarkedTree, int] = {}
-    for (x1, x2, y1, y2), sign in (((a, b, c, d), 1), (minus, -1)):
-        for u1 in _subsets(rest):
-            u2 = tuple(f for f in rest if f not in u1)
-            side_a, side_b = (x1, x2) + u1, (y1, y2) + u2
-            key = frozenset(side_b if here[0] in side_a else side_a)
-            t = table.get(key)
-            if t is None:
-                t = table[key] = split_vertex(sigma, vertex, side_a, side_b)
-            terms[t] = terms.get(t, 0) + sign
-    terms = {t: v for t, v in terms.items() if v}
-    return KMRelation(sigma, vertex, quad, pairing, terms)
+    bit = {f: 1 << i for i, f in enumerate(here)}
+    full = (1 << len(here)) - 1
+    ids: dict[int, int] = {}
+    trees: list[MarkedTree] = []
+    rows: list[tuple] = []
+
+    def expand(x1, x2, y1, y2, rest: tuple, subsets: list) -> list[int]:
+        """Local ids of the splits (x1 x2 U1 | y1 y2 U2), U1 in subsets."""
+        out = []
+        base = bit[x1] | bit[x2]
+        for u1, mask in subsets:
+            side = base | mask
+            key = full ^ side if side & 1 else side
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(trees)
+                u2 = tuple(f for f in rest if f not in u1)
+                trees.append(split_vertex(sigma, vertex, (x1, x2) + u1, (y1, y2) + u2))
+            out.append(i)
+        return out
+
+    for quad in quads:
+        a, b, c, d = quad
+        rest = tuple(f for f in here if f not in quad)
+        subsets = [(u1, sum(bit[f] for f in u1)) for u1 in _subsets(rest)]
+        plus = expand(a, b, c, d, rest, subsets)
+        for pairing, minus in ((1, expand(a, c, b, d, rest, subsets)),
+                               (2, expand(a, d, b, c, rest, subsets))):
+            row: dict[int, int] = {}
+            for terms, sign in ((plus, 1), (minus, -1)):
+                for i in terms:
+                    row[i] = row.get(i, 0) + sign
+            rows.append((quad, pairing, {i: v for i, v in row.items() if v}))
+    return trees, rows
+
+
+def _sites(n: int, k: int, quads: Callable[[tuple], Iterable[tuple]]
+           ) -> Iterator[tuple[MarkedTree, int, list[MarkedTree], list[tuple]]]:
+    """(sigma, v, trees, rows) for every site of the relations of S_{k,n}:
+    a vertex v of valence >= 4 of a stratum sigma of dimension k+1, in
+    enumeration order, with _site's split table and rows of the 4-subsets
+    quads(fl) of its flags fl."""
+    if not 0 <= k <= n - 4:
+        raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
+    for sigma in enumerate_strata(n, k + 1):
+        for v, fl in enumerate(_structure(sigma).flags):
+            if len(fl) >= 4:
+                yield (sigma, v, *_site(sigma, v, fl, quads(fl)))
 
 
 def _relations(n: int, k: int,
                quads: Callable[[tuple], Iterable[tuple]]) -> list[KMRelation]:
-    """Both pairings of the 4-subsets quads(fl) at every site (sigma, v),
-    all reading their trees from one split table per site."""
-    if not 0 <= k <= n - 4:
-        raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
-    out = []
-    for sigma in enumerate_strata(n, k + 1):
-        for v, fl in enumerate(_structure(sigma).flags):
-            if len(fl) < 4:
-                continue
-            table: dict = {}
-            for quad in quads(fl):
-                for pairing in (1, 2):
-                    out.append(_expand(sigma, v, fl, quad, pairing, table))
-    return out
+    """The KMRelations of the rows of _sites(n, k, quads), in order."""
+    return [KMRelation(sigma, v, quad, pairing, {trees[i]: c for i, c in row.items()})
+            for sigma, v, trees, rows in _sites(n, k, quads)
+            for quad, pairing, row in rows]
+
+
+def _every_quad(fl: tuple) -> Iterable[tuple]:
+    return combinations(fl, 4)
+
+
+def _spanning_quads(fl: tuple) -> Iterable[tuple]:
+    return (fl[:2] + rest for rest in combinations(fl[2:], 2))
 
 
 def generate_relations(n: int, k: int) -> list[KMRelation]:
     """All emitted relations for S_{k,n}, in deterministic order."""
-    return _relations(n, k, lambda fl: combinations(fl, 4))
+    return _relations(n, k, _every_quad)
 
 
 def spanning_relations(n: int, k: int) -> list[KMRelation]:
@@ -162,7 +202,7 @@ def spanning_relations(n: int, k: int) -> list[KMRelation]:
       rows of rank 9, the ranks of the full families
       (tests/test_relations.py checks these over Q).
     """
-    return _relations(n, k, lambda fl: (fl[:2] + rest for rest in combinations(fl[2:], 2)))
+    return _relations(n, k, _spanning_quads)
 
 
 def relations_jsonl(n: int, k: int) -> Iterable[str]:

@@ -164,7 +164,7 @@ def valence_partition(t: MarkedTree) -> tuple[int, ...]:
 
 def filtration_level(t: MarkedTree) -> int:
     """Number of parts of the valence partition (0 for trivalent trees)."""
-    return sum(1 for f in _structure(t).flags if len(f) > 3)
+    return _filtration_key(t) // t.n
 
 
 def apply_permutation(t: MarkedTree, g: Sequence[int]) -> MarkedTree:
@@ -248,15 +248,46 @@ def decompose_two_vertex(t: MarkedTree):
     return p1, a1, p2, a2, mid
 
 
+def _filtration_key(t: MarkedTree) -> int:
+    """n * level + inner level of t, the inner level (marks on the
+    connecting subtree, < n) counted at level 2 only.
+
+    One pass over the splits, larger first: owner[m] is the vertex of the
+    least split seen so far that holds mark m (vertex 0 when none does), so
+    the owner of a split's first mark is the split's parent vertex.  The
+    valence of a vertex is its child edges, the marks it owns at the end
+    and, except at vertex 0, its parent edge; vertex 0 holds mark 1.
+    """
+    n, splits = t.n, t.splits
+    owner = [0] * (n + 1)
+    parent = [0] * (len(splits) + 1)
+    valence = [1] * (len(splits) + 1)  # mark 1 at vertex 0, the parent edge elsewhere
+    size = [n] + [len(s) for s in splits]
+    for i in sorted(range(1, len(splits) + 1), key=size.__getitem__, reverse=True):
+        s = splits[i - 1]
+        parent[i] = owner[s[0]]
+        valence[parent[i]] += 1
+        for m in s:
+            owner[m] = i
+    for m in range(2, n + 1):
+        valence[owner[m]] += 1
+    fat = [v for v, val in enumerate(valence) if val >= 4]
+    if len(fat) != 2:
+        return n * len(fat)
+    u, w = sorted(fat, key=size.__getitem__, reverse=True)
+    c = w
+    while c and parent[c] != u:
+        c = parent[c]
+    inner = size[c] - size[w] if c else n - size[u] - size[w]
+    return 2 * n + inner
+
+
 @lru_cache(maxsize=None)
 def _filtration_keys(n: int, k: int) -> tuple[int, ...]:
-    """n * level + inner level of each tree in enumerate_strata(n, k), the
-    inner level (marks on the connecting subtree, < n) counted at level 2
-    only: level >= r is key >= n*r, and level >= 3 or level 2 with inner
-    level >= b is key >= 2n + b."""
-    return tuple(n * (level := filtration_level(t))
-                 + (len(decompose_two_vertex(t)[4]) if level == 2 else 0)
-                 for t in enumerate_strata(n, k))
+    """_filtration_key of each tree in enumerate_strata(n, k): level >= r is
+    key >= n*r, and level >= 3 or level 2 with inner level >= b is
+    key >= 2n + b."""
+    return tuple(map(_filtration_key, enumerate_strata(n, k)))
 
 
 def forget_mark(t: MarkedTree) -> tuple[MarkedTree, bool]:

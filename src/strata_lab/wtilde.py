@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .psets import PairLabel, inner_level
-from .relations import KMRelation, generate_relations
+from .relations import KMRelation, _every_quad, _sites
 from .trees import (
     DomainError,
     MarkedTree,
@@ -109,22 +108,17 @@ def wtilde(t: MarkedTree) -> PVector:
     return out
 
 
-def _by_linearity(rel: KMRelation, image: Callable[[MarkedTree], dict]) -> dict:
-    """Sum of coeff * image(tree) over the terms of rel, zeros dropped."""
-    acc: dict = {}
+def wtilde_relation(rel: KMRelation) -> PVector:
+    """wtilde of a relation, by linearity, in exact rational arithmetic."""
+    acc: PVector = {}
     for tree, coeff in rel.terms.items():
-        for gamma, q in image(tree).items():
+        for gamma, q in wtilde(tree).items():
             val = acc.get(gamma, 0) + coeff * q
             if val:
                 acc[gamma] = val
             else:
                 acc.pop(gamma, None)
     return acc
-
-
-def wtilde_relation(rel: KMRelation) -> PVector:
-    """wtilde of a relation, by linearity, in exact rational arithmetic."""
-    return _by_linearity(rel, wtilde)
 
 
 class HalfIntegerError(ArithmeticError):
@@ -169,34 +163,53 @@ class KilledReport:
 
 def verify_relations_killed(n: int, k: int) -> KilledReport:
     """Check the covering-pair component of wtilde(R) vanishes for every
-    relation R; residuals are exact rationals, zero means zero.
+    relation R of generate_relations(n, k); residuals are exact rationals,
+    zero means zero.
 
     Restricting to inner level 0 commutes with summing over the terms, so
-    each tree's restricted image is taken once, in half-units (every value
-    of wtilde lies in (1/2)Z; HalfIntegerError otherwise), and each
-    relation is summed in integers.
+    each distinct tree's restricted image is taken once, in half-units
+    (every value of wtilde lies in (1/2)Z; HalfIntegerError otherwise),
+    with its pairs numbered in order of appearance, and each relation is
+    summed in integers over the local ids of its site's split table.
     """
     if not 2 <= k <= n - 4:
         raise DomainError(f"check needs 2 <= k <= n-4, got ({n}, {k})")
-    rels = generate_relations(n, k)
-    report = KilledReport(n, k, len(rels))
-    half_units = lru_cache(maxsize=None)(lambda t: _covering_half_units(t, n))
-    for rel in rels:
-        acc = _by_linearity(rel, half_units)
-        if acc:
-            residual = {g: Fraction(h, 2) for g, h in acc.items()}
-            report.max_residual = max(
-                report.max_residual, *(abs(q) for q in residual.values())
-            )
-            report.failures.append(
-                {
-                    "sigma": rel.sigma.to_obj(),
-                    "vertex": rel.vertex,
-                    "flags": [list(f) for f in rel.flags],
-                    "pairing": rel.pairing,
-                    "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
-                }
-            )
+    report = KilledReport(n, k, 0)
+    number: dict[PairLabel, int] = {}  # pair -> its position in the dict
+    images: dict[MarkedTree, dict[int, int]] = {}
+    for sigma, v, trees, rows in _sites(n, k, _every_quad):
+        local = []
+        for t in trees:
+            img = images.get(t)
+            if img is None:
+                img = images[t] = {number.setdefault(gamma, len(number)): h
+                                   for gamma, h in _covering_half_units(t, n).items()}
+            local.append(img)
+        report.relations += len(rows)
+        for quad, pairing, row in rows:
+            acc: dict[int, int] = {}
+            for i, coeff in row.items():
+                for g, h in local[i].items():
+                    val = acc.get(g, 0) + coeff * h
+                    if val:
+                        acc[g] = val
+                    else:
+                        acc.pop(g, None)
+            if acc:
+                pairs = list(number)
+                residual = {pairs[g]: Fraction(h, 2) for g, h in acc.items()}
+                report.max_residual = max(
+                    report.max_residual, *(abs(q) for q in residual.values())
+                )
+                report.failures.append(
+                    {
+                        "sigma": sigma.to_obj(),
+                        "vertex": v,
+                        "flags": [list(f) for f in quad],
+                        "pairing": pairing,
+                        "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
+                    }
+                )
     return report
 
 

@@ -49,6 +49,24 @@ def test_corrupt_cache_recomputed(tmp_path):
     assert cached("betti", params, lambda: 5, tmp_path) == 5
 
 
+def test_edited_value_recomputed(tmp_path):
+    params = {"n": 6, "k": 1, "seed": 0}
+    cached("betti", params, lambda: 16, tmp_path)
+    path = next(tmp_path.glob("betti-n6-k1-seed0-*.json"))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["value"] = 17  # header intact, value edited
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cached("betti", params, lambda: 16, tmp_path) == 16
+    assert json.loads(path.read_text(encoding="utf-8"))["value"] == 16
+    # a file without a hash (the former layout) is recomputed too
+    del obj["sha256"]
+    obj["value"] = 16
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    calls = []
+    assert cached("betti", params, lambda: calls.append(1) or 16, tmp_path) == 16
+    assert calls == [1]
+
+
 def test_env_var_controls_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("STRATA_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == tmp_path / "envcache"

@@ -145,7 +145,27 @@ def test_verify_forgetful_narrows_to_a_lone_k_or_b(tmp_path, flag, value, cases)
 def test_verify_resource_bound(tmp_path):
     code, out = run_cli(["verify", "main-theorem", "--n", "9", "--max-n", "8"], tmp_path)
     assert code == 3
-    assert json.loads(out)["status"] == "skipped"
+    assert out == ('{"n":9,"reason":"n exceeds --max-n 8","status":"skipped",'
+                   '"target":"main-theorem"}\n')
+
+
+@pytest.mark.parametrize("args", [
+    ["betti", "--n", "9"],
+    ["enumerate", "--n", "9", "--k", "0"],
+    ["graded", "--n", "9", "--k", "3"],
+    ["conjecture", "--n", "9"],
+])
+def test_every_command_honours_max_n(tmp_path, monkeypatch, args):
+    import strata_lab.trees as tr
+
+    def no_enumeration(*_):
+        raise AssertionError("strata enumerated past --max-n")
+
+    monkeypatch.setattr(tr, "_level", no_enumeration)
+    code, out = run_cli(args + ["--max-n", "8"], tmp_path)
+    assert code == 3
+    assert json.loads(out) == {"command": args[0], "n": 9, "status": "skipped",
+                               "reason": "n exceeds --max-n 8"}
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

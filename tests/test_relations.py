@@ -180,9 +180,13 @@ def test_spanning_family_is_the_subfamily_through_the_two_least_flags():
 @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5, 6, 7) for k in range(n - 3)]
                          + [(8, 3), (8, 4)])
 def test_spanning_family_has_the_full_rank(n, k):
-    # no row is empty and no two rows are equal up to sign, so the rows
-    # need no deduplication before elimination
+    # the streamed rows are those of the spanning KMRelations, in order and
+    # with their terms in order; no row is empty and no two rows are equal
+    # up to sign, so the rows need no deduplication before elimination
     rows = h._relation_rows(n, k)
+    idx = _index(n, k)
+    assert [list(r.items()) for r in rows] == [
+        list(rel.row(idx).items()) for rel in spanning_relations(n, k)]
     signed = {frozenset((c, s * v) for c, v in r.items()) for r in rows for s in (1, -1)}
     assert all(rows) and len(signed) == 2 * len(rows)
     for p in [p for _, p in zip(range(2), prime_stream(31))]:

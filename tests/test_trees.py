@@ -108,6 +108,20 @@ def test_filtration_level_examples():
         assert valence_partition(t) == ()
 
 
+def test_filtration_keys_build_no_vertex_structure(monkeypatch):
+    import strata_lab.trees as tr
+
+    n, k = 8, 3
+    want = tr._filtration_keys(n, k)
+
+    def no_structure(t):
+        raise AssertionError("vertex structure built for a filtration key")
+
+    monkeypatch.setattr(tr, "_structure", no_structure)
+    assert tr._filtration_keys.__wrapped__(n, k) == want
+    assert [filtration_level(t) for t in enumerate_strata(n, k)] == [x // n for x in want]
+
+
 def test_apply_permutation_examples():
     t = MarkedTree.from_sides(5, [(3, 4, 5)])
     n = 5

@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from strata_lab.trees import (
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
+    valence_partition,
 )
 from strata_lab.wtilde import (
     RewriteMove,
@@ -157,6 +159,54 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
     assert rep.max_residual == max(abs(q) for q in residuals) > 0
 
 
+def _killed_reference(n, k):
+    """verify_relations_killed(n, k).to_obj(), relation by relation from
+    generate_relations and wtilde_relation in Fractions."""
+    rels = generate_relations(n, k)
+    failures, top = [], Fraction(0)
+    for rel in rels:
+        residual = {g: q for g, q in wtilde_relation(rel).items() if inner_level(g, n) == 0}
+        if residual:
+            top = max(top, *(abs(q) for q in residual.values()))
+            failures.append({
+                "sigma": rel.sigma.to_obj(),
+                "vertex": rel.vertex,
+                "flags": [list(f) for f in rel.flags],
+                "pairing": rel.pairing,
+                "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
+            })
+    return {"n": n, "k": k, "relations": len(rels), "failures": failures,
+            "max_residual": str(top)}
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (7, 3)])
+def test_killing_report_matches_the_relation_by_relation_reference(monkeypatch, n, k, flip):
+    module = sys.modules["strata_lab.wtilde"]
+    if flip:
+        real = wtilde
+        bad = {t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and real(t)}
+        bad = set(sorted(bad)[::7])
+        monkeypatch.setattr(
+            module, "wtilde",
+            lambda t: {g: -q for g, q in real(t).items()} if t in bad else real(t))
+    have = verify_relations_killed(n, k).to_obj()
+    assert bool(have["failures"]) == flip
+    # json.dumps keeps dict order: failures and residuals in the same order
+    assert json.dumps(have) == json.dumps(_killed_reference(n, k))
+
+
+def test_killing_check_builds_no_relation_objects(monkeypatch):
+    import strata_lab.relations as rel_mod
+
+    def no_relation(*args, **kwargs):
+        raise AssertionError("KMRelation built by the killing check")
+
+    monkeypatch.setattr(rel_mod, "KMRelation", no_relation)
+    rep = verify_relations_killed(7, 2)
+    assert rep.passed and rep.relations > 0
+
+
 THIRD_UNDER_O = """
 import sys
 from fractions import Fraction
@@ -208,11 +258,16 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     from strata_lab.trees import _filtration_keys
 
     w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
+    # the keys against the vertex structure: level from the valence
+    # partition, inner level from the two-fat-vertex decomposition
+    for m in range(3, 9):
+        for j in range(m - 2):
+            assert _filtration_keys(m, j) == tuple(
+                m * (level := len(valence_partition(t)))
+                + (len(decompose_two_vertex(t)[4]) if level == 2 else 0)
+                for t in enumerate_strata(m, j)), (m, j)
     n, k = 7, 2
     keys = _filtration_keys(n + 1, k)
-    assert keys == tuple((n + 1) * filtration_level(t)
-                         + (len(decompose_two_vertex(t)[4]) if filtration_level(t) == 2 else 0)
-                         for t in enumerate_strata(n + 1, k))
     calls = []
 
     def counting(t):
