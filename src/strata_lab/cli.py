@@ -143,6 +143,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if args.k is not None and not 1 <= args.k <= args.n - 3:
+        raise DomainError(f"no graded pieces for (n, k) = ({args.n}, {args.k})")
     ks = [args.k] if args.k is not None else list(range(1, args.n - 2))
     rows = []
     for k in ks:
@@ -266,13 +268,16 @@ def _verify_conjecture(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    handler = {
-        "main-theorem": _verify_main_theorem,
-        "wtilde": _verify_wtilde,
-        "rewrite": _verify_rewrite,
-        "forgetful": _verify_forgetful,
-        "conjecture": _verify_conjecture,
+    handler, reads = {
+        "main-theorem": (_verify_main_theorem, ()),
+        "wtilde": (_verify_wtilde, ("k",)),
+        "rewrite": (_verify_rewrite, ()),
+        "forgetful": (_verify_forgetful, ("k", "b")),
+        "conjecture": (_verify_conjecture, ()),
     }[args.target]
+    unread = [f"--{o}" for o in ("k", "b") if getattr(args, o) is not None and o not in reads]
+    if unread:
+        raise DomainError(f"verify {args.target} does not read {' or '.join(unread)}")
     try:
         report = handler(args)
     except (RankCertificationError, RewriteError, FormulaError, HalfIntegerError) as exc:

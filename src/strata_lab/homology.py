@@ -38,9 +38,9 @@ from .relations import _sites, _spanning_quads
 from .trees import (
     DomainError,
     MarkedTree,
+    _filtration_key,
     _filtration_keys,
     apply_permutation,
-    decompose_two_vertex,
     enumerate_strata,
 )
 
@@ -222,13 +222,15 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
     """
     diff = _difference(t1, t2)
     n, k = t1.n, t1.k
-    b1 = len(decompose_two_vertex(t1)[4])
-    b2 = len(decompose_two_vertex(t2)[4])
-    if b1 != b2:
-        raise DomainError(f"inner levels differ: {b1} vs {b2}")
+    key1, key2 = _filtration_key(t1), _filtration_key(t2)
+    for key in (key1, key2):
+        if key // n != 2:
+            raise DomainError(f"expected filtration level 2, got level {key // n} tree")
+    if key1 != key2:
+        raise DomainError(f"inner levels differ: {key1 - 2 * n} vs {key2 - 2 * n}")
     if t1 == t2:
         return True
-    key_min = 2 * n + b1 + 1
+    key_min = key1 + 1
 
     def compute(p: int) -> bool:
         qb = _quotient_basis(n, k, p)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .trees import DomainError, MarkedTree, _structure, enumerate_strata, split_vertex
+from .trees import DomainError, MarkedTree, enumerate_strata, split_vertex, vertex_flags
 
 Side = tuple
 
@@ -76,7 +76,7 @@ def expand_relation(
 ) -> KMRelation:
     """Expand one relation over all bipartitions of the leftover flags."""
     a, b, c, d = (tuple(sorted(f)) for f in (a, b, c, d))
-    here = _structure(sigma).flags[vertex]
+    here = vertex_flags(sigma)[vertex]
     quad = (a, b, c, d)
     if len(set(quad)) != 4:
         raise DomainError("flags A, B, C, D must be distinct")
@@ -145,7 +145,7 @@ def _sites(n: int, k: int, quads: Callable[[tuple], Iterable[tuple]]
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
     for sigma in enumerate_strata(n, k + 1):
-        for v, fl in enumerate(_structure(sigma).flags):
+        for v, fl in enumerate(vertex_flags(sigma)):
             if len(fl) >= 4:
                 yield (sigma, v, *_site(sigma, v, fl, quads(fl)))
 

@@ -11,6 +11,12 @@ Vertex numbering convention used by all surgery operations: vertex 0 is
 the internal vertex incident to mark 1, and vertex i >= 1 is the far
 endpoint of the edge recorded by ``t.splits[i-1]``.
 
+How the splits hang together is worked out in one place, ``_vertex_pass``:
+one pass over the splits, larger first, gives the parent vertex of each
+split, the valence of each vertex and the vertex each mark sits at.  The
+vertex flags, the fat vertices (valence >= 4), the two sides of a
+level-2 tree and the filtration keys are all read off that pass.
+
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
 on, so re-attaching mark n at every place of every (n-1)-marked tree
@@ -23,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Side = tuple  # sorted marks on the side of an edge away from mark 1
 
@@ -102,49 +108,45 @@ class MarkedTree:
         return MarkedTree.from_obj(json.loads(text))
 
 
-class _Structure(NamedTuple):
-    # flags[v] = sorted behind-sets of the flags at vertex v (marks and edges)
-    flags: tuple[tuple[Side, ...], ...]
-    # parent_vertex[i] = vertex on the mark-1 side of the edge for splits[i]
-    parent_vertex: tuple[int, ...]
+def _vertex_pass(t: MarkedTree) -> tuple[list[int], list[int], list[int]]:
+    """(parent, valence, owner): how the splits of t hang together.
+
+    One pass over the splits, larger first: owner[m] is the vertex of the
+    least split seen so far that holds mark m (vertex 0 when none does), so
+    the owner of a split's first mark is the split's parent vertex, and at
+    the end owner[m] is the vertex mark m sits at.  The valence of a vertex
+    is its child edges, its marks and, except at vertex 0, its parent edge.
+    """
+    n, splits = t.n, t.splits
+    owner = [0] * (n + 1)
+    parent = [0] * (len(splits) + 1)
+    valence = [0] + [1] * len(splits)  # the parent edge of every vertex but 0
+    for i, s in sorted(enumerate(splits, 1), key=lambda e: -len(e[1])):
+        parent[i] = owner[s[0]]
+        valence[parent[i]] += 1
+        for m in s:
+            owner[m] = i
+    for m in range(1, n + 1):
+        valence[owner[m]] += 1
+    return parent, valence, owner
 
 
 @lru_cache(maxsize=1 << 18)
-def _structure(t: MarkedTree) -> _Structure:
-    n = t.n
-    sets = [frozenset(s) for s in t.splits]
-    m = len(sets)
-
-    def smallest_superset(target, skip=-1):
-        best = -1
-        for j, u in enumerate(sets):
-            if j != skip and target < u and (best < 0 or u < sets[best]):
-                best = j
-        return best
-
-    parent = [0] * m
-    flags: list[list[Side]] = [[] for _ in range(m + 1)]
-    full = frozenset(range(1, n + 1))
-    for i, s in enumerate(sets):
-        p = smallest_superset(s, skip=i)
-        parent[i] = p + 1
-        flags[p + 1].append(t.splits[i])
-        flags[i + 1].append(tuple(sorted(full - s)))
-    for mark in range(1, n + 1):
-        best = -1
-        for j, u in enumerate(sets):
-            if mark in u and (best < 0 or u < sets[best]):
-                best = j
-        flags[best + 1].append((mark,))
-    return _Structure(tuple(tuple(sorted(f)) for f in flags), tuple(parent))
-
-
 def vertex_flags(t: MarkedTree) -> tuple[tuple[Side, ...], ...]:
     """Flags at each internal vertex, identified by the mark set behind them.
 
     The behind-sets of the flags at any one vertex partition {1..n}.
     """
-    return _structure(t).flags
+    parent, _, owner = _vertex_pass(t)
+    marks = range(1, t.n + 1)
+    flags: list[list[Side]] = [[] for _ in parent]
+    for i, s in enumerate(t.splits, 1):
+        flags[parent[i]].append(s)
+        inside = set(s)
+        flags[i].append(tuple(m for m in marks if m not in inside))
+    for m in marks:
+        flags[owner[m]].append((m,))
+    return tuple(tuple(sorted(f)) for f in flags)
 
 
 def canonical_form(t: MarkedTree) -> str:
@@ -154,9 +156,7 @@ def canonical_form(t: MarkedTree) -> str:
 
 def valence_partition(t: MarkedTree) -> tuple[int, ...]:
     """Weakly decreasing partition of k built from val(v) - 3 over vertices."""
-    parts = sorted(
-        (len(f) - 3 for f in _structure(t).flags if len(f) > 3), reverse=True
-    )
+    parts = sorted((val - 3 for val in _vertex_pass(t)[1] if val > 3), reverse=True)
     if sum(parts) != t.k:
         raise TreeStructureError(f"valence partition {parts} does not sum to k={t.k}")
     return tuple(parts)
@@ -185,7 +185,7 @@ def split_vertex(
     Both flag groups must have at least two members, otherwise the result
     would be unstable.  Contracting the new edge recovers t.
     """
-    here = _structure(t).flags[v]
+    here = vertex_flags(t)[v]
     fa = [tuple(sorted(f)) for f in flags_a]
     fb = [tuple(sorted(f)) for f in flags_b]
     if len(fa) < 2 or len(fb) < 2:
@@ -204,35 +204,26 @@ def contract_edge(t: MarkedTree, side: Iterable[int]) -> MarkedTree:
     return MarkedTree(t.n, tuple(x for x in t.splits if x != s))
 
 
-def _edge_toward(t: MarkedTree, st: _Structure, v: int, w: int) -> Side:
-    """Behind-set of the flag at internal vertex v on the path to vertex w."""
-    sets = [frozenset(s) for s in t.splits]
-    for i, pv in enumerate(st.parent_vertex):
-        if pv == v and w >= 1 and sets[w - 1] <= sets[i]:
-            return t.splits[i]
-    if v < 1:
-        raise TreeStructureError(f"vertex 0 has no child edge toward vertex {w}")
-    full = frozenset(range(1, t.n + 1))
-    return tuple(sorted(full - sets[v - 1]))
+def _fat_vertices(t: MarkedTree) -> tuple[list[int], list[int], int]:
+    """(valence, fat, c): the valences of _vertex_pass, the fat vertices
+    (valence >= 4) and, at level 2, the child c on the path between them.
 
-
-def _two_vertex_data(t: MarkedTree):
-    """(v1, P1, a1, v2, P2, a2, middle) for a tree with exactly two fat vertices."""
-    st = _structure(t)
-    fat = [v for v, f in enumerate(st.flags) if len(f) >= 4]
+    At level 2, fat = [u, w] in order of decreasing split size (vertex 0
+    counting as size n), so w is never above u; c is the child of u on the
+    path to w, found by walking up from w, or 0 when u is not above w.
+    """
+    splits = t.splits
+    parent, valence, _ = _vertex_pass(t)
+    fat = [v for v, val in enumerate(valence) if val >= 4]
     if len(fat) != 2:
-        raise DomainError(
-            f"expected filtration level 2, got level {len(fat)} tree"
-        )
-    v1, v2 = fat
-    full = frozenset(range(1, t.n + 1))
-    p1 = full - frozenset(_edge_toward(t, st, v1, v2))
-    p2 = full - frozenset(_edge_toward(t, st, v2, v1))
-    a1 = len(st.flags[v1]) - 3
-    a2 = len(st.flags[v2]) - 3
-    if min(p2) < min(p1):
-        v1, p1, a1, v2, p2, a2 = v2, p2, a2, v1, p1, a1
-    return v1, p1, a1, v2, p2, a2, full - p1 - p2
+        return valence, fat, 0
+    u, w = fat
+    if u and len(splits[u - 1]) < len(splits[w - 1]):
+        u, w = w, u
+    c = w
+    while c and parent[c] != u:
+        c = parent[c]
+    return valence, [u, w], c
 
 
 def decompose_two_vertex(t: MarkedTree):
@@ -242,43 +233,34 @@ def decompose_two_vertex(t: MarkedTree):
     vertices with their excess valences a_i = val(v_i) - 3, ordered so
     min(P1) < min(P2), plus the marks on the connecting subtree.
     """
-    _, p1, a1, _, p2, a2, mid = _two_vertex_data(t)
+    valence, fat, c = _fat_vertices(t)
+    if len(fat) != 2:
+        raise DomainError(f"expected filtration level 2, got level {len(fat)} tree")
+    u, w = fat
+    full = frozenset(range(1, t.n + 1))
+    p2 = frozenset(t.splits[w - 1])
+    p1 = full - frozenset(t.splits[c - 1]) if c else frozenset(t.splits[u - 1])
+    a1, a2 = valence[u] - 3, valence[w] - 3
+    if min(p2) < min(p1):
+        p1, a1, p2, a2 = p2, a2, p1, a1
     if a1 + a2 != t.k or len(p1) < a1 + 2 or len(p2) < a2 + 2:
         raise TreeStructureError(f"fat vertices {a1}, {a2} do not fit {canonical_form(t)}")
-    return p1, a1, p2, a2, mid
+    return p1, a1, p2, a2, full - p1 - p2
 
 
 def _filtration_key(t: MarkedTree) -> int:
     """n * level + inner level of t, the inner level (marks on the
-    connecting subtree, < n) counted at level 2 only.
-
-    One pass over the splits, larger first: owner[m] is the vertex of the
-    least split seen so far that holds mark m (vertex 0 when none does), so
-    the owner of a split's first mark is the split's parent vertex.  The
-    valence of a vertex is its child edges, the marks it owns at the end
-    and, except at vertex 0, its parent edge; vertex 0 holds mark 1.
-    """
+    connecting subtree, < n) counted at level 2 only; read off split
+    sizes, without building a set."""
     n, splits = t.n, t.splits
-    owner = [0] * (n + 1)
-    parent = [0] * (len(splits) + 1)
-    valence = [1] * (len(splits) + 1)  # mark 1 at vertex 0, the parent edge elsewhere
-    size = [n] + [len(s) for s in splits]
-    for i in sorted(range(1, len(splits) + 1), key=size.__getitem__, reverse=True):
-        s = splits[i - 1]
-        parent[i] = owner[s[0]]
-        valence[parent[i]] += 1
-        for m in s:
-            owner[m] = i
-    for m in range(2, n + 1):
-        valence[owner[m]] += 1
-    fat = [v for v, val in enumerate(valence) if val >= 4]
+    _, fat, c = _fat_vertices(t)
     if len(fat) != 2:
         return n * len(fat)
-    u, w = sorted(fat, key=size.__getitem__, reverse=True)
-    c = w
-    while c and parent[c] != u:
-        c = parent[c]
-    inner = size[c] - size[w] if c else n - size[u] - size[w]
+    u, w = fat
+    if c:  # u above w: the middle is c's side less w's
+        inner = len(splits[c - 1]) - len(splits[w - 1])
+    else:
+        inner = n - len(splits[u - 1]) - len(splits[w - 1])
     return 2 * n + inner
 
 

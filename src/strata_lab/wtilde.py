@@ -27,12 +27,11 @@ from .trees import (
     DomainError,
     MarkedTree,
     _filtration_keys,
-    _structure,
-    _two_vertex_data,
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
     forget_mark,
+    vertex_flags,
 )
 
 PVector = dict  # PairLabel -> Fraction, exact, denominators are powers of 2
@@ -44,17 +43,16 @@ class RewriteError(RuntimeError):
 
 def w_map(t: MarkedTree) -> PairLabel:
     """Weighted pair of a level-2 tree: mark sets at the two fat vertices."""
-    _, p1, a1, _, p2, a2, _ = _two_vertex_data(t)
+    p1, a1, p2, a2, _ = decompose_two_vertex(t)
     return PairLabel.from_parts(p1, a1, p2, a2)
 
 
 def level1_partition(t: MarkedTree) -> tuple[frozenset, ...]:
     """Mark-set partition induced by the unique fat vertex of a level-1 tree."""
-    st = _structure(t)
-    fat = [v for v, f in enumerate(st.flags) if len(f) >= 4]
+    fat = [f for f in vertex_flags(t) if len(f) >= 4]
     if len(fat) != 1:
         raise DomainError(f"expected filtration level 1, got {len(fat)}")
-    return tuple(frozenset(f) for f in st.flags[fat[0]])
+    return tuple(frozenset(f) for f in fat[0])
 
 
 def e_pi(pi: Iterable[Iterable[int]], gamma: PairLabel, s1: int | None = None) -> int:
@@ -379,9 +377,8 @@ def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
 def _fat_vertex_flags(t: MarkedTree, p_side: frozenset):
     """Flags at the fat vertex whose cut component is p_side, plus its
     outward flag (the one pointing at the rest of the tree)."""
-    st = _structure(t)
     full = frozenset(range(1, t.n + 1))
-    for v, fl in enumerate(st.flags):
+    for fl in vertex_flags(t):
         if len(fl) < 4:
             continue
         outward = [f for f in fl if not frozenset(f) <= p_side]

@@ -89,3 +89,49 @@ def keel_betti(n: int) -> tuple[int, ...]:
     if any(c.denominator != 1 for c in out):
         raise ArithmeticError(f"Keel's recursion gave a non-integer at n={n}")
     return tuple(int(c) for c in out)
+
+
+def brute_force_vertex_flags(n: int, splits) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Flags at each vertex of a tree, from the definition: vertex i >= 1 is
+    the far end of the edge of splits[i-1], vertex 0 the one at mark 1.
+
+    The edge of a split hangs from the vertex of its least strict superset
+    (vertex 0 when there is none), and a mark sits at the vertex of the
+    least split holding it.  Quadratic in the number of splits.
+    """
+    sets = [frozenset(s) for s in splits]
+    full = frozenset(range(1, n + 1))
+
+    def least_vertex(holds) -> int:
+        best = 0
+        for j, u in enumerate(sets, 1):
+            if holds(u) and (best == 0 or u < sets[best - 1]):
+                best = j
+        return best
+
+    flags = [[] for _ in range(len(sets) + 1)]
+    for i, s in enumerate(sets, 1):
+        flags[least_vertex(lambda u: s < u)].append(tuple(sorted(s)))
+        flags[i].append(tuple(sorted(full - s)))
+    for m in full:
+        flags[least_vertex(lambda u: m in u)].append((m,))
+    return tuple(tuple(sorted(f)) for f in flags)
+
+
+def brute_force_filtration_key(n: int, splits) -> int:
+    """n * (number of fat vertices) plus, at exactly two fat vertices, the
+    marks left over when each fat vertex keeps the marks behind its flags
+    other than the one toward the other; from brute_force_vertex_flags.
+
+    The flag at v toward w is the one flag at v whose marks lie in no
+    single flag at w.
+    """
+    fat = [f for f in brute_force_vertex_flags(n, splits) if len(f) >= 4]
+    if len(fat) != 2:
+        return n * len(fat)
+    toward = [
+        next(set(f) for f in here if not any(set(f) <= set(g) for g in there))
+        for here, there in (fat, fat[::-1])
+    ]
+    kept = [n - len(x) for x in toward]  # marks at each fat vertex's side
+    return 2 * n + n - sum(kept)

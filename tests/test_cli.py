@@ -108,6 +108,27 @@ def test_conjecture_rows(tmp_path):
     assert rows[(2, 1)] == 22 and rows[(2, 2)] == 105 and rows[(3, 2)] == 35
 
 
+@pytest.mark.parametrize("k, code, out", [
+    ("0", 2, ""), ("4", 2, ""), ("10", 2, ""), ("3", 0, "n,k,r,value\n6,3,1,1\n"),
+])
+def test_conjecture_k_has_graded_pieces(tmp_path, k, code, out):
+    assert run_cli(["conjecture", "--n", "6", "--k", k, "--format", "csv"], tmp_path) == (code, out)
+
+
+@pytest.mark.parametrize("target, extra", [
+    ("main-theorem", ["--k", "99"]),
+    ("rewrite", ["--k", "2"]),
+    ("conjecture", ["--k", "99"]),
+    ("main-theorem", ["--b", "0"]),
+    ("wtilde", ["--k", "2", "--b", "0"]),
+    ("rewrite", ["--b", "0"]),
+    ("conjecture", ["--b", "0"]),
+])
+def test_verify_refuses_options_its_target_does_not_read(tmp_path, target, extra):
+    code, out = run_cli(["verify", target, "--n", "6"] + extra, tmp_path)
+    assert code == 2 and out == ""
+
+
 def test_verify_targets_pass(tmp_path):
     for target, extra in [
         ("main-theorem", ["--n", "6"]),

@@ -208,6 +208,20 @@ def test_graded_class_equal_matches_stacked_membership():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def test_graded_class_equal_refuses_other_levels_and_mixed_inner_levels():
+    trees = enumerate_strata(7, 2)
+    level1 = next(t for t in trees if filtration_level(t) == 1)
+    by_inner = {}
+    for t in trees:
+        if filtration_level(t) == 2:
+            by_inner.setdefault(len(decompose_two_vertex(t)[4]), t)
+    for a, b in [(by_inner[0], level1), (level1, by_inner[1])]:
+        with pytest.raises(DomainError, match="expected filtration level 2, got level 1"):
+            graded_class_equal(a, b)
+    with pytest.raises(DomainError, match="inner levels differ: 0 vs 1"):
+        graded_class_equal(by_inner[0], by_inner[1])
+
+
 def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     """The graded quantities reuse the one relation echelon per prime."""
     import strata_lab.homology as h

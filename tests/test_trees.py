@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import brute_force_strata
+from oracles import brute_force_strata, brute_force_vertex_flags
 from test_homology import _succeeds_under_O
 
 from strata_lab.trees import (
@@ -73,6 +73,17 @@ def test_tree_edge_vertex_counts():
                 assert all(len(f) >= 3 for f in flags)
 
 
+def test_vertex_flags_match_the_least_superset_definition():
+    # independent oracle: parent of a split = its least strict superset
+    for n in range(3, 9):
+        for k in range(n - 2):
+            for t in enumerate_strata(n, k):
+                flags = vertex_flags(t)
+                assert flags == brute_force_vertex_flags(n, t.splits), t
+                for fl in flags:  # the behind-sets at a vertex partition {1..n}
+                    assert sorted(m for f in fl for m in f) == list(range(1, n + 1)), t
+
+
 def test_canonical_form_examples():
     assert canonical_form(MarkedTree.star(5)) == "[]"
     assert canonical_form(MarkedTree.from_sides(5, [(3, 4, 5)])) == "[[3,4,5]]"
@@ -114,10 +125,10 @@ def test_filtration_keys_build_no_vertex_structure(monkeypatch):
     n, k = 8, 3
     want = tr._filtration_keys(n, k)
 
-    def no_structure(t):
-        raise AssertionError("vertex structure built for a filtration key")
+    def no_flags(t):
+        raise AssertionError("vertex flags built for a filtration key")
 
-    monkeypatch.setattr(tr, "_structure", no_structure)
+    monkeypatch.setattr(tr, "vertex_flags", no_flags)
     assert tr._filtration_keys.__wrapped__(n, k) == want
     assert [filtration_level(t) for t in enumerate_strata(n, k)] == [x // n for x in want]
 
@@ -252,27 +263,13 @@ import strata_lab.trees as tr
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-real = tr._structure
-tr._structure = lambda t: real(tr.MarkedTree.star(6))  # one part of 3, not k = 2
+real = tr._vertex_pass
+tr._vertex_pass = lambda t: real(tr.MarkedTree.star(6))  # one part of 3, not k = 2
 try:
     tr.valence_partition(tr.MarkedTree.star(5))
 except tr.TreeStructureError:
     sys.exit(0)
 sys.exit("the valence partition check let a wrong sum through")
-"""
-
-EDGE_TOWARD_UNDER_O = """
-import sys
-import strata_lab.trees as tr
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-t = tr.MarkedTree.from_sides(6, [(4, 5, 6)])
-try:
-    tr._edge_toward(t, tr._structure(t), 0, 0)  # vertex 0 has no edge toward itself
-except tr.TreeStructureError:
-    sys.exit(0)
-sys.exit("the edge search let vertex 0 through")
 """
 
 DECOMPOSE_UNDER_O = """
@@ -282,8 +279,16 @@ import strata_lab.trees as tr
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 t = tr.MarkedTree.from_sides(6, [(4, 5, 6)])
-# a fat vertex with two marks cannot carry excess valence 1
-tr._two_vertex_data = lambda t: (0, frozenset({1, 2}), 1, 1, frozenset({3, 4, 5, 6}), 1, frozenset())
+real = tr._vertex_pass
+
+
+def wrong(t):
+    parent, valence, owner = real(t)
+    # vertex 1, over the three marks 4, 5, 6, cannot carry excess valence 2
+    return parent, [4, 5], owner
+
+
+tr._vertex_pass = wrong
 try:
     tr.decompose_two_vertex(t)
 except tr.TreeStructureError:
@@ -292,7 +297,7 @@ sys.exit("the decomposition check let an unstable vertex through")
 """
 
 
-@pytest.mark.parametrize("script", [VALENCE_UNDER_O, EDGE_TOWARD_UNDER_O, DECOMPOSE_UNDER_O],
-                         ids=["valence-partition", "edge-toward", "decompose"])
+@pytest.mark.parametrize("script", [VALENCE_UNDER_O, DECOMPOSE_UNDER_O],
+                         ids=["valence-partition", "decompose"])
 def test_tree_invariants_survive_python_O(script):
     _succeeds_under_O(script)

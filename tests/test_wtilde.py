@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_filtration_key
 from test_homology import _succeeds_under_O
 
 from strata_lab.homology import class_equal, graded_class_equal
@@ -16,7 +17,6 @@ from strata_lab.trees import (
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
-    valence_partition,
 )
 from strata_lab.wtilde import (
     RewriteMove,
@@ -258,14 +258,11 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     from strata_lab.trees import _filtration_keys
 
     w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
-    # the keys against the vertex structure: level from the valence
-    # partition, inner level from the two-fat-vertex decomposition
+    # the keys against an independent oracle built on least-superset flags
     for m in range(3, 9):
         for j in range(m - 2):
             assert _filtration_keys(m, j) == tuple(
-                m * (level := len(valence_partition(t)))
-                + (len(decompose_two_vertex(t)[4]) if level == 2 else 0)
-                for t in enumerate_strata(m, j)), (m, j)
+                brute_force_filtration_key(m, t.splits) for t in enumerate_strata(m, j)), (m, j)
     n, k = 7, 2
     keys = _filtration_keys(n + 1, k)
     calls = []
@@ -278,7 +275,9 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     for b in range(n - k - 3):
         calls.clear()
         rep = verify_forgetful_square(n, k, b)
-        assert rep.passed and len(calls) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
+        # w_map decomposes the n-marked images too; count the (n+1)-marked trees
+        selected = [t for t in calls if t.n == n + 1]
+        assert rep.passed and len(selected) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
 
 
 def test_forgetful_square_bad_range():
