@@ -102,6 +102,8 @@ def cmd_betti(args) -> int:
 
 def cmd_graded(args) -> int:
     dims = graded_dims(args.n, args.k, seed=args.seed)
+    if not dims:
+        raise DomainError(f"no graded pieces for (n, k) = ({args.n}, {args.k})")
     rows = [
         {"n": args.n, "k": args.k, "r": r + 1, "dim": d} for r, d in enumerate(dims)
     ]
@@ -120,12 +122,14 @@ def cmd_inner(args) -> int:
 
 def cmd_character(args) -> int:
     n, k, space = args.n, args.k, args.space
+    if args.r is not None and space != "q":
+        raise DomainError(f"--space {space} does not read --r")
     if space == "homology":
         ch = character_homology(n, k, seed=args.seed)
     elif space in ("p1", "p2"):
         ch = character_pset(n, k, space)
     elif space in ("q1", "q2", "q"):
-        r = {"q1": 1, "q2": 2}.get(space, args.r)
+        r = {"q1": 1, "q2": 2, "q": args.r}[space]
         if r is None:
             raise DomainError("--space q needs --r")
         ch = character_graded(n, k, r, seed=args.seed)
@@ -197,9 +201,10 @@ def _verify_rewrite(args) -> dict:
         level2 = [
             t for t in enumerate_strata(n, k) if filtration_level(t) == 2
         ]
-        if args.sample and len(level2) > args.sample:
+        sample = 1000 if args.sample is None else args.sample
+        if sample and len(level2) > sample:
             rng = random.Random(args.seed)
-            level2 = rng.sample(level2, args.sample)
+            level2 = rng.sample(level2, sample)
         fibers: dict = {}
         for t in level2:
             checked += 1
@@ -271,11 +276,12 @@ def cmd_verify(args) -> int:
     handler, reads = {
         "main-theorem": (_verify_main_theorem, ()),
         "wtilde": (_verify_wtilde, ("k",)),
-        "rewrite": (_verify_rewrite, ()),
+        "rewrite": (_verify_rewrite, ("sample",)),
         "forgetful": (_verify_forgetful, ("k", "b")),
         "conjecture": (_verify_conjecture, ()),
     }[args.target]
-    unread = [f"--{o}" for o in ("k", "b") if getattr(args, o) is not None and o not in reads]
+    unread = [f"--{o}" for o in ("k", "b", "sample")
+              if getattr(args, o) is not None and o not in reads]
     if unread:
         raise DomainError(f"verify {args.target} does not read {' or '.join(unread)}")
     try:
@@ -351,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         "main-theorem", "wtilde", "rewrite", "forgetful", "conjecture"))
     common(p, opt_k=True)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--sample", type=int, default=1000,
-                   help="cap per (n, k) on trees checked by rewrite (0 = all)")
+    p.add_argument("--sample", type=int, default=None,
+                   help="cap per (n, k) on trees checked by rewrite "
+                   "(default 1000, 0 = all)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -8,9 +8,11 @@ is minus its reduced row.  The graded piece spanned by the level >= r
 strata is handled through its permutation presentation, Q(S^{>=r})
 modulo the kernel of e_j -> [e_j], and the trace of a permutation on
 that presentation is read off its reduced form, free column by free
-column.  Every reported number is certified at two independent primes,
-except a Betti number whose relation rank reaches its known value at the
-first prime: reduction mod p can only lower a rank, and the rank over Q is
+column; the image of a stratum under a permutation is computed once and
+shared by every prime and presentation (`_image_id`).  Every reported
+number is certified at two independent primes, except a Betti number
+whose relation rank reaches its known value at the first prime:
+reduction mod p can only lower a rank, and the rank over Q is
 |S_{k,n}| - b_k with b_k from Keel's recursion (a theorem), so a mod-p
 rank equal to that bound is the rank over Q.  A wrong relation matrix
 misses the bound and is certified at two primes as before.
@@ -242,21 +244,27 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
     return certified_value(compute, seed, what="graded class membership")
 
 
+@lru_cache(maxsize=None)
+def _image_id(n: int, k: int, i: int, g: tuple[int, ...]) -> int:
+    """Id of the image of stratum i of (n, k) under g; shared by every prime
+    and presentation, so each (stratum, g) is relabelled once."""
+    return _index(n, k)[apply_permutation(enumerate_strata(n, k)[i], g)]
+
+
 class _Presentation:
     """Permutation presentation of the invariant span of the strata ids of
     (n, k), increasing: a reduced form over the positions in ids."""
 
     def __init__(self, n: int, k: int, ids: tuple[int, ...], qb: QuotientBasis):
-        self.strata, self.index = enumerate_strata(n, k), _index(n, k)
-        self.ids, self.qb = ids, qb
+        self.n, self.k, self.ids, self.qb = n, k, ids, qb
 
     def trace(self, g: tuple[int, ...]) -> int:
         """Trace of the permutation action, as an exact integer."""
-        qb, ids = self.qb, self.ids
+        qb, ids, n, k = self.qb, self.ids, self.n, self.k
         total = 0
         rows = qb._rows
         for f in qb.free_cols:
-            u = bisect_left(ids, self.index[apply_permutation(self.strata[ids[f]], g)])
+            u = bisect_left(ids, _image_id(n, k, ids[f], g))
             if u == f:
                 total += 1
             elif u in rows:

@@ -34,6 +34,13 @@ def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
     return rank
 
 
+def reference_row_order_key(row: dict[int, int]):
+    """A reference row order for `ModEchelon.add_rows`, fewest entries
+    first, ties by the sorted entries: the reduced form of a natural-order
+    echelon must not depend on the order its rows came in."""
+    return (len(row), sorted(row.items()))
+
+
 def in_row_space(rows: list[dict[int, int]], vec: dict[int, int], n_cols: int) -> bool:
     base = rank_fraction(rows, n_cols)
     return rank_fraction(rows + [vec], n_cols) == base

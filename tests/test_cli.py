@@ -87,6 +87,17 @@ def test_graded_and_inner_tables(tmp_path):
     assert out.strip().splitlines()[1:] == ["7,2,0,35", "7,2,1,70"]
 
 
+def test_graded_refuses_k_without_graded_pieces(tmp_path):
+    assert run_cli(["graded", "--n", "6", "--k", "0"], tmp_path) == (2, "")
+    assert run_cli(["inner", "--n", "6", "--k", "0"], tmp_path) == (2, "")
+
+
+@pytest.mark.parametrize("space", ["homology", "p1", "p2", "q1", "q2"])
+def test_character_refuses_r_its_space_does_not_read(tmp_path, space):
+    args = ["character", "--n", "6", "--k", "2", "--space", space, "--r", "2"]
+    assert run_cli(args, tmp_path) == (2, "")
+
+
 def test_character_json(tmp_path):
     code, out = run_cli(
         ["character", "--n", "6", "--k", "2", "--space", "p2", "--format", "json"],
@@ -123,6 +134,10 @@ def test_conjecture_k_has_graded_pieces(tmp_path, k, code, out):
     ("wtilde", ["--k", "2", "--b", "0"]),
     ("rewrite", ["--b", "0"]),
     ("conjecture", ["--b", "0"]),
+    ("main-theorem", ["--sample", "5"]),
+    ("wtilde", ["--sample", "5"]),
+    ("forgetful", ["--sample", "5"]),
+    ("conjecture", ["--sample", "5"]),
 ])
 def test_verify_refuses_options_its_target_does_not_read(tmp_path, target, extra):
     code, out = run_cli(["verify", target, "--n", "6"] + extra, tmp_path)
@@ -140,6 +155,13 @@ def test_verify_targets_pass(tmp_path):
         code, out = run_cli(["verify", target] + extra, tmp_path)
         assert code == 0, (target, out)
         assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("extra, checked", [([], 10), (["--sample", "4"], 4), (["--sample", "0"], 10)])
+def test_verify_rewrite_reads_sample(tmp_path, extra, checked):
+    code, out = run_cli(["verify", "rewrite", "--n", "6"] + extra, tmp_path)
+    assert code == 0
+    assert json.loads(out)["checked"] == checked  # 10 level-2 trees at (6,2)
 
 
 def test_verify_wtilde_all_k(tmp_path):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import rank_fraction
+from oracles import rank_fraction, reference_row_order_key
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
@@ -16,6 +16,7 @@ from strata_lab.exact_linalg import (
     rank_bareiss,
     rank_mod_p,
 )
+from strata_lab.homology import _echelon, _relation_rows
 from strata_lab.relations import generate_relations
 from strata_lab.trees import enumerate_strata
 
@@ -161,3 +162,36 @@ def test_lift_symmetric():
     assert lift_symmetric(100, p) == -1
     assert lift_symmetric(5, p) == 5
     assert lift_symmetric(-3 % p, p) == -3
+
+
+def _packed(qb):
+    return {c: (list(cols), list(vals)) for c, (cols, vals) in qb._rows.items()}
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 3)] + [(8, 3)])
+def test_row_order_leaves_the_reduced_form_unchanged(n, k):
+    """Leading column, largest first, against the reference order: the
+    pivots and the RREF depend on the row space alone."""
+    rows = _relation_rows(n, k)
+    width = len(enumerate_strata(n, k))
+    for seed in (0, 7):
+        p = next(prime_stream(seed))
+        ref = ModEchelon(p)
+        ref.add_rows(sorted(rows, key=reference_row_order_key), presorted=True)
+        want = quotient_basis(ref, width)
+        got = _quotient_basis(rows, width, p)
+        assert (got.pivot_cols, got.free_cols) == (want.pivot_cols, want.free_cols)
+        assert _packed(got) == _packed(want)
+
+
+def test_row_order_keeps_the_n8k3_echelon_sparse():
+    ech = _echelon(8, 3, next(prime_stream(0)))
+    assert ech.rank == 1203
+    assert sum(len(r) for r in ech.pivots.values()) <= 13_000  # 32,875 in the reference order
+
+
+def test_add_rows_takes_empty_rows():
+    p = next(prime_stream(0))
+    ech = ModEchelon(p)
+    assert ech.add_rows([{}, {2: 1, 3: 1}, {}, {0: p}, {3: 2}]) == 2
+    assert ech.pivots == {2: {2: 1, 3: 1}, 3: {3: 1}}

@@ -539,6 +539,25 @@ def test_character_averages_are_orbit_counts():
         assert character_homology(n, 2).average() == len(sizes) + len(shapes)
 
 
+def test_character_relabels_each_stratum_once_per_permutation(monkeypatch):
+    """Every prime and presentation reads a stratum's image under g from
+    one cache, so the characters relabel each (stratum, g) once."""
+    import strata_lab.homology as h
+
+    calls = Counter()
+    apply = h.apply_permutation
+
+    def counting_apply(t, g):
+        calls[t, tuple(g)] += 1
+        return apply(t, g)
+
+    monkeypatch.setattr(h, "apply_permutation", counting_apply)
+    monkeypatch.setattr(h, "_image_id", lru_cache(maxsize=None)(h._image_id.__wrapped__))
+    character_homology(7, 2)
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) == h._image_id.cache_info().currsize
+
+
 def test_character_values_independent_of_seed():
     a = character_homology(6, 2, seed=0)
     b = character_homology(6, 2, seed=99)
