@@ -96,6 +96,15 @@ class ModEchelon:
     `key` is None), so every stored row is supported on its pivot column
     and the columns after it.
 
+    In natural order a row is reduced in a sparse accumulator (Gilbert,
+    Moler & Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992): one dense
+    scratch row of values and a `bytearray` mask of its nonzero columns,
+    both kept by the echelon, grown to the widest column seen and left
+    all-zero by every call.  The next leading column is the next set byte
+    of the mask, found by `bytearray.find` in C, so a pivot step costs the
+    length of the pivot row, not of the filled-in working row.  Columns
+    must be non-negative ints, since they index the scratch row.
+
     `add_rows` feeds rows by leading (least) column, largest first, then
     fewest entries.  A row whose leading column has no pivot yet is stored
     as it came, so the pivot rows stay about as sparse as the input: at
@@ -110,6 +119,8 @@ class ModEchelon:
         self.p = p
         self.key = key
         self.pivots: dict[int, dict[int, int]] = {}
+        self._values: list[int] = []
+        self._nonzero = bytearray()
 
     @property
     def rank(self) -> int:
@@ -117,12 +128,68 @@ class ModEchelon:
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Fold row against the current pivots; the result has no pivot column
-        as its leading column (it may still touch later pivot columns)."""
+        as its leading column (it may still touch later pivot columns).
+        Raises ValueError on a negative column."""
+        return self._reduce(row)[1]
+
+    def add_row(self, row: dict[int, int]) -> int | None:
+        """Insert a row; returns its pivot column, or None if dependent."""
+        lead, r = self._reduce(row)
+        if lead is None:
+            return None
+        inv = pow(r[lead], -1, self.p)
+        self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
+        return lead
+
+    def _reduce(self, row: dict[int, int]) -> tuple[int | None, dict[int, int]]:
+        """(leading column or None, reduced row, in column order)."""
+        if self.key is not None:
+            r = self._reduce_keyed(row)
+            return (min(r, key=self.key) if r else None), r
+        if not row:
+            return None, {}
+        lo = min(row)
+        if lo < 0:
+            raise ValueError(f"negative column {lo}")
+        values, nonzero = self._values, self._nonzero
+        width = max(row) + 1
+        if width > len(nonzero):
+            values.extend([0] * (width - len(nonzero)))
+            nonzero.extend(bytes(width - len(nonzero)))
+        p, pivots = self.p, self.pivots
+        try:
+            for c, v in row.items():
+                if vp := v % p:
+                    values[c] = vp
+                    nonzero[c] = 1
+            lead = nonzero.find(1, lo)
+            while lead >= 0:
+                pr = pivots.get(lead)
+                if pr is None:
+                    break
+                f = values[lead]
+                for c, v in pr.items():
+                    nv = values[c] = (values[c] - f * v) % p
+                    nonzero[c] = nv != 0
+                lead = nonzero.find(1, lead + 1)
+            r = {}
+            c = lead
+            while c >= 0:
+                r[c] = values[c]
+                values[c] = nonzero[c] = 0
+                c = nonzero.find(1, c + 1)
+        except BaseException:  # leave the scratch row all-zero for the next call
+            self._values = [0] * len(values)
+            self._nonzero = bytearray(len(nonzero))
+            raise
+        return (lead if lead >= 0 else None), r
+
+    def _reduce_keyed(self, row: dict[int, int]) -> dict[int, int]:
         p = self.p
         key = self.key
         r = {c: vp for c, v in row.items() if (vp := v % p)}
         while r:
-            lead = min(r) if key is None else min(r, key=key)
+            lead = min(r, key=key)
             pr = self.pivots.get(lead)
             if pr is None:
                 return r
@@ -134,16 +201,6 @@ class ModEchelon:
                 else:
                     r.pop(c, None)
         return r
-
-    def add_row(self, row: dict[int, int]) -> int | None:
-        """Insert a row; returns its pivot column, or None if dependent."""
-        r = self.reduce(row)
-        if not r:
-            return None
-        lead = min(r) if self.key is None else min(r, key=self.key)
-        inv = pow(r[lead], -1, self.p)
-        self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
-        return lead
 
     def add_rows(self, rows: Iterable[dict[int, int]], presorted: bool = False) -> int:
         """Insert rows, by leading column, largest first, unless presorted;

@@ -49,6 +49,56 @@ def _norm_side(side: Iterable[int], n: int) -> Side:
     return tuple(sorted(s))
 
 
+@lru_cache(maxsize=1 << 16)
+def _side_bits(n: int, s: Side) -> int:
+    """Bitmask of the marks of s when s is a valid side for n marks (a
+    sorted duplicate-free tuple of ints in 2..n, of size 2..n-2), else 0."""
+    if (type(s) is tuple and all(type(m) is int for m in s) and 2 <= len(s) <= n - 2
+            and s[0] >= 2 and s[-1] <= n and all(a < b for a, b in zip(s, s[1:]))):
+        return sum(1 << m for m in s)
+    return 0
+
+
+def _splits_valid(n: int, splits) -> bool:
+    """Whether splits is a strictly sorted family of valid, pairwise nested
+    or disjoint sides, each side's marks read as one bitmask; on False,
+    `_check_splits` decides and names the fault."""
+    prev = ()
+    seen = []
+    for s in splits:
+        b = _side_bits(n, s)
+        if not b or s <= prev:
+            return False
+        for a in seen:
+            if a & b not in (0, a, b):
+                return False
+        seen.append(b)
+        prev = s
+    return True
+
+
+def _check_splits(n: int, splits) -> None:
+    """Raise ValueError naming the first fault of a split family, if any."""
+    prev = None
+    sets = []
+    for s in splits:
+        if not isinstance(s, tuple) or list(s) != sorted(set(s)):
+            raise ValueError(f"split {s!r} is not a sorted duplicate-free tuple")
+        if not 2 <= len(s) <= n - 2:
+            raise ValueError(f"split {s!r} has invalid size for n={n}")
+        if s[0] < 2 or s[-1] > n:
+            raise ValueError(f"split {s!r} must use marks in 2..{n}")
+        if prev is not None and s <= prev:
+            raise ValueError("split family must be strictly sorted")
+        prev = s
+        sets.append(frozenset(s))
+    for a, b in combinations(sets, 2):
+        if not (a <= b or b <= a or not (a & b)):
+            raise ValueError(
+                f"incompatible splits {tuple(sorted(a))} / {tuple(sorted(b))}"
+            )
+
+
 @dataclass(frozen=True, order=True)
 class MarkedTree:
     """A stable tree with marks {1..n}, in canonical split-family form."""
@@ -57,27 +107,14 @@ class MarkedTree:
     splits: tuple[Side, ...]
 
     def __post_init__(self):
-        n = self.n
-        if n < 3:
-            raise DomainError(f"need at least 3 marks, got n={n}")
-        prev = None
-        sets = []
-        for s in self.splits:
-            if not isinstance(s, tuple) or list(s) != sorted(set(s)):
-                raise ValueError(f"split {s!r} is not a sorted duplicate-free tuple")
-            if not 2 <= len(s) <= n - 2:
-                raise ValueError(f"split {s!r} has invalid size for n={n}")
-            if s[0] < 2 or s[-1] > n:
-                raise ValueError(f"split {s!r} must use marks in 2..{n}")
-            if prev is not None and s <= prev:
-                raise ValueError("split family must be strictly sorted")
-            prev = s
-            sets.append(frozenset(s))
-        for a, b in combinations(sets, 2):
-            if not (a <= b or b <= a or not (a & b)):
-                raise ValueError(
-                    f"incompatible splits {tuple(sorted(a))} / {tuple(sorted(b))}"
-                )
+        if self.n < 3:
+            raise DomainError(f"need at least 3 marks, got n={self.n}")
+        try:
+            if _splits_valid(self.n, self.splits):
+                return
+        except TypeError:
+            pass
+        _check_splits(self.n, self.splits)
 
     @property
     def k(self) -> int:

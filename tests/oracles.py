@@ -15,11 +15,13 @@ from itertools import combinations
 from math import comb
 
 
-def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
-    """Dense Gaussian elimination over Q."""
+def rref_fraction(rows: list[dict[int, int]], n_cols: int) -> list[tuple[int, list[Fraction]]]:
+    """Reduced row echelon form over Q by dense Gaussian elimination, as
+    (pivot column, dense row) pairs."""
     mat = [[Fraction(r.get(c, 0)) for c in range(n_cols)] for r in rows]
-    rank = 0
+    pivot_cols = []
     for col in range(n_cols):
+        rank = len(pivot_cols)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
@@ -30,8 +32,12 @@ def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
             if i != rank and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivot_cols.append(col)
+    return list(zip(pivot_cols, mat))
+
+
+def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
+    return len(rref_fraction(rows, n_cols))
 
 
 def reference_row_order_key(row: dict[int, int]):
@@ -41,9 +47,54 @@ def reference_row_order_key(row: dict[int, int]):
     return (len(row), sorted(row.items()))
 
 
-def in_row_space(rows: list[dict[int, int]], vec: dict[int, int], n_cols: int) -> bool:
-    base = rank_fraction(rows, n_cols)
-    return rank_fraction(rows + [vec], n_cols) == base
+class ReferenceEchelon:
+    """Natural-order echelon mod p with the dict-and-`min` kernel: the working
+    row is a dict and each pivot step takes `min` over all of it.  The
+    reference for `ModEchelon`'s sparse-accumulator kernel, which must give
+    the same pivots and the same reduced rows."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        p = self.p
+        r = {c: vp for c, v in row.items() if (vp := v % p)}
+        while r:
+            lead = min(r)
+            pr = self.pivots.get(lead)
+            if pr is None:
+                return r
+            f = r[lead]
+            for c, v in pr.items():
+                nv = (r.get(c, 0) - f * v) % p
+                if nv:
+                    r[c] = nv
+                else:
+                    r.pop(c, None)
+        return r
+
+    def add_row(self, row: dict[int, int]) -> int | None:
+        r = self.reduce(row)
+        if not r:
+            return None
+        lead = min(r)
+        inv = pow(r[lead], -1, self.p)
+        self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
+        return lead
+
+
+def in_row_space(rref: list[tuple[int, list[Fraction]]], vec: dict[int, int], n_cols: int) -> bool:
+    """Whether vec lies in the span over Q of the rows whose reduced form
+    is rref (from rref_fraction): each pivot row is 1 at its own pivot
+    column and 0 at every other, so vec is in the span exactly when
+    subtracting vec[c] times the row of each pivot c leaves 0."""
+    v = [Fraction(vec.get(c, 0)) for c in range(n_cols)]
+    for col, row in rref:
+        if v[col]:
+            f = v[col]
+            v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def brute_force_strata(n: int, n_edges: int) -> list[tuple[tuple[int, ...], ...]]:

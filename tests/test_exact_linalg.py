@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from oracles import rank_fraction, reference_row_order_key
+from oracles import ReferenceEchelon, rank_fraction, reference_row_order_key
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
+    _row_order_key,
     ModEchelon,
     RankCertificationError,
     SparseIntMatrix,
@@ -195,3 +196,85 @@ def test_add_rows_takes_empty_rows():
     ech = ModEchelon(p)
     assert ech.add_rows([{}, {2: 1, 3: 1}, {}, {0: p}, {3: 2}]) == 2
     assert ech.pivots == {2: {2: 1, 3: 1}, 3: {3: 1}}
+
+
+def _kernel_row(rng, p, width, earlier):
+    """A random row over columns < width: empty sometimes, with negative
+    values, multiples of p and values beyond p, or a combination of two
+    earlier rows (so that it is dependent on them)."""
+    roll = rng.random()
+    if roll < 0.1:
+        return {}
+    if roll < 0.3 and len(earlier) >= 2:
+        a, b = rng.sample(earlier, 2)
+        fa, fb = rng.randint(-5, 5), rng.randint(-5, 5)
+        return {c: v for c in a.keys() | b.keys() if (v := fa * a.get(c, 0) + fb * b.get(c, 0))}
+    row = {}
+    for c in rng.sample(range(width), rng.randint(1, min(width, 8))):
+        row[c] = rng.choice([rng.randint(-3, 3) or 1, p, -2 * p, p + 1, rng.randrange(-3 * p, 3 * p)])
+    return row
+
+
+def _assert_reduces_alike(ech, ref, row):
+    got = ech.reduce(row)
+    assert got == ref.reduce(row)
+    assert list(got) == sorted(got)
+
+
+@pytest.mark.parametrize("p", [101, next(prime_stream(0))])
+def test_scratch_row_kernel_matches_the_reference_kernel(p):
+    """Pivots and reduced probe rows equal those of the dict-and-min kernel,
+    with reduce calls between add_row calls and the width growing."""
+    rng = random.Random(5)
+    for _ in range(60):
+        ech, ref = ModEchelon(p), ReferenceEchelon(p)
+        earlier = []
+        width = rng.randint(1, 4)
+        for _ in range(rng.randint(0, 40)):
+            if rng.random() < 0.2:
+                width += rng.randint(1, 6)  # wider than any earlier row
+            row = _kernel_row(rng, p, width, earlier)
+            if rng.random() < 0.3:
+                _assert_reduces_alike(ech, ref, row)
+            else:
+                assert ech.add_row(row) == ref.add_row(row)
+                earlier.append(row)
+        assert ech.pivots == ref.pivots
+        for _ in range(5):
+            _assert_reduces_alike(ech, ref, _kernel_row(rng, p, width + 3, earlier))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_scratch_row_kernel_matches_the_reference_on_the_n8k3_relations(seed):
+    p = next(prime_stream(seed))
+    ech, ref = ModEchelon(p), ReferenceEchelon(p)
+    for row in sorted(_relation_rows(8, 3), key=_row_order_key):
+        assert ech.add_row(row) == ref.add_row(row)
+    assert ech.pivots == ref.pivots and ech.rank == 1203
+    width = len(enumerate_strata(8, 3))
+    rng = random.Random(seed)
+    for _ in range(50):
+        i, j = rng.sample(range(width), 2)
+        _assert_reduces_alike(ech, ref, {i: 1, j: -1})
+
+
+def test_negative_columns_are_refused():
+    p = 101
+    ech = ModEchelon(p)
+    ech.add_row({0: 1, 2: 3})
+    for call in (ech.reduce, ech.add_row):
+        with pytest.raises(ValueError, match="negative column"):
+            call({-1: 1})
+        with pytest.raises(ValueError, match="negative column"):
+            call({2: 1, -3: 5})
+    assert ech.pivots == {0: {0: 1, 2: 3}}
+    assert ech.reduce({1: 1, 2: 1}) == {1: 1, 2: 1}
+
+
+def test_scratch_row_is_clean_after_a_failed_call():
+    """A row that fails halfway through loading leaves nothing behind."""
+    ech = ModEchelon(101)
+    with pytest.raises(TypeError):
+        ech.reduce({1: 1, 1.5: 1, 3: 1})
+    assert ech.reduce({0: 1}) == {0: 1}
+    assert ech.add_row({0: 2}) == 0 and ech.pivots == {0: {0: 1}}

@@ -5,6 +5,7 @@ import pytest
 from oracles import brute_force_strata, brute_force_vertex_flags
 from test_homology import _succeeds_under_O
 
+from strata_lab import trees
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
@@ -101,6 +102,56 @@ def test_canonical_form_normalizes_any_orientation():
 def test_incompatible_splits_rejected():
     with pytest.raises(ValueError):
         MarkedTree.from_sides(6, [(2, 3), (3, 4)])
+
+
+def _crossing_partner(rng, n, s):
+    """A side of the size of s that meets s without containing it."""
+    out = list(s)
+    out[rng.randrange(len(out))] = rng.choice([m for m in range(2, n + 1) if m not in s])
+    return tuple(sorted(out))
+
+
+def _random_family(rng, n):
+    """A family of sides that is valid, nearly valid or not valid at all."""
+    if rng.random() < 0.5:
+        fam = list(rng.choice(enumerate_strata(n, rng.randrange(n - 2))).splits)
+    else:
+        fam = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+               for _ in range(rng.randint(0, 4))]
+    if fam and rng.random() < 0.5:
+        i = rng.randrange(len(fam))
+        if 1 <= len(fam[i]) <= n - 2:
+            fam[i] = _crossing_partner(rng, n, fam[i])
+    if fam and rng.random() < 0.1:
+        fam[0] = fam[0][::-1] + fam[0][:1]  # unsorted, and a duplicate mark
+    if fam and rng.random() < 0.1:
+        fam.append(fam[-1])  # a side twice
+    if rng.random() < 0.9:
+        fam.sort()
+    return tuple(fam)
+
+
+def _verdict(build):
+    try:
+        build()
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_fast_split_check_agrees_with_the_detailed_validator():
+    """Accept or reject, and the message, as the detailed validator, on
+    random families, crossing pairs of sides of equal size among them."""
+    rng = random.Random(3)
+    crossing = 0
+    for n in range(4, 10):
+        for _ in range(400):
+            fam = _random_family(rng, n)
+            want = _verdict(lambda: trees._check_splits(n, fam))
+            assert trees._splits_valid(n, fam) == (want is None)
+            assert _verdict(lambda: MarkedTree(n, fam)) == want
+            crossing += want is not None and want[1].startswith("incompatible")
+    assert crossing > 100
 
 
 def test_valence_partition_examples():
