@@ -19,25 +19,38 @@ Two families are generated, both site by site in the same order:
   at each site, a subfamily with the same row space (see its docstring).
   It is the family that `homology` eliminates.
 
-A site of valence m has only 2^(m-1) - m - 1 distinct splits, shared by
-all its relations, so each site keeps one split table: it numbers the
-trees `split_vertex` returns in order of first use, keyed by the flags
-on the side of a split away from the site's least flag, and each
-relation at the site is a row {local id: coeff} over those numbers.
-Each tree is built and validated once per site.  `_sites` yields the
-table and rows of every site; `KMRelation`s are built from them only
-where a caller asks for relation objects, while `homology` maps local
-ids to column ids and the killing check sums images over them directly.
+A site of valence m is a copy of the m-pointed star M_{0,m}: the
+relations at a site (sigma, v) with flags fl are the image of one
+relation system on M_{0,m} under D_S -> split_vertex(sigma, v, S, fl - S)
+(see spanning_relations).  So that system is computed once per valence
+and quad family (`_template`): its 2^(m-1) - m - 1 splits, numbered in
+order of first use and keyed by the flag positions on the side away from
+fl[0], and its relations as rows {local id: coeff} over those numbers.
+`_sites` maps each split of the template onto a site's flags and looks
+the resulting split family up among enumerate_strata(n, k), so every
+term is an enumerated stratum and no tree is built or validated per
+site.  `KMRelation`s are built from the rows only where a caller asks for
+relation objects, while `homology` maps local ids to column ids and the
+killing check sums images over them directly.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .trees import DomainError, MarkedTree, enumerate_strata, split_vertex, vertex_flags
+from .trees import (
+    DomainError,
+    MarkedTree,
+    TreeStructureError,
+    enumerate_strata,
+    split_vertex,
+    vertex_flags,
+)
 
 Side = tuple
 
@@ -84,77 +97,119 @@ def expand_relation(
         raise DomainError(f"flags must all be incident to vertex {vertex}")
     if pairing not in (1, 2):
         raise DomainError(f"pairing must be 1 or 2, got {pairing}")
-    trees, rows = _site(sigma, vertex, here, [quad])
+    keys, rows = _site(len(here), [tuple(here.index(f) for f in quad)])
+    trees = [split_vertex(sigma, vertex, *_bipartition(here, key)) for key in keys]
     _, _, row = rows[pairing - 1]
     return KMRelation(sigma, vertex, quad, pairing, {trees[i]: c for i, c in row.items()})
 
 
-def _site(sigma: MarkedTree, vertex: int, here: tuple,
-          quads: Iterable[tuple]) -> tuple[list[MarkedTree], list[tuple]]:
-    """(trees, rows) of both pairings of each 4-subset in quads at the site
-    (sigma, vertex) whose flags are `here`.
+def _bipartition(here: tuple, key: int) -> tuple[list, list]:
+    """(flags of here outside key, flags in key): the two sides of a split."""
+    return ([f for i, f in enumerate(here) if not key >> i & 1],
+            [f for i, f in enumerate(here) if key >> i & 1])
 
-    trees is the site's split table, in first-use order: the local id of a
-    tree is its position.  Each row is (quad, pairing, {local id: coeff}),
-    terms in the order the expansion first meets them, zeros dropped.  A
-    split is keyed by the bitmask (bit i for here[i]) of its side away from
-    here[0] and built by split_vertex on its first use.
+
+def _site(m: int, quads: Iterable[tuple]) -> tuple[list[int], list[tuple]]:
+    """(keys, rows) of both pairings of each 4-subset in quads of the flag
+    positions 0..m-1 of a site of valence m: the relations on the star
+    M_{0,m}, over its splits.
+
+    keys numbers the splits in first-use order: the local id of a split is
+    its position, and a split is the bitmask (bit i for position i) of its
+    side away from position 0.  Each row is (quad, pairing, {local id:
+    coeff}), terms in the order the expansion first meets them, zeros
+    dropped.
     """
-    bit = {f: 1 << i for i, f in enumerate(here)}
-    full = (1 << len(here)) - 1
+    full = (1 << m) - 1
     ids: dict[int, int] = {}
-    trees: list[MarkedTree] = []
     rows: list[tuple] = []
 
-    def expand(x1, x2, y1, y2, rest: tuple, subsets: list) -> list[int]:
-        """Local ids of the splits (x1 x2 U1 | y1 y2 U2), U1 in subsets."""
+    def expand(x1, x2, masks: list[int]) -> list[int]:
+        """Local ids of the splits (x1 x2 U1 | rest), U1 in masks."""
+        base = 1 << x1 | 1 << x2
         out = []
-        base = bit[x1] | bit[x2]
-        for u1, mask in subsets:
+        for mask in masks:
             side = base | mask
             key = full ^ side if side & 1 else side
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(trees)
-                u2 = tuple(f for f in rest if f not in u1)
-                trees.append(split_vertex(sigma, vertex, (x1, x2) + u1, (y1, y2) + u2))
-            out.append(i)
+            out.append(ids.setdefault(key, len(ids)))
         return out
 
     for quad in quads:
         a, b, c, d = quad
-        rest = tuple(f for f in here if f not in quad)
-        subsets = [(u1, sum(bit[f] for f in u1)) for u1 in _subsets(rest)]
-        plus = expand(a, b, c, d, rest, subsets)
-        for pairing, minus in ((1, expand(a, c, b, d, rest, subsets)),
-                               (2, expand(a, d, b, c, rest, subsets))):
+        rest = [1 << i for i in range(m) if i not in quad]
+        masks = [sum(u) for u in _subsets(rest)]
+        plus = expand(a, b, masks)
+        for pairing, minus in ((1, expand(a, c, masks)), (2, expand(a, d, masks))):
             row: dict[int, int] = {}
             for terms, sign in ((plus, 1), (minus, -1)):
                 for i in terms:
                     row[i] = row.get(i, 0) + sign
             rows.append((quad, pairing, {i: v for i, v in row.items() if v}))
-    return trees, rows
+    return list(ids), rows
+
+
+@lru_cache(maxsize=None)
+def _template(m: int, quads: Callable[[tuple], Iterable[tuple]]
+              ) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """_site(m, quads(0..m-1)), computed once per valence and quad family.
+    Shared by every site of valence m: never mutate a row."""
+    keys, rows = _site(m, quads(tuple(range(m))))
+    return tuple(keys), tuple(rows)
 
 
 def _sites(n: int, k: int, quads: Callable[[tuple], Iterable[tuple]]
-           ) -> Iterator[tuple[MarkedTree, int, list[MarkedTree], list[tuple]]]:
-    """(sigma, v, trees, rows) for every site of the relations of S_{k,n}:
-    a vertex v of valence >= 4 of a stratum sigma of dimension k+1, in
-    enumeration order, with _site's split table and rows of the 4-subsets
-    quads(fl) of its flags fl."""
+           ) -> Iterator[tuple[MarkedTree, int, tuple, list[MarkedTree], tuple]]:
+    """(sigma, v, fl, trees, rows) for every site of the relations of
+    S_{k,n}: a vertex v with flags fl of valence m >= 4 of a stratum sigma
+    of dimension k+1, in enumeration order.
+
+    rows are _template(m, quads)'s, shared, their quads given as positions
+    in fl; trees[i] is the stratum of S_{k,n} that splits v along the
+    template's split i, the object enumerate_strata(n, k) holds.  The
+    flags partition the marks and sort as tuples, so fl[0] holds mark 1 and
+    the side of a split away from fl[0] is its new edge's side as
+    MarkedTree records it.
+    """
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
+    strata = {t.splits: t for t in enumerate_strata(n, k)}
     for sigma in enumerate_strata(n, k + 1):
+        splits = sigma.splits
         for v, fl in enumerate(vertex_flags(sigma)):
-            if len(fl) >= 4:
-                yield (sigma, v, *_site(sigma, v, fl, quads(fl)))
+            m = len(fl)
+            if m < 4:
+                continue
+            keys, rows = _template(m, quads)
+            marks = [sum(1 << x for x in f) for f in fl]
+            trees = []
+            for key in keys:
+                bits = 0
+                for i in range(1, m):
+                    if key >> i & 1:
+                        bits |= marks[i]
+                side = _bits_side(bits)
+                at = bisect_left(splits, side)
+                t = strata.get(splits[:at] + (side,) + splits[at:])
+                if t is None:
+                    raise TreeStructureError(
+                        f"splitting vertex {v} of {sigma} along {side} gives no stratum of "
+                        f"dimension {k}")
+                trees.append(t)
+            yield sigma, v, fl, trees, rows
+
+
+@lru_cache(maxsize=None)
+def _bits_side(bits: int) -> tuple[int, ...]:
+    """The sorted marks m with bit m set in bits."""
+    return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
 def _relations(n: int, k: int,
                quads: Callable[[tuple], Iterable[tuple]]) -> list[KMRelation]:
     """The KMRelations of the rows of _sites(n, k, quads), in order."""
-    return [KMRelation(sigma, v, quad, pairing, {trees[i]: c for i, c in row.items()})
-            for sigma, v, trees, rows in _sites(n, k, quads)
+    return [KMRelation(sigma, v, tuple(fl[i] for i in quad), pairing,
+                       {trees[i]: c for i, c in row.items()})
+            for sigma, v, fl, trees, rows in _sites(n, k, quads)
             for quad, pairing, row in rows]
 
 

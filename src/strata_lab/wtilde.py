@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -77,11 +78,14 @@ def e_pi(pi: Iterable[Iterable[int]], gamma: PairLabel, s1: int | None = None) -
     return min(computed - gamma.a1, s2 - gamma.a2)
 
 
+_ONE, _HALF, _MINUS_HALF = Fraction(1), Fraction(1, 2), Fraction(-1, 2)
+
+
 def wtilde(t: MarkedTree) -> PVector:
     """Signed rational image of a stratum in the space of weighted pairs."""
     lvl = filtration_level(t)
     if lvl == 2:
-        return {w_map(t): Fraction(1)}
+        return {w_map(t): _ONE}
     if lvl != 1:
         return {}
     parts = level1_partition(t)
@@ -102,7 +106,7 @@ def wtilde(t: MarkedTree) -> PVector:
                     continue
                 e = min(s1 - a1, s2 - a2)
                 gamma = PairLabel.from_parts(side1, a1, p2, a2)
-                out[gamma] = Fraction(-1 if e % 2 else 1, 2)
+                out[gamma] = _MINUS_HALF if e % 2 else _HALF
     return out
 
 
@@ -124,14 +128,15 @@ class HalfIntegerError(ArithmeticError):
 
 
 def _covering_half_units(t: MarkedTree, n: int) -> dict[PairLabel, int]:
-    """2 * wtilde(t) on the pairs of inner level 0, as ints."""
+    """2 * wtilde(t) on the pairs of inner level 0, as ints; a value may
+    be a Fraction or an int."""
     out = {}
     for gamma, q in wtilde(t).items():
         if inner_level(gamma, n) == 0:
-            twice = 2 * q
-            if twice.denominator != 1:
+            den = q.denominator
+            if 2 % den:
                 raise HalfIntegerError(f"wtilde({t}) has coefficient {q} at {gamma}")
-            out[gamma] = twice.numerator
+            out[gamma] = q.numerator * (2 // den)
     return out
 
 
@@ -168,14 +173,14 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     each distinct tree's restricted image is taken once, in half-units
     (every value of wtilde lies in (1/2)Z; HalfIntegerError otherwise),
     with its pairs numbered in order of appearance, and each relation is
-    summed in integers over the local ids of its site's split table.
+    summed in integers over the local ids of its site's template splits.
     """
     if not 2 <= k <= n - 4:
         raise DomainError(f"check needs 2 <= k <= n-4, got ({n}, {k})")
     report = KilledReport(n, k, 0)
     number: dict[PairLabel, int] = {}  # pair -> its position in the dict
     images: dict[MarkedTree, dict[int, int]] = {}
-    for sigma, v, trees, rows in _sites(n, k, _every_quad):
+    for sigma, v, fl, trees, rows in _sites(n, k, _every_quad):
         local = []
         for t in trees:
             img = images.get(t)
@@ -203,7 +208,7 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
                     {
                         "sigma": sigma.to_obj(),
                         "vertex": v,
-                        "flags": [list(f) for f in quad],
+                        "flags": [list(fl[i]) for i in quad],
                         "pairing": pairing,
                         "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
                     }
@@ -357,6 +362,7 @@ def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
     return MarkedTree.from_sides(t.n, kept + [tuple(sorted(a | c))])
 
 
+@lru_cache(maxsize=1 << 16)
 def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     """Canonical level-2 tree in the fiber of a weighted pair: the first
     a_i + 1 marks of each side sit at the fat vertex, everything else is

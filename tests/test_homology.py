@@ -469,6 +469,29 @@ def test_class_equal_matches_fraction_membership():
             assert class_equal(t1, t2, exact=(n <= 6)) == want
 
 
+def test_exact_audit_computes_the_base_rank_once(monkeypatch):
+    import strata_lab.homology as h
+
+    n, k = 6, 2
+    base = len(h._relation_rows(n, k))
+    sizes = []
+    rank = h.rank_bareiss
+
+    def counting_rank(M):
+        sizes.append(M.n_rows)
+        return rank(M)
+
+    monkeypatch.setattr(h, "rank_bareiss", counting_rank)
+    h._exact_rank.cache_clear()
+    trees = enumerate_strata(n, k)
+    try:
+        for t1, t2 in [(trees[0], trees[1]), (trees[2], trees[5])]:
+            class_equal(t1, t2, exact=True)
+    finally:
+        h._exact_rank.cache_clear()
+    assert sorted(sizes) == [base, base + 1, base + 1]
+
+
 def test_class_equal_is_equivalence_on_samples():
     rng = random.Random(4)
     for n, k in [(6, 2), (7, 2)]:

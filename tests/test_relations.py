@@ -1,8 +1,10 @@
 import json
 import random
+from math import comb
 
 import pytest
 from oracles import rank_fraction
+from test_homology import _succeeds_under_O
 
 import strata_lab.homology as h
 import strata_lab.relations as rel_mod
@@ -18,6 +20,7 @@ from strata_lab.trees import (
     MarkedTree,
     apply_permutation,
     enumerate_strata,
+    split_vertex,
     vertex_flags,
 )
 
@@ -206,21 +209,45 @@ def test_spanning_family_gives_the_same_quotient_basis():
     assert have._rows == want._rows
 
 
-def test_each_split_tree_is_built_once_per_site(monkeypatch):
-    """generate_relations splits each (site, bipartition) exactly once."""
-    calls = []
-    split = rel_mod.split_vertex
+@pytest.mark.parametrize("quads", [rel_mod._every_quad, rel_mod._spanning_quads],
+                         ids=["every", "spanning"])
+def test_site_trees_are_the_strata_split_along_the_template(quads):
+    """Every site tree is the enumerated stratum that splits the site along
+    its template split; a template of valence m has every split of the
+    m-pointed star once and the rows of its quad family."""
+    for n in (4, 5, 6, 7):
+        for k in range(n - 3):
+            enumerated = {id(t) for t in enumerate_strata(n, k)}
+            for sigma, v, fl, trees, rows in rel_mod._sites(n, k, quads):
+                m = len(fl)
+                keys, template_rows = rel_mod._template(m, quads)
+                assert rows is template_rows
+                assert len(keys) == len(set(keys)) == len(trees) == 2 ** (m - 1) - m - 1
+                want = 2 * comb(m, 4) if quads is rel_mod._every_quad else (m - 2) * (m - 3)
+                assert len(rows) == want
+                for key, t in zip(keys, trees):
+                    assert id(t) in enumerated
+                    side = [f for i, f in enumerate(fl) if key >> i & 1]
+                    rest = [f for i, f in enumerate(fl) if not key >> i & 1]
+                    assert t == split_vertex(sigma, v, side, rest)
 
-    def counting_split(sigma, v, flags_a, flags_b):
-        calls.append((sigma, v, frozenset([frozenset(flags_a), frozenset(flags_b)])))
-        return split(sigma, v, flags_a, flags_b)
 
-    monkeypatch.setattr(rel_mod, "split_vertex", counting_split)
-    n, k = 7, 2
-    rels = generate_relations(n, k)
-    # every bipartition of the m flags at a site into two sides of at
-    # least two flags occurs in some relation: 2^(m-1) - m - 1 of them
-    sites = [len(fl) for sigma in enumerate_strata(n, k + 1)
-             for fl in vertex_flags(sigma) if len(fl) >= 4]
-    assert len(calls) == len(set(calls)) == sum(2 ** (m - 1) - m - 1 for m in sites)
-    assert sum(len(r.terms) for r in rels) > len(calls)
+MISSING_STRATUM_UNDER_O = """
+import sys
+import strata_lab.relations as r
+from strata_lab.trees import TreeStructureError, enumerate_strata
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+r.enumerate_strata = lambda n, k: enumerate_strata(n, k)[1:] if k == 2 else enumerate_strata(n, k)
+try:
+    list(r._sites(7, 2, r._spanning_quads))
+except TreeStructureError:
+    sys.exit(0)
+sys.exit("a split with no stratum got through")
+"""
+
+
+def test_site_split_outside_the_strata_raises():
+    # one stratum dropped from the lookup: the site that splits to it raises
+    _succeeds_under_O(MISSING_STRATUM_UNDER_O)

@@ -231,6 +231,22 @@ def test_killing_check_refuses_a_third_under_python_O():
     _succeeds_under_O(THIRD_UNDER_O)
 
 
+@pytest.mark.parametrize("value, half_units", [
+    (Fraction(1), 2), (Fraction(-1, 2), -1), (3, 6), (-2, -4), (Fraction(1, 4), None)])
+def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
+    module = sys.modules["strata_lab.wtilde"]
+    n = 6
+    t = MarkedTree.from_sides(n, [(4, 5, 6)])
+    gamma = PairLabel.from_parts([1, 2, 3], 1, [4, 5, 6], 1)
+    assert inner_level(gamma, n) == 0
+    monkeypatch.setattr(module, "wtilde", lambda tree: {gamma: value})
+    if half_units is None:
+        with pytest.raises(module.HalfIntegerError):
+            module._covering_half_units(t, n)
+    else:
+        assert module._covering_half_units(t, n) == {gamma: half_units}
+
+
 def test_wtilde_relation_linearity():
     rels = generate_relations(6, 2)
     rel = rels[0]
