@@ -19,16 +19,16 @@ from pathlib import Path
 from . import __version__
 from .characters import cycle_type_key, partitions_of
 from .conjecture import FormulaError, betti_formula, q_dim_formula
-from .exact_linalg import RankCertificationError, rank_bareiss
+from .exact_linalg import RankCertificationError
 from .homology import (
     betti,
     character_graded,
     character_homology,
     class_equal,
+    exact_rank,
     graded_class_equal,
     graded_dims,
     inner_graded_dims,
-    relation_matrix,
 )
 from .psets import character_pset
 from .trees import DomainError, enumerate_strata, filtration_level
@@ -85,13 +85,14 @@ def cmd_betti(args) -> int:
     from .cache import cached
 
     n, seed = args.n, args.seed
-    if args.exact and n > 6:
-        raise DomainError("exact audit elimination is limited to n <= 6")
     ks = [args.k] if args.k is not None else list(range(n - 2))
+    if not ks:
+        raise DomainError(f"no homology group for n={n}")
     rows = []
     for k in ks:
         if args.exact:
-            b = len(enumerate_strata(n, k)) - rank_bareiss(relation_matrix(n, k))
+            rank = exact_rank(n, k)  # refuses n > 6 before enumerating
+            b = len(enumerate_strata(n, k)) - rank
         else:
             b = cached("betti", {"n": n, "k": k, "seed": seed},
                        lambda: betti(n, k, seed), args.cache_dir)
@@ -150,6 +151,8 @@ def cmd_conjecture(args) -> int:
     if args.k is not None and not 1 <= args.k <= args.n - 3:
         raise DomainError(f"no graded pieces for (n, k) = ({args.n}, {args.k})")
     ks = [args.k] if args.k is not None else list(range(1, args.n - 2))
+    if not ks:
+        raise DomainError(f"no graded pieces for n={args.n}")
     rows = []
     for k in ks:
         for r in range(1, min(k, args.n - 2 - k) + 1):
@@ -195,9 +198,14 @@ def _verify_wtilde(args) -> dict:
 
 def _verify_rewrite(args) -> dict:
     n = args.n
+    if args.sample is not None and args.sample < 0:
+        raise DomainError(f"--sample must be >= 0, got {args.sample}")
+    ks = range(2, n - 3)
+    if not ks:
+        raise DomainError(f"no level-2 labels exist for n={n}")
     failures = []
     checked = 0
-    for k in range(2, n - 3):
+    for k in ks:
         level2 = [
             t for t in enumerate_strata(n, k) if filtration_level(t) == 2
         ]
@@ -245,7 +253,7 @@ def _verify_forgetful(args) -> dict:
     # --k or --b given alone narrows the sweep to the cases it names
     cases = [(k, b) for k in range(2, args.n - 3) for b in range(0, args.n - k - 4 + 1)
              if args.k in (None, k) and args.b in (None, b)]
-    if not cases and (args.k, args.b) != (None, None):
+    if not cases:
         raise DomainError(f"no trees to check for n={args.n}, k={args.k}, b={args.b}")
     checked, mismatches = 0, []
     for k, b in cases:
@@ -257,8 +265,11 @@ def _verify_forgetful(args) -> dict:
 
 def _verify_conjecture(args) -> dict:
     n = args.n
+    ks = range(n - 2)
+    if not ks:
+        raise DomainError(f"no homology group for n={n}")
     failures = []
-    for k in range(0, n - 2):
+    for k in ks:
         want = betti(n, k, seed=args.seed)
         got = betti_formula(n, k)
         if got != want:

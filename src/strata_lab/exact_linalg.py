@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q via modular arithmetic.
 
-Ranks and reduced forms are computed modulo random 62-bit primes and
-certified by `certified_value`, the one loop that repeats across primes.
-A fraction-free Bareiss elimination is available as an audit fallback
-for small matrices.
+Matrices are sequences of sparse rows {column: coefficient}.  Ranks and
+reduced forms come from one natural-order row echelon mod p,
+`ModEchelon`, and its reduced quotient basis, `quotient_basis`; they are
+computed modulo random 62-bit primes and certified by `certified_value`,
+the one loop that repeats across primes.  `rank_bareiss`, a
+fraction-free integer elimination, is the exact audit for small matrices.
 """
 
 from __future__ import annotations
@@ -60,30 +62,6 @@ def prime_stream(seed: int) -> Iterable[int]:
         yield c
 
 
-@dataclass
-class SparseIntMatrix:
-    """Rows as sparse integer vectors {column: coefficient}."""
-
-    n_rows: int
-    n_cols: int
-    rows: list[dict[int, int]]
-
-    def __post_init__(self):
-        if self.n_rows != len(self.rows):
-            raise ValueError(f"n_rows is {self.n_rows} but {len(self.rows)} rows are given")
-        for r in self.rows:
-            for c, v in r.items():
-                if not 0 <= c < self.n_cols:
-                    raise ValueError(f"column {c} out of range")
-                if v == 0:
-                    raise ValueError("explicit zero entry")
-
-    @staticmethod
-    def from_rows(n_cols: int, rows: Iterable[dict[int, int]]) -> "SparseIntMatrix":
-        rows = [dict(r) for r in rows]
-        return SparseIntMatrix(len(rows), n_cols, rows)
-
-
 def _row_order_key(row: dict[int, int]):
     return (-min(row, default=0), len(row))
 
@@ -92,32 +70,31 @@ class ModEchelon:
     """Incremental row-echelon form mod p.
 
     Stored pivot rows are never mutated after insertion.  The pivot of a
-    reduced row is its least column in `key` order (natural order when
-    `key` is None), so every stored row is supported on its pivot column
-    and the columns after it.
+    reduced row is its least column, so every stored row is supported on
+    its pivot column and the columns after it.
 
-    In natural order a row is reduced in a sparse accumulator (Gilbert,
-    Moler & Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992): one dense
-    scratch row of values and a `bytearray` mask of its nonzero columns,
-    both kept by the echelon, grown to the widest column seen and left
-    all-zero by every call.  The next leading column is the next set byte
-    of the mask, found by `bytearray.find` in C, so a pivot step costs the
-    length of the pivot row, not of the filled-in working row.  Columns
-    must be non-negative ints, since they index the scratch row.
+    A row is reduced in a sparse accumulator (Gilbert, Moler & Schreiber,
+    SIAM J. Matrix Anal. Appl. 13, 1992): one dense scratch row of values
+    and a `bytearray` mask of its nonzero columns, both kept by the
+    echelon, grown to the widest column seen and left all-zero by every
+    call.  The next leading column is the next set byte of the mask, found
+    by `bytearray.find` in C, so a pivot step costs the length of the pivot
+    row, not of the filled-in working row.  Columns must be non-negative
+    ints, since they index the scratch row.
 
     `add_rows` feeds rows by leading (least) column, largest first, then
     fewest entries.  A row whose leading column has no pivot yet is stored
     as it came, so the pivot rows stay about as sparse as the input: at
     (8,3) the relation echelon holds 12,050 entries, against 32,875 when
     rows go in by fewest entries first.  The order cannot change a result:
-    in natural order the pivot columns and the reduced row echelon form
-    depend on the row space alone, and so do ranks, quotient bases and
-    membership verdicts.
+    the pivot columns and the reduced row echelon form depend on the row
+    space alone, and so do ranks, quotient bases and membership verdicts.
     """
 
-    def __init__(self, p: int, key: Callable[[int], object] | None = None):
+    key = None  # perfbench/tracing.py reads it to name each traced elimination
+
+    def __init__(self, p: int):
         self.p = p
-        self.key = key
         self.pivots: dict[int, dict[int, int]] = {}
         self._values: list[int] = []
         self._nonzero = bytearray()
@@ -143,9 +120,6 @@ class ModEchelon:
 
     def _reduce(self, row: dict[int, int]) -> tuple[int | None, dict[int, int]]:
         """(leading column or None, reduced row, in column order)."""
-        if self.key is not None:
-            r = self._reduce_keyed(row)
-            return (min(r, key=self.key) if r else None), r
         if not row:
             return None, {}
         lo = min(row)
@@ -184,24 +158,6 @@ class ModEchelon:
             raise
         return (lead if lead >= 0 else None), r
 
-    def _reduce_keyed(self, row: dict[int, int]) -> dict[int, int]:
-        p = self.p
-        key = self.key
-        r = {c: vp for c, v in row.items() if (vp := v % p)}
-        while r:
-            lead = min(r, key=key)
-            pr = self.pivots.get(lead)
-            if pr is None:
-                return r
-            f = r[lead]
-            for c, v in pr.items():
-                nv = (r.get(c, 0) - f * v) % p
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
-        return r
-
     def add_rows(self, rows: Iterable[dict[int, int]], presorted: bool = False) -> int:
         """Insert rows, by leading column, largest first, unless presorted;
         returns how many were independent."""
@@ -211,13 +167,6 @@ class ModEchelon:
             if self.add_row(r) is not None:
                 added += 1
         return added
-
-
-def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
-    """Rank of M over the field with p elements."""
-    ech = ModEchelon(p)
-    ech.add_rows(M.rows)
-    return ech.rank
 
 
 def certified_value(compute: Callable[[int], object], seed: int = 0,
@@ -244,10 +193,17 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
             )
 
 
-def rank_bareiss(M: SparseIntMatrix) -> int:
-    """Fraction-free integer elimination; exact, for audit runs on small inputs."""
-    mat = [[r.get(c, 0) for c in range(M.n_cols)] for r in M.rows]
-    n_rows, n_cols = len(mat), M.n_cols
+def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
+    """Rank over Q of sparse integer rows on columns 0 .. n_cols-1, by
+    fraction-free elimination; exact, for audit runs on small inputs.
+    Raises ValueError on a column outside that range."""
+    mat = []
+    for r in rows:
+        for c in r:
+            if not 0 <= c < n_cols:
+                raise ValueError(f"column {c} out of range")
+        mat.append([r.get(c, 0) for c in range(n_cols)])
+    n_rows = len(mat)
     prev = 1
     r = 0
     for c in range(n_cols):
@@ -319,10 +275,8 @@ class QuotientBasis:
 
 
 def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
-    """Full RREF of the row space of a natural-order echelon, packed
-    column-compactly; the echelon is not modified."""
-    if echelon.key is not None:
-        raise ValueError("quotient basis needs natural column order")
+    """Full RREF of the row space of an echelon, packed column-compactly;
+    the echelon is not modified."""
     p = echelon.p
     pivots = echelon.pivots
     pivot_cols = sorted(pivots)

@@ -29,7 +29,6 @@ from .exact_linalg import (
     ModEchelon,
     QuotientBasis,
     RankCertificationError,
-    SparseIntMatrix,
     certified_value,
     lift_symmetric,
     prime_stream,
@@ -64,10 +63,6 @@ def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
         cols = [idx[t] for t in trees]
         rows.extend({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
     return tuple(rows)
-
-
-def relation_matrix(n: int, k: int) -> SparseIntMatrix:
-    return SparseIntMatrix.from_rows(len(_index(n, k)), _relation_rows(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +179,13 @@ def _difference(t1: MarkedTree, t2: MarkedTree) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _exact_rank(n: int, k: int) -> int:
+def exact_rank(n: int, k: int) -> int:
     """Rank over Q of the relation matrix, by fraction-free elimination:
-    the base rank of every exact class_equal audit at (n, k)."""
-    return rank_bareiss(relation_matrix(n, k))
+    the audit behind `betti --exact` and the base rank of every exact
+    class_equal audit at (n, k).  Refused before any work for n > 6."""
+    if n > 6:
+        raise DomainError("exact audit elimination is limited to n <= 6")
+    return rank_bareiss(_relation_rows(n, k), len(_index(n, k)))
 
 
 def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
@@ -200,20 +198,18 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
     RankCertificationError if the two verdicts differ.
     """
     diff = _difference(t1, t2)
-    if exact and t1.n > 6:
-        raise DomainError("exact audit elimination is limited to n <= 6")
+    n, k = t1.n, t1.k
+    if exact:
+        base = exact_rank(n, k)
     if t1 == t2:
         return True
-    n, k = t1.n, t1.k
 
     def compute(p: int) -> bool:
         return not _echelon(n, k, p).reduce(diff)
 
     verdict = certified_value(compute, seed, what="class membership")
     if exact:
-        M = relation_matrix(n, k)
-        M2 = SparseIntMatrix(M.n_rows + 1, M.n_cols, M.rows + [diff])
-        if (_exact_rank(n, k) == rank_bareiss(M2)) != verdict:
+        if (base == rank_bareiss((*_relation_rows(n, k), diff), len(_index(n, k)))) != verdict:
             raise RankCertificationError(
                 f"modular and exact class membership differ for {t1} and {t2}"
             )

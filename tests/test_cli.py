@@ -72,6 +72,18 @@ def test_betti_exact_audit(tmp_path):
     assert vals == [1, 5, 1]
 
 
+def test_betti_exact_refuses_large_n_before_any_work(tmp_path, monkeypatch):
+    import strata_lab.homology as h
+    import strata_lab.trees as tr
+
+    def no_work(*_):
+        raise AssertionError("work started before the size guard")
+
+    monkeypatch.setattr(h, "rank_bareiss", no_work)
+    monkeypatch.setattr(tr, "_level", no_work)
+    assert run_cli(["betti", "--n", "7", "--exact"], tmp_path) == (2, "")
+
+
 def test_exact_is_offered_on_betti_only(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["graded", "--n", "5", "--k", "1", "--exact"], tmp_path)
@@ -124,6 +136,18 @@ def test_conjecture_rows(tmp_path):
 ])
 def test_conjecture_k_has_graded_pieces(tmp_path, k, code, out):
     assert run_cli(["conjecture", "--n", "6", "--k", k, "--format", "csv"], tmp_path) == (code, out)
+
+
+@pytest.mark.parametrize("args", [
+    ["betti", "--n", "2"],
+    ["conjecture", "--n", "3"],
+    ["verify", "rewrite", "--n", "5"],
+    ["verify", "forgetful", "--n", "5"],
+    ["verify", "conjecture", "--n", "2"],
+    ["verify", "rewrite", "--n", "6", "--sample", "-1"],
+])
+def test_nothing_to_compute_is_a_domain_error(tmp_path, args):
+    assert run_cli(args, tmp_path) == (2, "")
 
 
 @pytest.mark.parametrize("target, extra", [

@@ -8,14 +8,12 @@ from strata_lab.exact_linalg import (
     _row_order_key,
     ModEchelon,
     RankCertificationError,
-    SparseIntMatrix,
     certified_value,
     is_probable_prime,
     lift_symmetric,
     prime_stream,
     quotient_basis,
     rank_bareiss,
-    rank_mod_p,
 )
 from strata_lab.homology import _echelon, _relation_rows
 from strata_lab.relations import generate_relations
@@ -23,15 +21,21 @@ from strata_lab.trees import enumerate_strata
 
 
 def _relation_matrix(n, k):
+    """(rows, n_cols) of all the relations of (n, k)."""
     trees = enumerate_strata(n, k)
     idx = {t: i for i, t in enumerate(trees)}
-    rows = [r.row(idx) for r in generate_relations(n, k)]
-    return SparseIntMatrix.from_rows(len(trees), rows)
+    return [r.row(idx) for r in generate_relations(n, k)], len(trees)
 
 
-def rank_exact(M, seed=0):
+def _rank_mod_p(rows, p):
+    ech = ModEchelon(p)
+    ech.add_rows(rows)
+    return ech.rank
+
+
+def rank_exact(rows, seed=0):
     """Rank over Q, certified from ranks mod p."""
-    return certified_value(lambda p: rank_mod_p(M, p), seed, lower_bound=True)
+    return certified_value(lambda p: _rank_mod_p(rows, p), seed, lower_bound=True)
 
 
 def _quotient_basis(rows, n_cols, p):
@@ -50,7 +54,7 @@ def _random_sparse(rng, n_rows, n_cols, density=0.3, lo=-4, hi=4):
                 if v:
                     row[c] = v
         rows.append(row)
-    return SparseIntMatrix.from_rows(n_cols, rows)
+    return rows
 
 
 def test_prime_stream_deterministic():
@@ -63,18 +67,15 @@ def test_prime_stream_deterministic():
 
 def test_rank_examples():
     p = next(iter(prime_stream(0)))
-    empty = SparseIntMatrix.from_rows(5, [])
-    assert rank_mod_p(empty, p) == 0
-    assert rank_exact(empty) == 0
-    ident = SparseIntMatrix.from_rows(5, [{i: 1} for i in range(5)])
-    assert rank_exact(ident) == 5
-    zero = SparseIntMatrix.from_rows(3, [{} for _ in range(3)])
-    assert rank_exact(zero) == 0
-    m40 = _relation_matrix(4, 0)
-    assert rank_mod_p(m40, p) == 2
-    m50 = _relation_matrix(5, 0)
-    assert rank_mod_p(m50, p) == 14
-    m61 = _relation_matrix(6, 1)
+    assert _rank_mod_p([], p) == 0
+    assert rank_exact([]) == 0
+    assert rank_exact([{i: 1} for i in range(5)]) == 5
+    assert rank_exact([{} for _ in range(3)]) == 0
+    m40, _ = _relation_matrix(4, 0)
+    assert _rank_mod_p(m40, p) == 2
+    m50, _ = _relation_matrix(5, 0)
+    assert _rank_mod_p(m50, p) == 14
+    m61, _ = _relation_matrix(6, 1)
     assert rank_exact(m61) == 105 - 16  # betti oracle: h2 of the 6-marked space is 16
 
 
@@ -104,33 +105,40 @@ def test_certifier_gives_up():
 def test_rank_matches_fraction_oracle_on_random_matrices():
     rng = random.Random(11)
     for trial in range(25):
-        M = _random_sparse(rng, rng.randint(1, 12), rng.randint(1, 10))
-        want = rank_fraction(M.rows, M.n_cols)
-        assert rank_exact(M, seed=trial) == want
-        assert rank_bareiss(M) == want
+        n_cols = rng.randint(1, 10)
+        rows = _random_sparse(rng, rng.randint(1, 12), n_cols)
+        want = rank_fraction(rows, n_cols)
+        assert rank_exact(rows, seed=trial) == want
+        assert rank_bareiss(rows, n_cols) == want
 
 
 def test_two_prime_agreement_across_suite():
     ps = [p for _, p in zip(range(3), prime_stream(123))]
     for n, k in [(4, 0), (5, 0), (5, 1), (6, 1), (6, 2)]:
-        M = _relation_matrix(n, k)
-        ranks = {rank_mod_p(M, p) for p in ps}
+        rows, _ = _relation_matrix(n, k)
+        ranks = {_rank_mod_p(rows, p) for p in ps}
         assert len(ranks) == 1
 
 
 def test_bareiss_agrees_on_relation_matrices():
     for n, k in [(4, 0), (5, 0), (5, 1), (6, 2)]:
-        M = _relation_matrix(n, k)
-        assert rank_bareiss(M) == rank_exact(M)
+        rows, n_cols = _relation_matrix(n, k)
+        assert rank_bareiss(rows, n_cols) == rank_exact(rows)
+
+
+@pytest.mark.parametrize("row", [{3: 1}, {0: 1, -1: 2}, {7: 1}])
+def test_bareiss_refuses_out_of_range_columns(row):
+    with pytest.raises(ValueError, match="out of range"):
+        rank_bareiss([{0: 1, 1: 1}, row], 3)
 
 
 def test_quotient_basis_and_reduce():
     p = next(iter(prime_stream(0)))
-    M = _relation_matrix(4, 0)
-    qb = _quotient_basis(M.rows, M.n_cols, p)
+    rows, n_cols = _relation_matrix(4, 0)
+    qb = _quotient_basis(rows, n_cols, p)
     assert qb.rank == 2 and qb.dim == 1
     # a relation row reduces to zero
-    assert qb.quotient_reduce(M.rows[0]) == [0]
+    assert qb.quotient_reduce(rows[0]) == [0]
     # a free-column unit vector is its own coordinate
     f = qb.free_cols[0]
     assert qb.quotient_reduce({f: 1}) == [1]
@@ -151,11 +159,6 @@ def test_quotient_reduce_rejects_out_of_range():
     qb = _quotient_basis([{0: 1, 1: -1}], 2, p)
     with pytest.raises(ValueError):
         qb.quotient_reduce({5: 1})
-
-
-def test_matrix_row_count_checked():
-    with pytest.raises(ValueError):
-        SparseIntMatrix(2, 3, [{0: 1}])
 
 
 def test_lift_symmetric():

@@ -12,15 +12,11 @@ from oracles import in_row_space, keel_betti, rank_fraction, rref_fraction
 
 import strata_lab
 import strata_lab.exact_linalg as el
-from strata_lab.exact_linalg import (
-    ModEchelon,
-    RankCertificationError,
-    SparseIntMatrix,
-    prime_stream,
-    rank_mod_p,
-)
+from strata_lab.exact_linalg import ModEchelon, RankCertificationError, prime_stream
 from strata_lab.characters import partitions_of, representative
 from strata_lab.homology import (
+    _index,
+    _relation_rows,
     betti,
     character_graded,
     character_homology,
@@ -28,7 +24,6 @@ from strata_lab.homology import (
     graded_class_equal,
     graded_dims,
     inner_graded_dims,
-    relation_matrix,
 )
 from strata_lab.psets import cardinality_p1, cardinality_p2
 from strata_lab.trees import (
@@ -61,8 +56,8 @@ def test_betti_examples():
 
 def test_betti_matches_fraction_oracle():
     for n, k in [(4, 0), (5, 0), (5, 1), (6, 1), (6, 2)]:
-        M = relation_matrix(n, k)
-        assert betti(n, k) == M.n_cols - rank_fraction(M.rows, M.n_cols)
+        n_cols = len(_index(n, k))
+        assert betti(n, k) == n_cols - rank_fraction(_relation_rows(n, k), n_cols)
 
 
 def test_betti_matches_keel_recursion():
@@ -146,10 +141,12 @@ def _inner_set(trees, b):
     ]
 
 
-def _stacked_span_dim(M, ids, p):
-    """rank(M stacked with the unit rows of ids) - rank(M), at the prime p."""
-    stacked = SparseIntMatrix.from_rows(M.n_cols, M.rows + [{i: 1} for i in ids])
-    return rank_mod_p(stacked, p) - rank_mod_p(M, p)
+def _stacked_span_dim(rows, ids, p):
+    """rank(rows stacked with the unit rows of ids) - rank(rows), at the prime p."""
+    alone, stacked = ModEchelon(p), ModEchelon(p)
+    alone.add_rows(rows)
+    stacked.add_rows([*rows, *({i: 1} for i in ids)])
+    return stacked.rank - alone.rank
 
 
 def test_graded_dims_match_stacked_rank_oracle():
@@ -157,7 +154,7 @@ def test_graded_dims_match_stacked_rank_oracle():
     for n in range(4, 8):
         for k in range(1, n - 2):
             trees = enumerate_strata(n, k)
-            M = relation_matrix(n, k)
+            M = _relation_rows(n, k)
             rmax = min(k, n - 2 - k)
             span = [_stacked_span_dim(M, _level_set(trees, r), p) for r in range(1, rmax + 2)]
             assert graded_dims(n, k) == [span[r] - span[r + 1] for r in range(rmax)], (n, k)
@@ -175,7 +172,7 @@ def test_graded_class_equal_matches_stacked_membership():
     for n, k in [(6, 2), (7, 2), (7, 3)]:
         trees = enumerate_strata(n, k)
         idx = {t: i for i, t in enumerate(trees)}
-        M = relation_matrix(n, k)
+        M = _relation_rows(n, k)
         by_level: dict[int, list[MarkedTree]] = {}
         for t in trees:
             if filtration_level(t) == 2:
@@ -200,7 +197,7 @@ def test_graded_class_equal_matches_stacked_membership():
             if level not in stacked:
                 ech = ModEchelon(p)
                 units = [{i: 1} for i in _inner_set(trees, level + 1)]
-                ech.add_rows(M.rows + units)
+                ech.add_rows([*M, *units])
                 stacked[level] = ech
             want = not stacked[level].reduce({idx[a]: 1, idx[b]: -1})
             assert graded_class_equal(a, b) == want, (a, b)
@@ -334,7 +331,7 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 t = MarkedTree.from_sides(4, [(3, 4)])
 t2 = MarkedTree.from_sides(4, [(2, 4)])
-h.rank_bareiss = lambda M: M.n_rows  # an exact rank that disagrees
+h.rank_bareiss = lambda rows, n_cols: len(rows)  # an exact rank that disagrees
 try:
     h.class_equal(t, t2, exact=True)
 except RankCertificationError:
@@ -375,22 +372,6 @@ sys.exit("the integrality check let 15/2 through")
 """
 
 
-KEYED_ECHELON_UNDER_O = """
-import sys
-from strata_lab.exact_linalg import ModEchelon, quotient_basis
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-ech = ModEchelon(101, key=lambda c: -c)
-ech.add_rows([{0: 1, 1: 1}])  # pivot at column 1, not the natural column 0
-try:
-    quotient_basis(ech, 2)
-except ValueError:
-    sys.exit(0)
-sys.exit("the column-order check let a keyed echelon through")
-"""
-
-
 def _succeeds_under_O(script):
     src = str(Path(strata_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -404,8 +385,8 @@ def test_exact_audit_survives_python_O():
     _succeeds_under_O(AUDIT_UNDER_O)
 
 
-@pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O, KEYED_ECHELON_UNDER_O],
-                         ids=["rewrite-end", "integrality", "keyed-echelon"])
+@pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O],
+                         ids=["rewrite-end", "integrality"])
 def test_named_checks_survive_python_O(script):
     _succeeds_under_O(script)
 
@@ -417,7 +398,7 @@ def test_exact_audit_refuses_large_n_before_any_work(monkeypatch):
         raise AssertionError("work started before the size guard")
 
     monkeypatch.setattr(h, "certified_value", no_work)
-    monkeypatch.setattr(h, "relation_matrix", no_work)
+    monkeypatch.setattr(h, "_relation_rows", no_work)
     monkeypatch.setattr(h, "rank_bareiss", no_work)
     a = MarkedTree.from_sides(7, [(2, 3, 4, 5), (4, 5)])
     b = MarkedTree.from_sides(7, [(2, 3, 4, 5), (2, 3)])
@@ -461,11 +442,10 @@ def test_class_equal_matches_fraction_membership():
     for n, k in [(5, 1), (6, 1), (6, 2)]:
         trees = enumerate_strata(n, k)
         idx = {t: i for i, t in enumerate(trees)}
-        M = relation_matrix(n, k)
-        rref = rref_fraction(M.rows, M.n_cols)
+        rref = rref_fraction(_relation_rows(n, k), len(trees))
         for _ in range(10):
             t1, t2 = rng.sample(list(trees), 2)
-            want = in_row_space(rref, {idx[t1]: 1, idx[t2]: -1}, M.n_cols)
+            want = in_row_space(rref, {idx[t1]: 1, idx[t2]: -1}, len(trees))
             assert class_equal(t1, t2, exact=(n <= 6)) == want
 
 
@@ -477,18 +457,18 @@ def test_exact_audit_computes_the_base_rank_once(monkeypatch):
     sizes = []
     rank = h.rank_bareiss
 
-    def counting_rank(M):
-        sizes.append(M.n_rows)
-        return rank(M)
+    def counting_rank(rows, n_cols):
+        sizes.append(len(rows))
+        return rank(rows, n_cols)
 
     monkeypatch.setattr(h, "rank_bareiss", counting_rank)
-    h._exact_rank.cache_clear()
+    h.exact_rank.cache_clear()
     trees = enumerate_strata(n, k)
     try:
         for t1, t2 in [(trees[0], trees[1]), (trees[2], trees[5])]:
             class_equal(t1, t2, exact=True)
     finally:
-        h._exact_rank.cache_clear()
+        h.exact_rank.cache_clear()
     assert sorted(sizes) == [base, base + 1, base + 1]
 
 
@@ -591,11 +571,11 @@ def test_character_values_independent_of_seed():
 @lru_cache(maxsize=None)
 def _fraction_rref(n, k):
     """Pivot rows of the RREF of the relation matrix over Q, by pivot column."""
-    M = relation_matrix(n, k)
-    rows = [[Fraction(r_.get(c, 0)) for c in range(M.n_cols)] for r_ in M.rows]
+    n_cols = len(_index(n, k))
+    rows = [[Fraction(r_.get(c, 0)) for c in range(n_cols)] for r_ in _relation_rows(n, k)]
     rank = 0
     pivots = []
-    for col in range(M.n_cols):
+    for col in range(n_cols):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
