@@ -1,15 +1,29 @@
 """Exact sparse linear algebra over Q via modular arithmetic.
 
 Matrices are sequences of sparse rows {column: coefficient}.  Ranks and
-reduced forms come from one natural-order row echelon mod p,
+reduced forms come from one natural-order row echelon modulo m,
 `ModEchelon`, and its reduced quotient basis, `quotient_basis`; they are
-computed modulo random 62-bit primes and certified by `certified_value`,
-the one loop that repeats across primes.  `rank_bareiss`, a
-fraction-free integer elimination, is the exact audit for small matrices.
+certified by `certified_value`, the one loop that repeats across random
+62-bit primes.  `rank_bareiss`, a fraction-free integer elimination, is
+the exact audit for small matrices.
+
+`certified_value` takes the primes two at a time and eliminates once,
+modulo their product m = p*q, which costs well under two eliminations
+mod p.  This is sound because every lead the elimination stops at or
+inverts must be a unit mod m, else `_NonUnitLead` is raised: by the
+Chinese remainder theorem a unit mod m is nonzero mod p and mod q, and a
+residue that is zero mod m is zero mod both.  So each reduction step mod
+m reduces to the same step mod p (a step whose factor vanishes mod p
+changes nothing there), the pivot columns mod m are those mod p and mod
+q, and the reduced row echelon form mod m reduces to the one mod p and
+the one mod q.  A value read off it at p is the value an elimination mod
+p alone gives.  When a lead is not a unit, the pair's two primes are
+evaluated one at a time.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from bisect import bisect_left
@@ -23,6 +37,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class RankCertificationError(RuntimeError):
     """A certified value could not be established or failed a cross-check."""
+
+
+class _NonUnitLead(ArithmeticError):
+    """A lead of an elimination modulo a composite is not a unit: its value
+    may vanish modulo one prime factor, so the elimination modulo that prime
+    would go on past it."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -67,7 +87,13 @@ def _row_order_key(row: dict[int, int]):
 
 
 class ModEchelon:
-    """Incremental row-echelon form mod p.
+    """Incremental row-echelon form modulo p, a prime or a product of
+    distinct primes.
+
+    Every lead the elimination stops at must be a unit mod p: a row that
+    reduces to a nonzero row whose leading value shares a factor with p
+    raises `_NonUnitLead`, in `add_row` and in `reduce` alike, and leaves
+    the echelon as it was.  A prime modulus never raises it.
 
     Stored pivot rows are never mutated after insertion.  The pivot of a
     reduced row is its least column, so every stored row is supported on
@@ -106,7 +132,8 @@ class ModEchelon:
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Fold row against the current pivots; the result has no pivot column
         as its leading column (it may still touch later pivot columns).
-        Raises ValueError on a negative column."""
+        Raises ValueError on a negative column and _NonUnitLead on a
+        nonzero result whose leading value is not a unit."""
         return self._reduce(row)[1]
 
     def add_row(self, row: dict[int, int]) -> int | None:
@@ -156,7 +183,11 @@ class ModEchelon:
             self._values = [0] * len(values)
             self._nonzero = bytearray(len(nonzero))
             raise
-        return (lead if lead >= 0 else None), r
+        if lead < 0:
+            return None, r
+        if math.gcd(r[lead], p) != 1:
+            raise _NonUnitLead(f"lead {r[lead]} at column {lead} is not a unit mod {p}")
+        return lead, r
 
     def add_rows(self, rows: Iterable[dict[int, int]], presorted: bool = False) -> int:
         """Insert rows, by leading column, largest first, unless presorted;
@@ -169,10 +200,22 @@ class ModEchelon:
         return added
 
 
+def _as_read(value, p: int):
+    return value
+
+
 def certified_value(compute: Callable[[int], object], seed: int = 0,
-                    what: str = "value", lower_bound: bool = False):
-    """Evaluate compute(p) at the primes of prime_stream(seed) until a value
-    is certified.
+                    what: str = "value", lower_bound: bool = False,
+                    read: Callable[[object, int], object] = _as_read):
+    """Read values at the primes of prime_stream(seed), in stream order,
+    until one is certified.
+
+    The primes are taken two at a time: compute(p*q) is evaluated once and
+    read(result, p), then read(result, q), are the values at the two primes
+    (read lifts what depends on the prime, such as a trace mod p; by
+    default the result is the value).  When compute raises _NonUnitLead,
+    compute(p) and compute(q) are evaluated one at a time instead (see the
+    module docstring for why either way gives the value at each prime).
 
     With lower_bound=True (ranks) the largest value seen so far is returned
     once it has been seen twice: reduction mod p can only lower a rank, so
@@ -182,15 +225,22 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
     RankCertificationError is raised after MAX_PRIMES primes.
     """
     seen: list = []
-    for p in prime_stream(seed):
-        seen.append(compute(p))
-        v = max(seen) if lower_bound else seen[-1]
-        if seen.count(v) >= 2:
-            return v
-        if len(seen) == MAX_PRIMES:
-            raise RankCertificationError(
-                f"no value of {what} certified at {MAX_PRIMES} primes: {seen}"
-            )
+    primes = prime_stream(seed)
+    for p, q in zip(primes, primes):
+        try:
+            result = compute(p * q)
+            results = ((result, p), (result, q))
+        except _NonUnitLead:
+            results = ((compute(r), r) for r in (p, q))
+        for result, r in results:
+            seen.append(read(result, r))
+            v = max(seen) if lower_bound else seen[-1]
+            if seen.count(v) >= 2:
+                return v
+            if len(seen) == MAX_PRIMES:
+                raise RankCertificationError(
+                    f"no value of {what} certified at {MAX_PRIMES} primes: {seen}"
+                )
 
 
 def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
@@ -226,18 +276,21 @@ def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
 
 @dataclass
 class QuotientBasis:
-    """RREF presentation of F_p^{n_cols} / rowspace, basis = free columns.
+    """RREF presentation of (Z/m)^{n_cols} / rowspace, basis = free columns,
+    m the modulus of the echelon it was read from.
 
     For a pivot column c the stored row is the free-column part of the
     reduced relation  e_c + sum_f row[f] e_f  in the row space; hence the
-    class of e_c is  -sum_f row[f] [e_f].
+    class of e_c is  -sum_f row[f] [e_f].  Columns are packed in an int
+    array, values kept as Python ints, since a product of two 62-bit
+    primes does not fit a machine word.
     """
 
-    prime: int
+    modulus: int
     n_cols: int
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
-    _rows: dict[int, tuple[array, array]] = field(repr=False)
+    _rows: dict[int, tuple[array, tuple[int, ...]]] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -255,8 +308,8 @@ class QuotientBasis:
         return 0
 
     def quotient_reduce(self, v: dict[int, int]) -> list[int]:
-        """Coordinates of the class of v on the free-column basis, mod p."""
-        p = self.prime
+        """Coordinates of the class of v on the free-column basis, mod m."""
+        p = self.modulus
         pos = self._free_index
         out = [0] * len(self.free_cols)
         for c, val in v.items():
@@ -298,8 +351,7 @@ def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
     packed = {}
     for c, row in reduced.items():
         cols = array("i", sorted(row))
-        vals = array("q", (row[x] for x in cols))
-        packed[c] = (cols, vals)
+        packed[c] = (cols, tuple(row[x] for x in cols))
     return QuotientBasis(p, n_cols, tuple(pivot_cols), free_cols, packed)
 
 

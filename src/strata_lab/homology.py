@@ -1,21 +1,34 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
 Everything is computed in the coordinates of the reduced quotient basis
-of one natural-order echelon of the relation matrix per prime, whose rows
-are the spanning subfamily `relations.spanning_relations`: a free
+of one natural-order echelon of the relation matrix per modulus, whose
+rows are the spanning subfamily `relations.spanning_relations`: a free
 column is a basis vector of the quotient, and the class of a pivot column
 is minus its reduced row.  The graded piece spanned by the level >= r
 strata is handled through its permutation presentation, Q(S^{>=r})
 modulo the kernel of e_j -> [e_j], and the trace of a permutation on
 that presentation is read off its reduced form, free column by free
-column; the image of a stratum under a permutation is computed once and
-shared by every prime and presentation (`_image_id`).  Every reported
-number is certified at two independent primes, except a Betti number
-whose relation rank reaches its known value at the first prime:
-reduction mod p can only lower a rank, and the rank over Q is
-|S_{k,n}| - b_k with b_k from Keel's recursion (a theorem), so a mod-p
-rank equal to that bound is the rank over Q.  A wrong relation matrix
-misses the bound and is certified at two primes as before.
+column; the image of a stratum under a permutation is looked up by its
+split family once and shared by every modulus and presentation
+(`_image_id`).
+
+Every reported number is certified at two independent primes by
+`exact_linalg.certified_value`, which evaluates each closure below once
+per pair of primes p, q, at the modulus p*q: all of its eliminations
+have unit leads or raise, so the ranks, pivots and reduced forms it
+finds reduce to those mod p and mod q, and each prime reads the value a
+computation mod that prime alone gives.  Traces are summed mod p*q and
+lifted to the symmetric range at each prime, so the two primes still
+check each other.  When a lead is not a unit the pair is evaluated one
+prime at a time.  The exception is a Betti number whose relation rank
+reaches its known value at the first prime: reduction mod p can only
+lower a rank, and the rank over Q is |S_{k,n}| - b_k with b_k from
+Keel's recursion (a theorem), so a mod-p rank equal to that bound is the
+rank over Q.  A wrong relation matrix misses the bound and is certified
+at two primes as before.  The graded dimensions must sum to that b_k.
+
+The argument p of the closures and cached helpers below is the modulus:
+a prime, or a product of two.
 """
 
 from __future__ import annotations
@@ -35,20 +48,21 @@ from .exact_linalg import (
     quotient_basis,
     rank_bareiss,
 )
-from .relations import _sites, _spanning_quads
+from .relations import _bits_side, _sites, _spanning_quads
 from .trees import (
     DomainError,
     MarkedTree,
+    TreeStructureError,
     _filtration_key,
     _filtration_keys,
-    apply_permutation,
     enumerate_strata,
 )
 
 
 @lru_cache(maxsize=None)
-def _index(n: int, k: int) -> dict[MarkedTree, int]:
-    return {t: i for i, t in enumerate(enumerate_strata(n, k))}
+def _index(n: int, k: int) -> dict[tuple, int]:
+    """Column id of each stratum of (n, k), keyed by its split family."""
+    return {t.splits: i for i, t in enumerate(enumerate_strata(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +74,7 @@ def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
         return ()
     idx, rows = _index(n, k), []
     for _, _, _, trees, site_rows in _sites(n, k, _spanning_quads):
-        cols = [idx[t] for t in trees]
+        cols = [idx[t.splits] for t in trees]
         rows.extend({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
     return tuple(rows)
 
@@ -103,13 +117,13 @@ def betti(n: int, k: int, seed: int = 0) -> int:
 
     The rank at the first prime is returned when it reaches |S_{k,n}| - b_k,
     b_k from Keel's recursion; otherwise the rank is certified at two
-    primes, starting at that same prime."""
+    primes, by `certified_value`."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     size = len(enumerate_strata(n, k))
     rank = _echelon(n, k, next(prime_stream(seed))).rank
     if rank != size - _keel_row(n)[k]:
-        rank = certified_value(lambda p: _echelon(n, k, p).rank, seed,
+        rank = certified_value(lambda m: _echelon(n, k, m).rank, seed,
                                f"relation rank ({n},{k})", lower_bound=True)
     return size - rank
 
@@ -146,14 +160,15 @@ def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) ->
 
 
 def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
-    """Dimensions of the graded pieces for r = 1 .. min(k, n-2-k)."""
+    """Dimensions of the graded pieces for r = 1 .. min(k, n-2-k); they must
+    sum to b_k from Keel's recursion, not to a rank of the same matrix."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     if k == 0:
         return []
     key_mins = [n * r for r in range(1, min(k, n - 2 - k) + 2)]
     dims = _graded_pieces(n, k, key_mins, seed, f"graded dims ({n},{k})")
-    if sum(dims) != betti(n, k, seed):
+    if sum(dims) != _keel_row(n)[k]:
         raise RankCertificationError(f"graded dims {dims} do not sum to b_{k} of n={n}")
     return dims
 
@@ -175,7 +190,7 @@ def _difference(t1: MarkedTree, t2: MarkedTree) -> dict[int, int]:
     if (t1.n, t1.k) != (t2.n, t2.k):
         raise DomainError("classes live in different homology groups")
     idx = _index(t1.n, t1.k)
-    return {idx[t1]: 1, idx[t2]: -1}
+    return {idx[t1.splits]: 1, idx[t2.splits]: -1}
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +264,21 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
 
 @lru_cache(maxsize=None)
 def _image_id(n: int, k: int, i: int, g: tuple[int, ...]) -> int:
-    """Id of the image of stratum i of (n, k) under g; shared by every prime
-    and presentation, so each (stratum, g) is relabelled once."""
-    return _index(n, k)[apply_permutation(enumerate_strata(n, k)[i], g)]
+    """Id of the image of stratum i of (n, k) under g (g[m-1] the image of
+    mark m), looked up by its split family: each split's marks moved by g,
+    as a bitmask, its side away from mark 1.  Shared by every modulus and
+    presentation, so each (stratum, g) is relabelled once."""
+    full = (1 << n + 1) - 2
+    sides = []
+    for s in enumerate_strata(n, k)[i].splits:
+        bits = 0
+        for m in s:
+            bits |= 1 << g[m - 1]
+        sides.append(_bits_side(full ^ bits if bits & 2 else bits))
+    j = _index(n, k).get(tuple(sorted(sides)))
+    if j is None:
+        raise TreeStructureError(f"relabelling stratum {i} of ({n}, {k}) by {g} gives no stratum")
+    return j
 
 
 class _Presentation:
@@ -262,7 +289,8 @@ class _Presentation:
         self.n, self.k, self.ids, self.qb = n, k, ids, qb
 
     def trace(self, g: tuple[int, ...]) -> int:
-        """Trace of the permutation action, as an exact integer."""
+        """Trace of the permutation action, mod the modulus of the quotient
+        basis; lift it at a prime with lift_symmetric."""
         qb, ids, n, k = self.qb, self.ids, self.n, self.k
         total = 0
         rows = qb._rows
@@ -272,7 +300,7 @@ class _Presentation:
                 total += 1
             elif u in rows:
                 total -= qb.coeff(u, f)
-        return lift_symmetric(total, qb.prime)
+        return total % qb.modulus
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +334,8 @@ def character_homology(n: int, k: int, seed: int = 0) -> Character:
         pres = _graded_presentation(n, k, 0, p)
         return tuple(pres.trace(representative(t)) for t in partitions_of(n))
 
-    vals = certified_value(compute, seed, what=f"character ({n},{k})")
+    vals = certified_value(compute, seed, what=f"character ({n},{k})",
+                           read=lambda traces, p: tuple(lift_symmetric(x, p) for x in traces))
     return Character(n, dict(zip(partitions_of(n), vals)))
 
 
@@ -316,15 +345,17 @@ def character_graded(n: int, k: int, r: int, seed: int = 0) -> Character:
     if not 1 <= r <= min(k, n - 2 - k):
         raise DomainError(f"no graded piece for (n, k, r) = ({n}, {k}, {r})")
 
-    def compute(p: int) -> tuple[int, ...]:
+    def compute(p: int) -> tuple[tuple[int, int], ...]:
         top = _graded_presentation(n, k, r, p)
         above = _graded_presentation(n, k, r + 1, p)
         out = []
         for t in partitions_of(n):
             g = representative(t)
-            val = top.trace(g) - (above.trace(g) if above else 0)
-            out.append(val)
+            out.append((top.trace(g), above.trace(g) if above else 0))
         return tuple(out)
 
-    vals = certified_value(compute, seed, what=f"graded character ({n},{k},{r})")
+    def read(traces, p: int) -> tuple[int, ...]:
+        return tuple(lift_symmetric(a, p) - lift_symmetric(b, p) for a, b in traces)
+
+    vals = certified_value(compute, seed, what=f"graded character ({n},{k},{r})", read=read)
     return Character(n, dict(zip(partitions_of(n), vals)))

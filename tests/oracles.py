@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's modular elimination and
 enumeration strategies: ranks are fraction Gaussian elimination, strata
 come from brute-force search over compatible split families,
 characters are fixed-point counts, and Betti numbers come from Keel's
-recursion, which is a theorem.
+recursion, which is a theorem.  The one modular piece, the certification
+loop, is kept here evaluating one prime at a time.
 """
 
 from __future__ import annotations
@@ -193,3 +194,20 @@ def brute_force_filtration_key(n: int, splits) -> int:
     ]
     kept = [n - len(x) for x in toward]  # marks at each fat vertex's side
     return 2 * n + n - sum(kept)
+
+
+def certify_prime_by_prime(compute, seed: int = 0, what: str = "value",
+                           lower_bound: bool = False, read=lambda value, p: value):
+    """Reference for `exact_linalg.certified_value`: the same rules, with
+    read(compute(p), p) evaluated at each prime of the library's prime
+    stream on its own, never at a product of primes."""
+    import strata_lab.exact_linalg as el
+
+    seen: list = []
+    for p in el.prime_stream(seed):
+        seen.append(read(compute(p), p))
+        v = max(seen) if lower_bound else seen[-1]
+        if seen.count(v) >= 2:
+            return v
+        if len(seen) == el.MAX_PRIMES:
+            raise el.RankCertificationError(f"no value of {what} certified: {seen}")

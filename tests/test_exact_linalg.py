@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
-from oracles import ReferenceEchelon, rank_fraction, reference_row_order_key
+
+import strata_lab.exact_linalg as el
+from oracles import ReferenceEchelon, certify_prime_by_prime, rank_fraction, reference_row_order_key
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
+    _NonUnitLead,
     _row_order_key,
     ModEchelon,
     RankCertificationError,
@@ -79,27 +83,34 @@ def test_rank_examples():
     assert rank_exact(m61) == 105 - 16  # betti oracle: h2 of the 6-marked space is 16
 
 
+def _read_next(values):
+    """A read that gives the next of values at each prime, in stream order."""
+    return lambda result, p: next(values)
+
+
 def test_certifier_rules():
     # ranks: the largest value seen so far wins once seen twice
     values = iter([3, 5, 3, 5])
-    assert certified_value(lambda p: next(values), lower_bound=True) == 5
+    assert certified_value(lambda m: None, lower_bound=True, read=_read_next(values)) == 5
     # other values: the first value seen twice wins
     values = iter([3, 5, 3, 5])
-    assert certified_value(lambda p: next(values)) == 3
+    assert certified_value(lambda m: None, read=_read_next(values)) == 3
 
 
 def test_certifier_gives_up():
-    calls = []
+    moduli, read = [], []
 
-    def distinct(p):
-        calls.append(p)
+    def distinct(result, p):
+        read.append(p)
         return p
 
     for lower_bound in (False, True):
-        calls.clear()
+        moduli.clear()
+        read.clear()
         with pytest.raises(RankCertificationError):
-            certified_value(distinct, lower_bound=lower_bound)
-        assert len(calls) == MAX_PRIMES
+            certified_value(moduli.append, lower_bound=lower_bound, read=distinct)
+        assert read == [p for _, p in zip(range(MAX_PRIMES), prime_stream(0))]
+        assert moduli == [p * q for p, q in zip(read[::2], read[1::2])]
 
 
 def test_rank_matches_fraction_oracle_on_random_matrices():
@@ -281,3 +292,77 @@ def test_scratch_row_is_clean_after_a_failed_call():
         ech.reduce({1: 1, 1.5: 1, 3: 1})
     assert ech.reduce({0: 1}) == {0: 1}
     assert ech.add_row({0: 2}) == 0 and ech.pivots == {0: {0: 1}}
+
+
+SMALL_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+
+def _eliminate(rows, probe, n_cols, m):
+    """An elimination mod m: rank, quotient basis, the probe's verdict and
+    its quotient coordinates."""
+    ech = ModEchelon(m)
+    ech.add_rows(rows)
+    qb = quotient_basis(ech, n_cols)
+    return ech.rank, qb, not ech.reduce(probe), qb.quotient_reduce(probe)
+
+
+def _read_at(result, p):
+    """What an elimination shows at the prime p dividing its modulus: rank,
+    pivot columns, reduced pivot rows mod p, verdict and coordinates mod p."""
+    rank, qb, member, coords = result
+    rows = tuple((c, tuple((f, v % p) for f, v in zip(*qb._rows[c]) if v % p))
+                 for c in qb.pivot_cols)
+    return rank, qb.pivot_cols, rows, member, tuple(x % p for x in coords)
+
+
+def test_pair_modulus_reads_each_prime_or_falls_back(monkeypatch):
+    """At small primes leads that are not units mod p*q occur: those pairs
+    are evaluated prime by prime, and every value read at a prime, from
+    either path, is the one an elimination mod that prime gives; the
+    certified value is the prime-by-prime loop's."""
+    monkeypatch.setattr(el, "prime_stream", lambda seed: iter(SMALL_PRIMES))
+    rng = random.Random(16)
+    paths = Counter()
+    for trial in range(150):
+        n_cols = rng.randint(2, 9)
+        rows = _random_sparse(rng, rng.randint(1, 10), n_cols, density=0.4, lo=-250, hi=250)
+        probe = _random_sparse(rng, 1, n_cols, density=0.5, lo=-250, hi=250)[0]
+        moduli = []
+
+        def compute(m):
+            moduli.append(m)
+            return _eliminate(rows, probe, n_cols, m)
+
+        def read(result, p):
+            got = _read_at(result, p)
+            assert got == _read_at(_eliminate(rows, probe, n_cols, p), p)
+            return got
+
+        def outcome(certify, lower_bound):
+            try:
+                return certify(compute, trial, lower_bound=lower_bound, read=read)
+            except RankCertificationError:
+                return RankCertificationError
+
+        for lower_bound in (False, True):
+            moduli.clear()
+            got = outcome(certified_value, lower_bound)
+            paths["pair"] += sum(m not in SMALL_PRIMES for m in moduli)
+            paths["fallback"] += sum(m in SMALL_PRIMES for m in moduli)
+            assert got == outcome(certify_prime_by_prime, lower_bound)
+    assert paths["pair"] and paths["fallback"], paths
+
+
+def test_non_unit_leads_raise_and_leave_the_echelon_unchanged():
+    m = 101 * 103
+    ech = ModEchelon(m)
+    assert ech.add_row({0: 1, 2: 5}) == 0
+    for call in (ech.add_row, ech.reduce):
+        with pytest.raises(_NonUnitLead):
+            call({1: 101, 2: 1})
+        with pytest.raises(_NonUnitLead):
+            call({0: 1, 1: 103, 2: 5})
+    assert ech.pivots == {0: {0: 1, 2: 5}}
+    assert ech.reduce({0: 2, 1: m, 2: 10}) == {}  # zero mod m, so zero mod 101 and mod 103
+    assert ech.add_row({1: 2, 2: 101}) == 1  # only the lead must be a unit
+    assert ech.pivots[1] == {1: 1, 2: 101 * pow(2, -1, m) % m}

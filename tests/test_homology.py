@@ -8,7 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from oracles import in_row_space, keel_betti, rank_fraction, rref_fraction
+from oracles import certify_prime_by_prime, in_row_space, keel_betti, rank_fraction, rref_fraction
 
 import strata_lab
 import strata_lab.exact_linalg as el
@@ -29,6 +29,7 @@ from strata_lab.psets import cardinality_p1, cardinality_p2
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
+    TreeStructureError,
     apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
@@ -220,7 +221,8 @@ def test_graded_class_equal_refuses_other_levels_and_mixed_inner_levels():
 
 
 def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
-    """The graded quantities reuse the one relation echelon per prime."""
+    """The graded quantities reuse the one relation echelon per modulus, and
+    each modulus is the product of two consecutive primes of a stream."""
     import strata_lab.homology as h
 
     n, k, seed = 7, 2, 4242
@@ -228,7 +230,7 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     # every relation row has a negative entry, so no reduced row mod p
     # (entries in 1..p-1) and no unit row can be mistaken for one
     assert all(min(v for _, v in r) < 0 for r in relation)
-    fed, drawn = Counter(), set()
+    fed, streams = Counter(), []
     add_rows, stream = ModEchelon.add_rows, el.prime_stream
 
     def counting_add_rows(self, rows, presorted=False):
@@ -237,8 +239,10 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
         return add_rows(self, rows, presorted)
 
     def recording_stream(*args, **kwargs):
+        drawn = []
+        streams.append(drawn)
         for p in stream(*args, **kwargs):
-            drawn.add(p)
+            drawn.append(p)
             yield p
 
     monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
@@ -250,8 +254,40 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     level = len(decompose_two_vertex(a)[4])
     graded_class_equal(a, next(t for t in rest if len(decompose_two_vertex(t)[4]) == level),
                        seed)
-    assert drawn and set(fed) == drawn
-    assert all(fed[p] == sum(relation.values()) for p in drawn), fed
+    moduli = {p * q for drawn in streams for p, q in zip(drawn[::2], drawn[1::2])}
+    assert streams and all(len(drawn) % 2 == 0 for drawn in streams)
+    assert moduli and set(fed) == moduli
+    assert all(fed[m] == sum(relation.values()) for m in moduli), fed
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n, k", [(7, 2), (7, 3), (8, 3)])
+def test_pair_certificates_match_prime_by_prime(monkeypatch, n, k, seed):
+    """Every value certified from eliminations mod p*q is the one the loop
+    over single primes certifies from the same closure."""
+    import strata_lab.homology as h
+
+    checked = Counter()
+
+    def both(compute, seed=0, what="value", lower_bound=False, **read):
+        got = el.certified_value(compute, seed, what, lower_bound, **read)
+        assert got == certify_prime_by_prime(compute, seed, what, lower_bound, **read), what
+        checked[what.split(" (")[0]] += 1
+        return got
+
+    monkeypatch.setattr(h, "certified_value", both)
+    graded_dims(n, k, seed)
+    if k <= n - 4:
+        inner_graded_dims(n, k, seed)
+    character_homology(n, k, seed)
+    for r in range(1, min(k, n - 2 - k) + 1):
+        character_graded(n, k, r, seed)
+    trees = enumerate_strata(n, k)
+    rng = random.Random(seed)
+    for _ in range(4):
+        class_equal(*rng.sample(trees, 2), seed)
+    assert checked["graded character"] == min(k, n - 2 - k)
+    assert checked["class membership"] == 4 and checked["character"] == 1
 
 
 def test_keel_row_matches_the_test_oracle():
@@ -262,26 +298,34 @@ def test_keel_row_matches_the_test_oracle():
 
 
 @pytest.fixture
-def fresh_betti(monkeypatch):
-    """The homology module with betti and _echelon on caches of their own,
-    so patched relation rows leave nothing behind in the shared ones."""
+def fresh_homology(monkeypatch):
+    """The homology module with betti and its per-modulus helpers on caches
+    of their own, so patched relation rows leave nothing behind in the
+    shared ones."""
     import strata_lab.homology as h
 
-    for name in ("_echelon", "betti"):
+    for name in ("_echelon", "_quotient_basis", "_projected_echelon", "betti"):
         monkeypatch.setattr(h, name, lru_cache(maxsize=None)(getattr(h, name).__wrapped__))
     return h
 
 
-def test_one_prime_certificate_masks_no_fault(fresh_betti, monkeypatch):
-    h = fresh_betti
-    n, k = 6, 2
-    b, width = h.betti(n, k), len(h._index(n, k))
-    # every relation row lies in the span of the others, so take an
-    # independent subfamily with the same span, row by row over Q
-    basis = []
-    for r in h._relation_rows(n, k):
+@lru_cache(maxsize=None)
+def _independent_relation_rows(n, k):
+    """A subfamily of _relation_rows(n, k), independent over Q, with the same
+    span: every relation row lies in the span of the others, so no single
+    row of the whole family can be dropped to lower the rank."""
+    width, basis = len(_index(n, k)), []
+    for r in _relation_rows(n, k):
         if rank_fraction(basis + [dict(r)], width) > len(basis):
             basis.append(dict(r))
+    return tuple(basis)
+
+
+def test_one_prime_certificate_masks_no_fault(fresh_homology, monkeypatch):
+    h = fresh_homology
+    n, k = 6, 2
+    b, width = h.betti(n, k), len(h._index(n, k))
+    basis = list(_independent_relation_rows(n, k))
     assert len(basis) == width - b == width - h._keel_row(n)[k]
     unit = next({c: 1} for c in range(width) if rank_fraction(basis + [{c: 1}], width) > len(basis))
     # dropping an independent row lowers the rank over Q, so the bound is
@@ -295,8 +339,21 @@ def test_one_prime_certificate_masks_no_fault(fresh_betti, monkeypatch):
         assert h._echelon.cache_info().currsize == primes
 
 
-def test_betti_eliminates_at_one_prime(fresh_betti, monkeypatch):
-    h = fresh_betti
+def test_graded_sum_check_catches_a_dropped_relation(fresh_homology, monkeypatch):
+    """Without one independent row the relation rank falls by one at every
+    prime, so betti and the graded pieces agree on a wrong total; Keel's
+    b_k does not."""
+    h = fresh_homology
+    n, k = 6, 2
+    rows = _independent_relation_rows(n, k)[1:]
+    monkeypatch.setattr(h, "_relation_rows", lambda n, k: rows)
+    assert h.betti(n, k) == h._keel_row(n)[k] + 1
+    with pytest.raises(RankCertificationError, match="do not sum"):
+        h.graded_dims(n, k)
+
+
+def test_betti_eliminates_at_one_prime(fresh_homology, monkeypatch):
+    h = fresh_homology
     n, k, seed = 8, 3, 0
     relation = {frozenset(r.items()) for r in h._relation_rows(n, k)}
     fed = Counter()
@@ -411,7 +468,7 @@ def test_exact_audit_refuses_large_n_before_any_work(monkeypatch):
 def test_sum_checks_raise(monkeypatch):
     import strata_lab.homology as h
 
-    monkeypatch.setattr(h, "betti", lambda n, k, seed=0: -1)
+    monkeypatch.setattr(h, "_keel_row", lambda n: (-1,) * (n - 2))
     with pytest.raises(RankCertificationError):
         h.graded_dims(6, 2)
     monkeypatch.setattr(h, "graded_dims", lambda n, k, seed=0: [0, -1])
@@ -544,22 +601,40 @@ def test_character_averages_are_orbit_counts():
 
 
 def test_character_relabels_each_stratum_once_per_permutation(monkeypatch):
-    """Every prime and presentation reads a stratum's image under g from
+    """Every modulus and presentation reads a stratum's image under g from
     one cache, so the characters relabel each (stratum, g) once."""
     import strata_lab.homology as h
 
     calls = Counter()
-    apply = h.apply_permutation
+    relabel = h._image_id.__wrapped__
 
-    def counting_apply(t, g):
-        calls[t, tuple(g)] += 1
-        return apply(t, g)
+    def counting_image_id(*args):
+        calls[args] += 1
+        return relabel(*args)
 
-    monkeypatch.setattr(h, "apply_permutation", counting_apply)
-    monkeypatch.setattr(h, "_image_id", lru_cache(maxsize=None)(h._image_id.__wrapped__))
+    monkeypatch.setattr(h, "_image_id", lru_cache(maxsize=None)(counting_image_id))
     character_homology(7, 2)
+    character_graded(7, 2, 1)
     assert calls and set(calls.values()) == {1}
     assert len(calls) == h._image_id.cache_info().currsize
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
+def test_image_id_relabels_like_apply_permutation(n, k):
+    import strata_lab.homology as h
+
+    trees, idx = enumerate_strata(n, k), h._index(n, k)
+    for t in partitions_of(n):
+        g = representative(t)
+        for i, tree in enumerate(trees):
+            assert h._image_id.__wrapped__(n, k, i, g) == idx[apply_permutation(tree, g).splits]
+
+
+def test_image_id_refuses_a_family_that_is_no_stratum():
+    import strata_lab.homology as h
+
+    with pytest.raises(TreeStructureError, match="gives no stratum"):
+        h._image_id.__wrapped__(6, 2, 0, (1, 2, 2, 4, 5, 6))
 
 
 def test_character_values_independent_of_seed():
