@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -279,18 +277,16 @@ class QuotientBasis:
     """RREF presentation of (Z/m)^{n_cols} / rowspace, basis = free columns,
     m the modulus of the echelon it was read from.
 
-    For a pivot column c the stored row is the free-column part of the
-    reduced relation  e_c + sum_f row[f] e_f  in the row space; hence the
-    class of e_c is  -sum_f row[f] [e_f].  Columns are packed in an int
-    array, values kept as Python ints, since a product of two 62-bit
-    primes does not fit a machine word.
+    For a pivot column c, rows[c] is the free-column part of the reduced
+    relation  e_c + sum_f rows[c][f] e_f  in the row space; hence the class
+    of e_c is  -sum_f rows[c][f] [e_f].  Every f in rows[c] is after c.
     """
 
     modulus: int
     n_cols: int
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
-    _rows: dict[int, tuple[array, tuple[int, ...]]] = field(repr=False)
+    rows: dict[int, dict[int, int]] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -300,13 +296,6 @@ class QuotientBasis:
     def dim(self) -> int:
         return len(self.free_cols)
 
-    def coeff(self, pivot_col: int, free_col: int) -> int:
-        cols, vals = self._rows[pivot_col]
-        i = bisect_left(cols, free_col)
-        if i < len(cols) and cols[i] == free_col:
-            return vals[i]
-        return 0
-
     def quotient_reduce(self, v: dict[int, int]) -> list[int]:
         """Coordinates of the class of v on the free-column basis, mod m."""
         p = self.modulus
@@ -315,9 +304,8 @@ class QuotientBasis:
         for c, val in v.items():
             if not 0 <= c < self.n_cols:
                 raise ValueError(f"column {c} out of range")
-            if c in self._rows:
-                cols, vals = self._rows[c]
-                for fc, fv in zip(cols, vals):
+            if c in self.rows:
+                for fc, fv in self.rows[c].items():
                     out[pos[fc]] -= val * fv
             else:
                 out[pos[c]] += val
@@ -328,8 +316,7 @@ class QuotientBasis:
 
 
 def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
-    """Full RREF of the row space of an echelon, packed column-compactly;
-    the echelon is not modified."""
+    """Full RREF of the row space of an echelon; the echelon is not modified."""
     p = echelon.p
     pivots = echelon.pivots
     pivot_cols = sorted(pivots)
@@ -348,11 +335,7 @@ def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
                 else:
                     row.pop(fc, None)
         reduced[c] = row
-    packed = {}
-    for c, row in reduced.items():
-        cols = array("i", sorted(row))
-        packed[c] = (cols, tuple(row[x] for x in cols))
-    return QuotientBasis(p, n_cols, tuple(pivot_cols), free_cols, packed)
+    return QuotientBasis(p, n_cols, tuple(pivot_cols), free_cols, reduced)
 
 
 def lift_symmetric(x: int, p: int) -> int:

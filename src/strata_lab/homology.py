@@ -1,16 +1,31 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
-Everything is computed in the coordinates of the reduced quotient basis
-of one natural-order echelon of the relation matrix per modulus, whose
-rows are the spanning subfamily `relations.spanning_relations`: a free
-column is a basis vector of the quotient, and the class of a pivot column
-is minus its reduced row.  The graded piece spanned by the level >= r
-strata is handled through its permutation presentation, Q(S^{>=r})
-modulo the kernel of e_j -> [e_j], and the trace of a permutation on
-that presentation is read off its reduced form, free column by free
-column; the image of a stratum under a permutation is looked up by its
-split family once and shared by every modulus and presentation
-(`_image_id`).
+Everything is read off the reduced quotient basis of one natural-order
+echelon of the relation matrix per modulus, whose rows are the spanning
+subfamily `relations.spanning_relations`: a free column is a basis
+vector of the quotient, and the class of a pivot column is minus its
+reduced row.
+
+The columns are the strata in filtration order (`_columns`): by
+filtration key (`trees._filtration_key`: n * level, plus the inner level
+at level 2), ties in enumeration order.  The strata of key >= m, which
+span a step of the filtration by level (m = n*r) or of the inner
+filtration of level 2 (m = 2n + b), are then the columns from a cut c_m
+on (`_cut`).  The pivot of a reduced row is its least column, and the
+row holds no other pivot column, so every reduced row with a pivot
+c >= c_m has all its free columns after c, past the cut.  Hence the span
+of the classes of the columns >= c_m is spanned by the free columns
+>= c_m, and every graded quantity is read off the one quotient basis:
+
+- the dimension of the span is the number of free columns >= c_m;
+- a class lies in it iff its coordinates below c_m vanish;
+- the trace of a permutation g on it (or on a quotient of two such
+  spans) is the sum over its free columns f of the coefficient of [e_f]
+  in [e_{g f}]: 1 if g f = f, minus the reduced row of g f at f if g f
+  is a pivot column, else 0.
+
+The image of a column under a permutation is looked up by its split
+family once and shared by every modulus (`_image_id`).
 
 Every reported number is certified at two independent primes by
 `exact_linalg.certified_value`, which evaluates each closure below once
@@ -60,9 +75,25 @@ from .trees import (
 
 
 @lru_cache(maxsize=None)
+def _columns(n: int, k: int) -> tuple[MarkedTree, ...]:
+    """The strata of (n, k) in column order: by filtration key, ties in
+    enumeration order."""
+    strata, keys = enumerate_strata(n, k), _filtration_keys(n, k)
+    return tuple(strata[i] for i in sorted(range(len(strata)), key=keys.__getitem__))
+
+
+@lru_cache(maxsize=None)
 def _index(n: int, k: int) -> dict[tuple, int]:
-    """Column id of each stratum of (n, k), keyed by its split family."""
-    return {t.splits: i for i, t in enumerate(enumerate_strata(n, k))}
+    """Column of each stratum of (n, k), keyed by its split family."""
+    return {t.splits: c for c, t in enumerate(_columns(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _cut(n: int, k: int, key_min: int) -> int:
+    """First column of filtration key >= key_min: those strata are the
+    columns from it on.  Level >= r is key >= n*r; level >= 3 or level 2
+    with inner level >= b is key >= 2n + b."""
+    return sum(key < key_min for key in _filtration_keys(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -128,33 +159,15 @@ def betti(n: int, k: int, seed: int = 0) -> int:
     return size - rank
 
 
-@lru_cache(maxsize=None)
-def _ids(n: int, k: int, key_min: int) -> tuple[int, ...]:
-    """Ids of the strata of filtration key >= key_min (`trees._filtration_keys`):
-    level >= r at n*r; level >= 3 or level 2 with inner level >= b at 2n + b."""
-    return tuple(i for i, key in enumerate(_filtration_keys(n, k)) if key >= key_min)
-
-
-@lru_cache(maxsize=None)
-def _projected_echelon(n: int, k: int, key_min: int, p: int) -> ModEchelon:
-    """Echelon of the reduced rows of the pivot columns in ids without the
-    free columns in ids, ids = _ids(n, k, key_min); with those free basis
-    vectors, its row space spans the classes of the strata in ids."""
-    ids = _ids(n, k, key_min)
-    rows, drop = _quotient_basis(n, k, p)._rows, set(ids)
-    ech = ModEchelon(p)
-    ech.add_rows({c: v for c, v in zip(*rows[i]) if c not in drop} for i in ids if i in rows)
-    return ech
-
-
 def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:
     """Certified dimensions of the successive quotients of the chain of spans
-    of the strata of filtration key >= each of key_mins, in increasing order."""
+    of the strata of filtration key >= each of key_mins, in increasing order:
+    the numbers of free columns between consecutive cuts."""
+    cuts = [_cut(n, k, m) for m in key_mins]
+
     def compute(p: int) -> tuple[int, ...]:
-        rows = _quotient_basis(n, k, p)._rows
-        sdims = [sum(i not in rows for i in _ids(n, k, m)) + _projected_echelon(n, k, m, p).rank
-                 for m in key_mins]
-        return tuple(a - b for a, b in zip(sdims, sdims[1:]))
+        free = _quotient_basis(n, k, p).free_cols
+        return tuple(bisect_left(free, b) - bisect_left(free, a) for a, b in zip(cuts, cuts[1:]))
 
     return list(certified_value(compute, seed, what=what))
 
@@ -250,112 +263,70 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
         raise DomainError(f"inner levels differ: {key1 - 2 * n} vs {key2 - 2 * n}")
     if t1 == t2:
         return True
-    key_min = key1 + 1
+    cut = _cut(n, k, key1 + 1)
 
     def compute(p: int) -> bool:
         qb = _quotient_basis(n, k, p)
-        drop = set(_ids(n, k, key_min))
-        cls = qb.quotient_reduce(diff)
-        v = {c: x for c, x in zip(qb.free_cols, cls) if x and c not in drop}
-        return not _projected_echelon(n, k, key_min, p).reduce(v)
+        return not any(qb.quotient_reduce(diff)[:bisect_left(qb.free_cols, cut)])
 
     return certified_value(compute, seed, what="graded class membership")
 
 
 @lru_cache(maxsize=None)
 def _image_id(n: int, k: int, i: int, g: tuple[int, ...]) -> int:
-    """Id of the image of stratum i of (n, k) under g (g[m-1] the image of
-    mark m), looked up by its split family: each split's marks moved by g,
-    as a bitmask, its side away from mark 1.  Shared by every modulus and
-    presentation, so each (stratum, g) is relabelled once."""
+    """Column of the image of column i of (n, k) under g (g[m-1] the image
+    of mark m), looked up by its split family: each split's marks moved by
+    g, as a bitmask, its side away from mark 1.  Shared by every modulus,
+    so each (column, g) is relabelled once."""
     full = (1 << n + 1) - 2
     sides = []
-    for s in enumerate_strata(n, k)[i].splits:
+    for s in _columns(n, k)[i].splits:
         bits = 0
         for m in s:
             bits |= 1 << g[m - 1]
         sides.append(_bits_side(full ^ bits if bits & 2 else bits))
     j = _index(n, k).get(tuple(sorted(sides)))
     if j is None:
-        raise TreeStructureError(f"relabelling stratum {i} of ({n}, {k}) by {g} gives no stratum")
+        raise TreeStructureError(f"relabelling column {i} of ({n}, {k}) by {g} gives no stratum")
     return j
 
 
-class _Presentation:
-    """Permutation presentation of the invariant span of the strata ids of
-    (n, k), increasing: a reduced form over the positions in ids."""
+def _character(n: int, k: int, lo: int, hi: int, seed: int, what: str) -> Character:
+    """Certified character of the span of the classes of the columns >= lo
+    modulo that of the columns >= hi, lo and hi cuts: one trace per cycle
+    type, summed over the free columns in [lo, hi)."""
+    def compute(p: int) -> tuple[int, ...]:
+        qb = _quotient_basis(n, k, p)
+        free, rows = qb.free_cols, qb.rows
+        free = free[bisect_left(free, lo):bisect_left(free, hi)]
+        traces = []
+        for t in partitions_of(n):
+            g, total = representative(t), 0
+            for f in free:
+                u = _image_id(n, k, f, g)
+                if u == f:
+                    total += 1
+                elif u in rows:
+                    total -= rows[u].get(f, 0)
+            traces.append(total % p)
+        return tuple(traces)
 
-    def __init__(self, n: int, k: int, ids: tuple[int, ...], qb: QuotientBasis):
-        self.n, self.k, self.ids, self.qb = n, k, ids, qb
-
-    def trace(self, g: tuple[int, ...]) -> int:
-        """Trace of the permutation action, mod the modulus of the quotient
-        basis; lift it at a prime with lift_symmetric."""
-        qb, ids, n, k = self.qb, self.ids, self.n, self.k
-        total = 0
-        rows = qb._rows
-        for f in qb.free_cols:
-            u = bisect_left(ids, _image_id(n, k, ids[f], g))
-            if u == f:
-                total += 1
-            elif u in rows:
-                total -= qb.coeff(u, f)
-        return total % qb.modulus
-
-
-@lru_cache(maxsize=None)
-def _graded_presentation(n: int, k: int, r: int, p: int) -> _Presentation | None:
-    """Presentation of the span of the level >= r strata inside the quotient
-    (r = 0: the homology group itself)."""
-    ids = _ids(n, k, n * r)
-    if not ids:
-        return None
-    qb = _quotient_basis(n, k, p)
-    if len(ids) == qb.n_cols:
-        return _Presentation(n, k, ids, qb)
-    # the kernel of e_j -> [e_j]: eliminate the rows [class(e_j) | e_j], class
-    # columns first; the pivot rows past the class columns span it
-    shift, rows = qb.n_cols, qb._rows
-    ech = ModEchelon(p)
-    ech.add_rows((({c: -v % p for c, v in zip(*rows[i])} if i in rows else {i: 1})
-                  | {shift + j: 1}) for j, i in enumerate(ids))
-    kernel = ModEchelon(p)
-    kernel.pivots = {c - shift: {x - shift: v for x, v in row.items()}
-                     for c, row in ech.pivots.items() if c >= shift}
-    return _Presentation(n, k, ids, quotient_basis(kernel, len(ids)))
+    vals = certified_value(compute, seed, what=what,
+                           read=lambda traces, p: tuple(lift_symmetric(x, p) for x in traces))
+    return Character(n, dict(zip(partitions_of(n), vals)))
 
 
 def character_homology(n: int, k: int, seed: int = 0) -> Character:
     """Character of the S_n-action on H_{2k}, one trace per cycle type."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
-
-    def compute(p: int) -> tuple[int, ...]:
-        pres = _graded_presentation(n, k, 0, p)
-        return tuple(pres.trace(representative(t)) for t in partitions_of(n))
-
-    vals = certified_value(compute, seed, what=f"character ({n},{k})",
-                           read=lambda traces, p: tuple(lift_symmetric(x, p) for x in traces))
-    return Character(n, dict(zip(partitions_of(n), vals)))
+    return _character(n, k, 0, len(_columns(n, k)), seed, f"character ({n},{k})")
 
 
 def character_graded(n: int, k: int, r: int, seed: int = 0) -> Character:
-    """Character of the graded piece at level r (trace on the invariant span
-    of level >= r minus the trace on level >= r+1)."""
+    """Character of the graded piece at level r: the span of the level >= r
+    classes modulo that of the level >= r+1 classes."""
     if not 1 <= r <= min(k, n - 2 - k):
         raise DomainError(f"no graded piece for (n, k, r) = ({n}, {k}, {r})")
-
-    def compute(p: int) -> tuple[tuple[int, int], ...]:
-        top = _graded_presentation(n, k, r, p)
-        above = _graded_presentation(n, k, r + 1, p)
-        out = []
-        for t in partitions_of(n):
-            g = representative(t)
-            out.append((top.trace(g), above.trace(g) if above else 0))
-        return tuple(out)
-
-    def read(traces, p: int) -> tuple[int, ...]:
-        return tuple(lift_symmetric(a, p) - lift_symmetric(b, p) for a, b in traces)
-
-    vals = certified_value(compute, seed, what=f"graded character ({n},{k},{r})", read=read)
-    return Character(n, dict(zip(partitions_of(n), vals)))
+    return _character(n, k, _cut(n, k, n * r), _cut(n, k, n * (r + 1)), seed,
+                      f"graded character ({n},{k},{r})")

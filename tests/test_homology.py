@@ -15,6 +15,7 @@ import strata_lab.exact_linalg as el
 from strata_lab.exact_linalg import ModEchelon, RankCertificationError, prime_stream
 from strata_lab.characters import partitions_of, representative
 from strata_lab.homology import (
+    _columns,
     _index,
     _relation_rows,
     betti,
@@ -30,6 +31,7 @@ from strata_lab.trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
+    _filtration_key,
     apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
@@ -131,12 +133,16 @@ def test_inner_dims_domain_error():
 
 
 def _level_set(trees, r):
-    return [i for i, t in enumerate(trees) if filtration_level(t) >= r]
+    """Columns of the trees of level >= r."""
+    idx = _index(trees[0].n, trees[0].k)
+    return [idx[t.splits] for t in trees if filtration_level(t) >= r]
 
 
 def _inner_set(trees, b):
+    """Columns of the trees of level >= 3 or of level 2 and inner level >= b."""
+    idx = _index(trees[0].n, trees[0].k)
     return [
-        i for i, t in enumerate(trees)
+        idx[t.splits] for t in trees
         if filtration_level(t) >= 3
         or (filtration_level(t) == 2 and len(decompose_two_vertex(t)[4]) >= b)
     ]
@@ -172,7 +178,7 @@ def test_graded_class_equal_matches_stacked_membership():
     verdicts = Counter()
     for n, k in [(6, 2), (7, 2), (7, 3)]:
         trees = enumerate_strata(n, k)
-        idx = {t: i for i, t in enumerate(trees)}
+        idx = {t: _index(n, k)[t.splits] for t in trees}
         M = _relation_rows(n, k)
         by_level: dict[int, list[MarkedTree]] = {}
         for t in trees:
@@ -221,8 +227,9 @@ def test_graded_class_equal_refuses_other_levels_and_mixed_inner_levels():
 
 
 def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
-    """The graded quantities reuse the one relation echelon per modulus, and
-    each modulus is the product of two consecutive primes of a stream."""
+    """The graded quantities reuse the one relation echelon per modulus and
+    run no other elimination, and each modulus is the product of two
+    consecutive primes of a stream."""
     import strata_lab.homology as h
 
     n, k, seed = 7, 2, 4242
@@ -230,11 +237,12 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     # every relation row has a negative entry, so no reduced row mod p
     # (entries in 1..p-1) and no unit row can be mistaken for one
     assert all(min(v for _, v in r) < 0 for r in relation)
-    fed, streams = Counter(), []
+    fed, calls, streams = Counter(), Counter(), []
     add_rows, stream = ModEchelon.add_rows, el.prime_stream
 
     def counting_add_rows(self, rows, presorted=False):
         rows = list(rows)
+        calls[self.p] += 1
         fed[self.p] += sum(frozenset(r.items()) in relation for r in rows)
         return add_rows(self, rows, presorted)
 
@@ -258,6 +266,7 @@ def test_graded_work_feeds_relation_rows_once_per_prime(monkeypatch):
     assert streams and all(len(drawn) % 2 == 0 for drawn in streams)
     assert moduli and set(fed) == moduli
     assert all(fed[m] == sum(relation.values()) for m in moduli), fed
+    assert calls == Counter(dict.fromkeys(moduli, 1)), calls
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -304,7 +313,7 @@ def fresh_homology(monkeypatch):
     shared ones."""
     import strata_lab.homology as h
 
-    for name in ("_echelon", "_quotient_basis", "_projected_echelon", "betti"):
+    for name in ("_echelon", "_quotient_basis", "betti"):
         monkeypatch.setattr(h, name, lru_cache(maxsize=None)(getattr(h, name).__wrapped__))
     return h
 
@@ -498,7 +507,7 @@ def test_class_equal_matches_fraction_membership():
     rng = random.Random(2)
     for n, k in [(5, 1), (6, 1), (6, 2)]:
         trees = enumerate_strata(n, k)
-        idx = {t: i for i, t in enumerate(trees)}
+        idx = {t: _index(n, k)[t.splits] for t in trees}
         rref = rref_fraction(_relation_rows(n, k), len(trees))
         for _ in range(10):
             t1, t2 = rng.sample(list(trees), 2)
@@ -626,8 +635,38 @@ def test_image_id_relabels_like_apply_permutation(n, k):
     trees, idx = enumerate_strata(n, k), h._index(n, k)
     for t in partitions_of(n):
         g = representative(t)
-        for i, tree in enumerate(trees):
-            assert h._image_id.__wrapped__(n, k, i, g) == idx[apply_permutation(tree, g).splits]
+        for tree in trees:
+            got = h._image_id.__wrapped__(n, k, idx[tree.splits], g)
+            assert got == idx[apply_permutation(tree, g).splits]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 2)] + [(8, 3)])
+def test_filtration_cuts_are_free_column_tails(n, k, seed):
+    """The columns are in filtration order, so every span of the strata of
+    key >= m is the tail of columns from _cut(n, k, m) on, and every reduced
+    row with its pivot past a cut has its free columns past it too: the
+    graded dimensions, class tests and traces rely on this."""
+    import strata_lab.homology as h
+
+    cols, strata = h._columns(n, k), enumerate_strata(n, k)
+    position = {t: i for i, t in enumerate(strata)}
+    assert sorted(cols, key=position.__getitem__) == list(strata)
+    ordered = [(_filtration_key(t), position[t]) for t in cols]
+    assert ordered == sorted(ordered)
+    assert h._index(n, k) == {t.splits: c for c, t in enumerate(cols)}
+    keys = [key for key, _ in ordered]
+    for t in partitions_of(n):
+        g = representative(t)
+        assert all(keys[h._image_id(n, k, c, g)] == keys[c] for c in range(len(cols)))
+    primes = prime_stream(seed)
+    qb = h._quotient_basis(n, k, next(primes) * next(primes))
+    cuts = sorted({h._cut(n, k, key) for key in keys})
+    assert cuts == sorted({keys.index(key) for key in keys})
+    for cut in cuts:
+        for c, row in qb.rows.items():
+            if c >= cut:
+                assert all(f >= cut for f in row), (cut, c)
 
 
 def test_image_id_refuses_a_family_that_is_no_stratum():
@@ -668,7 +707,7 @@ def _fraction_rref(n, k):
 def _fraction_level_traces(n, k, r):
     """Traces over Q of every cycle type on the span of the level >= r
     classes, by direct invariant-subspace restriction."""
-    trees = enumerate_strata(n, k)
+    trees = _columns(n, k)  # the columns of _relation_rows
     idx = {t: i for i, t in enumerate(trees)}
     pivot_rows = _fraction_rref(n, k)
     free = [c for c in range(len(trees)) if c not in pivot_rows]

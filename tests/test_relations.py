@@ -151,8 +151,13 @@ def test_jsonl_round_trip():
         assert MarkedTree.from_obj(obj["sigma"]) == rel.sigma
 
 
+def _columns(n, k):
+    """Tree -> its column in the relation matrix of `homology`."""
+    return {t: h._index(n, k)[t.splits] for t in enumerate_strata(n, k)}
+
+
 def _full_rows(n, k):
-    idx = _index(n, k)
+    idx = _columns(n, k)
     return [r.row(idx) for r in generate_relations(n, k)]
 
 
@@ -187,7 +192,7 @@ def test_spanning_family_has_the_full_rank(n, k):
     # with their terms in order; no row is empty and no two rows are equal
     # up to sign, so the rows need no deduplication before elimination
     rows = h._relation_rows(n, k)
-    idx = _index(n, k)
+    idx = _columns(n, k)
     assert [list(r.items()) for r in rows] == [
         list(rel.row(idx).items()) for rel in spanning_relations(n, k)]
     signed = {frozenset((c, s * v) for c, v in r.items()) for r in rows for s in (1, -1)}
@@ -206,7 +211,7 @@ def test_spanning_family_gives_the_same_quotient_basis():
     want = quotient_basis(full, len(_index(n, k)))
     have = h._quotient_basis(n, k, p)
     assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
-    assert have._rows == want._rows
+    assert have.rows == want.rows
 
 
 @pytest.mark.parametrize("quads", [rel_mod._every_quad, rel_mod._spanning_quads],
