@@ -1,14 +1,22 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
 Everything is read off the reduced quotient basis of one natural-order
-echelon of the relation matrix per modulus, whose rows are the spanning
-subfamily `relations.spanning_relations`: a free column is a basis
-vector of the quotient, and the class of a pivot column is minus its
-reduced row.
+echelon of the relation matrix per modulus, whose rows are the site
+basis `relations.spanning_relations` (m(m-3)/2 rows per site of valence
+m <= 9, with the row space of all the relations modulo every modulus at
+those valences): a
+free column is a basis vector of the quotient, and the class of a pivot
+column is minus its reduced row.
 
 The columns are the strata in filtration order (`_columns`): by
 filtration key (`trees._filtration_key`: n * level, plus the inner level
-at level 2), ties in enumeration order.  The strata of key >= m, which
+at level 2), ties by depth (the sum of the sizes of the tree's splits),
+then in enumeration order.  The order within a key only relabels
+columns: it moves no cut and changes no graded quantity, and it costs
+nothing per elimination step, but the echelon it gives does less work
+where a key has many strata (at (8,3), one prime: 113,004 entry updates
+and 10,222 stored entries, against 230,926 and 11,446 with ties in
+enumeration order).  The strata of key >= m, which
 span a step of the filtration by level (m = n*r) or of the inner
 filtration of level 2 (m = 2n + b), are then the columns from a cut c_m
 on (`_cut`).  The pivot of a reduced row is its least column, and the
@@ -24,8 +32,10 @@ of the classes of the columns >= c_m is spanned by the free columns
   in [e_{g f}]: 1 if g f = f, minus the reduced row of g f at f if g f
   is a pivot column, else 0.
 
-The image of a column under a permutation is looked up by its split
-family once and shared by every modulus (`_image_id`).
+The image of a column under a permutation g is its sides' images,
+sorted, looked up as a split family (`_image_column`); the sides' images
+come from one table per (n, g), shared by every k and every modulus
+(`_side_images`).
 
 Every reported number is certified at two independent primes by
 `exact_linalg.certified_value`, which evaluates each closure below once
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .characters import Character, partitions_of, representative
@@ -63,7 +74,7 @@ from .exact_linalg import (
     quotient_basis,
     rank_bareiss,
 )
-from .relations import _bits_side, _sites, _spanning_quads
+from .relations import _bits_side, _site_basis, _sites
 from .trees import (
     DomainError,
     MarkedTree,
@@ -76,10 +87,12 @@ from .trees import (
 
 @lru_cache(maxsize=None)
 def _columns(n: int, k: int) -> tuple[MarkedTree, ...]:
-    """The strata of (n, k) in column order: by filtration key, ties in
-    enumeration order."""
+    """The strata of (n, k) in column order: by filtration key, ties by
+    depth (the sum of the sizes of the splits), then in enumeration order."""
     strata, keys = enumerate_strata(n, k), _filtration_keys(n, k)
-    return tuple(strata[i] for i in sorted(range(len(strata)), key=keys.__getitem__))
+    order = sorted(range(len(strata)),
+                   key=lambda i: (keys[i], sum(map(len, strata[i].splits)), i))
+    return tuple(strata[i] for i in order)
 
 
 @lru_cache(maxsize=None)
@@ -98,13 +111,14 @@ def _cut(n: int, k: int, key_min: int) -> int:
 
 @lru_cache(maxsize=None)
 def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
-    """Sparse rows of the relation matrix for (n, k), from the spanning
-    subfamily: the row space, hence every rank and reduced form computed
-    from it, is that of all the relations.  Shared; never mutate a row."""
+    """Sparse rows of the relation matrix for (n, k), from the site basis
+    (`relations.spanning_relations`): the row space, hence every rank and
+    reduced form computed from it, is that of all the relations, over Q and,
+    at valences up to 9, modulo every modulus.  Shared; never mutate a row."""
     if k == n - 3:
         return ()
     idx, rows = _index(n, k), []
-    for _, _, _, trees, site_rows in _sites(n, k, _spanning_quads):
+    for _, _, _, trees, site_rows in _sites(n, k, _site_basis):
         cols = [idx[t.splits] for t in trees]
         rows.extend({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
     return tuple(rows)
@@ -273,21 +287,28 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _image_id(n: int, k: int, i: int, g: tuple[int, ...]) -> int:
-    """Column of the image of column i of (n, k) under g (g[m-1] the image
-    of mark m), looked up by its split family: each split's marks moved by
-    g, as a bitmask, its side away from mark 1.  Shared by every modulus,
-    so each (column, g) is relabelled once."""
+def _side_images(n: int, g: tuple[int, ...]) -> dict[tuple, tuple]:
+    """The image under g (g[m-1] the image of mark m) of every side of n
+    marks: its marks moved by g, as the side away from mark 1.  One table
+    per (n, g), shared by every k and every modulus."""
     full = (1 << n + 1) - 2
-    sides = []
-    for s in _columns(n, k)[i].splits:
-        bits = 0
-        for m in s:
-            bits |= 1 << g[m - 1]
-        sides.append(_bits_side(full ^ bits if bits & 2 else bits))
-    j = _index(n, k).get(tuple(sorted(sides)))
+    images = {}
+    for size in range(2, n - 1):
+        for side in combinations(range(2, n + 1), size):
+            bits = 0
+            for m in side:
+                bits |= 1 << g[m - 1]
+            images[side] = _bits_side(full ^ bits if bits & 2 else bits)
+    return images
+
+
+def _image_column(n: int, k: int, c: int, images: dict[tuple, tuple]) -> int:
+    """Column of the image of column c of (n, k) under the permutation whose
+    side table is images (`_side_images`): its sides' images, sorted, looked
+    up as a split family."""
+    j = _index(n, k).get(tuple(sorted(images[s] for s in _columns(n, k)[c].splits)))
     if j is None:
-        raise TreeStructureError(f"relabelling column {i} of ({n}, {k}) by {g} gives no stratum")
+        raise TreeStructureError(f"relabelling column {c} of ({n}, {k}) gives no stratum")
     return j
 
 
@@ -301,9 +322,9 @@ def _character(n: int, k: int, lo: int, hi: int, seed: int, what: str) -> Charac
         free = free[bisect_left(free, lo):bisect_left(free, hi)]
         traces = []
         for t in partitions_of(n):
-            g, total = representative(t), 0
+            images, total = _side_images(n, representative(t)), 0
             for f in free:
-                u = _image_id(n, k, f, g)
+                u = _image_column(n, k, f, images)
                 if u == f:
                     total += 1
                 elif u in rows:

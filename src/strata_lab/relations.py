@@ -15,9 +15,12 @@ Two families are generated, both site by site in the same order:
 * `generate_relations`: every 4-subset of the flags at every site.  It is
   the family that is serialized and that `wtilde.verify_relations_killed`
   checks relation by relation.
-* `spanning_relations`: only the 4-subsets through the two least flags
-  at each site, a subfamily with the same row space (see its docstring).
-  It is the family that `homology` eliminates.
+* `spanning_relations`: a basis of the relations at each site, m(m-3)/2
+  of them at valence m <= 9, chosen from the 4-subsets through the two
+  least flags; every relation it leaves out is an integer combination of
+  those it keeps, so it has the same row space over Q and, for valences
+  up to 9, modulo every modulus (see its docstring).  It is the family
+  that `homology` eliminates.
 
 A site of valence m is a copy of the m-pointed star M_{0,m}: the
 relations at a site (sigma, v) with flags fl are the image of one
@@ -26,6 +29,8 @@ relation system on M_{0,m} under D_S -> split_vertex(sigma, v, S, fl - S)
 and quad family (`_template`): its 2^(m-1) - m - 1 splits, numbered in
 order of first use and keyed by the flag positions on the side away from
 fl[0], and its relations as rows {local id: coeff} over those numbers.
+The basis of the spanning family is chosen once per valence too
+(`_site_basis`, by exact fraction-free elimination in `_integer_basis`).
 `_sites` maps each split of the template onto a site's flags and looks
 the resulting split family up among enumerate_strata(n, k), so every
 term is an enumerated stratum and no tree is built or validated per
@@ -41,6 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .trees import (
@@ -157,15 +163,15 @@ def _template(m: int, quads: Callable[[tuple], Iterable[tuple]]
     return tuple(keys), tuple(rows)
 
 
-def _sites(n: int, k: int, quads: Callable[[tuple], Iterable[tuple]]
+def _sites(n: int, k: int, template: Callable[[int], tuple]
            ) -> Iterator[tuple[MarkedTree, int, tuple, list[MarkedTree], tuple]]:
     """(sigma, v, fl, trees, rows) for every site of the relations of
     S_{k,n}: a vertex v with flags fl of valence m >= 4 of a stratum sigma
     of dimension k+1, in enumeration order.
 
-    rows are _template(m, quads)'s, shared, their quads given as positions
+    (keys, rows) = template(m), shared, the rows' quads given as positions
     in fl; trees[i] is the stratum of S_{k,n} that splits v along the
-    template's split i, the object enumerate_strata(n, k) holds.  The
+    template's split keys[i], the object enumerate_strata(n, k) holds.  The
     flags partition the marks and sort as tuples, so fl[0] holds mark 1 and
     the side of a split away from fl[0] is its new edge's side as
     MarkedTree records it.
@@ -179,7 +185,7 @@ def _sites(n: int, k: int, quads: Callable[[tuple], Iterable[tuple]]
             m = len(fl)
             if m < 4:
                 continue
-            keys, rows = _template(m, quads)
+            keys, rows = template(m)
             marks = [sum(1 << x for x in f) for f in fl]
             trees = []
             for key in keys:
@@ -204,12 +210,11 @@ def _bits_side(bits: int) -> tuple[int, ...]:
     return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
-def _relations(n: int, k: int,
-               quads: Callable[[tuple], Iterable[tuple]]) -> list[KMRelation]:
-    """The KMRelations of the rows of _sites(n, k, quads), in order."""
+def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelation]:
+    """The KMRelations of the rows of _sites(n, k, template), in order."""
     return [KMRelation(sigma, v, tuple(fl[i] for i in quad), pairing,
                        {trees[i]: c for i, c in row.items()})
-            for sigma, v, fl, trees, rows in _sites(n, k, quads)
+            for sigma, v, fl, trees, rows in _sites(n, k, template)
             for quad, pairing, row in rows]
 
 
@@ -221,43 +226,132 @@ def _spanning_quads(fl: tuple) -> Iterable[tuple]:
     return (fl[:2] + rest for rest in combinations(fl[2:], 2))
 
 
+def _every_template(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Both pairings of every 4-subset on the star of m marks."""
+    return _template(m, _every_quad)
+
+
+@lru_cache(maxsize=None)
+def _site_basis(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The splits of _template(m, _spanning_quads) and the rows of it that
+    _integer_basis keeps, in template order: rows that generate the same
+    Z-lattice as all of them.  Shared by every site of valence m: never
+    mutate a row."""
+    keys, rows = _template(m, _spanning_quads)
+    return keys, tuple(rows[i] for i in _integer_basis([row for _, _, row in rows]))
+
+
+def _integer_basis(rows: Sequence[dict[int, int]]) -> list[int]:
+    """Positions of the rows to keep, in order: a row is dropped only when
+    exact elimination over Q writes it as an integer combination of the
+    rows kept before it, so the kept rows generate the same Z-lattice as
+    all the rows.
+
+    The elimination is fraction-free: each pivot column holds an integer
+    row and its integer combination of kept rows, and a row being reduced
+    carries a scale s with s * row = (reduced row) + (combination), so a
+    row that reduces to zero is the combination divided by s, an integer
+    one when s divides every coefficient.  A row that reduces to zero with
+    a combination that is not integral is kept, with no pivot: keeping a
+    row never changes the lattice.  Later rows are then written over the
+    rows with pivots alone, so a row may be kept that an integer
+    combination through it would have let go, never the other way round.
+    """
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    kept = []
+    for i, row in enumerate(rows):
+        r = {c: v for c, v in row.items() if v}
+        scale, combo = 1, {}  # scale * rows[i] = r + sum_j combo[j] rows[j]
+        while r:
+            lead = min(r)
+            if lead not in pivots:
+                break
+            prow, pcombo = pivots[lead]
+            g = gcd(prow[lead], r[lead])
+            a, b = prow[lead] // g, r[lead] // g
+            r = _combine(a, r, -b, prow)
+            combo = _combine(a, combo, b, pcombo)
+            scale *= a
+        if not r and all(x % scale == 0 for x in combo.values()):
+            continue
+        if r:
+            pivots[lead] = (r, {i: scale, **{j: -x for j, x in combo.items()}})
+        kept.append(i)
+    return kept
+
+
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """a * x + b * y on sparse integer vectors, zeros dropped."""
+    out = {c: a * v for c, v in x.items()}
+    for c, v in y.items():
+        if nv := out.get(c, 0) + b * v:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
 def generate_relations(n: int, k: int) -> list[KMRelation]:
     """All emitted relations for S_{k,n}, in deterministic order."""
-    return _relations(n, k, _every_quad)
+    return _relations(n, k, _every_template)
 
 
 def spanning_relations(n: int, k: int) -> list[KMRelation]:
-    """The relations of generate_relations(n, k) whose 4-subset contains
-    the two least flags fl[0], fl[1] of its site, in the same order.
+    """A basis of the relations at each site, as a subsequence of
+    generate_relations(n, k) (same provenance, terms and order): of the
+    relations whose 4-subset contains the two least flags fl[0], fl[1] of
+    its site, those that `_site_basis` keeps.
 
-    A site of valence m emits (m-2)(m-3) of its 2*C(m,4) relations, and
-    they span the same row space:
+    A site of valence m emits m(m-3)/2 of its 2*C(m,4) relations for
+    m = 4..9, the rank of the relations among the boundary divisors of
+    M_{0,m} (Keel, Trans. AMS 330, 1992).  They span the row space of the
+    subfamily through fl[0], fl[1] modulo every modulus, and so that of
+    all the relations over Q:
 
-    * Per-site linearity.  The relations at (sigma, v) with flag set F are
-      the image of the 4-point relations of the F-pointed space
-      M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
-      the same with B and X exchanged) under the linear map
-      D_S -> split_vertex(sigma, v, S, F - S).  So it is enough that the
-      subfamily spans the full family on M_{0,F}, as formal combinations
-      of the D_S.
-    * Pullback.  For a flag t outside a 4-subset Q, the map
-      D_S -> D_S + D_{S+t} (forgetting t) sends the Q-relation on F - t
-      to the Q-relation on F, term by term.  If t is not fl[0] or fl[1],
-      the two least flags of F - t are those of F, so it sends subfamily
-      relations to subfamily relations.
-    * Induction on m = |F|.  Given Q, forget the flags outside
-      Q + {fl[0], fl[1]} one at a time: the Q-relation on F is the image
-      of the Q-relation on Q + {fl[0], fl[1]}, and the images of
-      subfamily relations there are subfamily relations on F.  So it is
-      enough that the claim holds on Q + {fl[0], fl[1]}, which has 4, 5
-      or 6 flags.  With 4 the Q-relation is in the subfamily.  With 5 and
-      6 the claim is a finite rank check, and since S_m permutes the pairs
-      of flags transitively one labelling suffices: on the star of 5
-      marks the subfamily has 6 rows of rank 5, on the star of 6 marks 12
-      rows of rank 9, the ranks of the full families
-      (tests/test_relations.py checks these over Q).
+    * The subfamily through fl[0], fl[1], (m-2)(m-3) relations per site,
+      spans the same row space over Q as all of them:
+
+      - Per-site linearity.  The relations at (sigma, v) with flag set F
+        are the image of the 4-point relations of the F-pointed space
+        M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
+        the same with B and X exchanged) under the linear map
+        D_S -> split_vertex(sigma, v, S, F - S).  So it is enough that the
+        subfamily spans the full family on M_{0,F}, as formal combinations
+        of the D_S.
+      - Pullback.  For a flag t outside a 4-subset Q, the map
+        D_S -> D_S + D_{S+t} (forgetting t) sends the Q-relation on F - t
+        to the Q-relation on F, term by term.  If t is not fl[0] or fl[1],
+        the two least flags of F - t are those of F, so it sends subfamily
+        relations to subfamily relations.
+      - Induction on m = |F|.  Given Q, forget the flags outside
+        Q + {fl[0], fl[1]} one at a time: the Q-relation on F is the image
+        of the Q-relation on Q + {fl[0], fl[1]}, and the images of
+        subfamily relations there are subfamily relations on F.  So it is
+        enough that the claim holds on Q + {fl[0], fl[1]}, which has 4, 5
+        or 6 flags.  With 4 the Q-relation is in the subfamily.  With 5
+        and 6 the claim is a finite rank check, and since S_m permutes
+        the pairs of flags transitively one labelling suffices: on the
+        star of 5 marks the subfamily has 6 rows of rank 5, on the star
+        of 6 marks 12 rows of rank 9, the ranks of the full families
+        (tests/test_relations.py checks these over Q).
+
+    * The kept relations generate the same Z-lattice as the subfamily.
+      `_integer_basis` drops a row of the template only when it has
+      written it as an integer combination of rows kept before it, and
+      by per-site linearity the same combination holds at every site of
+      valence m.  So every subfamily row is an integer combination of
+      kept rows there, and modulo any modulus the two families span the
+      same rows: every rank, reduced form and certified value computed
+      from the kept rows mod p or mod p*q is the one the subfamily gives.
+
+    For m = 4..9 the kept rows number m(m-3)/2, so they are independent
+    over Q, and every relation of the site, not only those through fl[0],
+    fl[1], is an integer combination of them: modulo every modulus they
+    span the row space of all the relations (tests/test_relations.py
+    checks the count, each dropped row's integer combination by an
+    independent solve, and the lattice of every relation).
     """
-    return _relations(n, k, _spanning_quads)
+    return _relations(n, k, _site_basis)
 
 
 def relations_jsonl(n: int, k: int) -> Iterable[str]:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .psets import PairLabel, inner_level
-from .relations import KMRelation, _every_quad, _sites
+from .relations import KMRelation, _every_template, _sites
 from .trees import (
     DomainError,
     MarkedTree,
@@ -180,7 +180,7 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     report = KilledReport(n, k, 0)
     number: dict[PairLabel, int] = {}  # pair -> its position in the dict
     images: dict[MarkedTree, dict[int, int]] = {}
-    for sigma, v, fl, trees, rows in _sites(n, k, _every_quad):
+    for sigma, v, fl, trees, rows in _sites(n, k, _every_template):
         local = []
         for t in trees:
             img = images.get(t)

@@ -85,6 +85,61 @@ class ReferenceEchelon:
         return lead
 
 
+def solve_fraction(rows: list[dict[int, int]], targets: list[dict[int, int]],
+                   n_cols: int) -> list[list[Fraction] | None]:
+    """For each target, the coefficients x with sum_i x[i] rows[i] == target
+    over Q, by Gauss-Jordan elimination on the transposed system (one
+    equation per column, one unknown per row, one right-hand side per
+    target); None for a target outside the span of the rows.  The rows
+    must be independent, so that each x is unique."""
+    width = len(rows)
+    eqs = [[Fraction(r.get(c, 0)) for r in rows] + [Fraction(t.get(c, 0)) for t in targets]
+           for c in range(n_cols)]
+    for var in range(width):
+        piv = next((i for i in range(var, n_cols) if eqs[i][var]), None)
+        if piv is None:
+            raise ValueError("rows are dependent: the coefficients are not unique")
+        eqs[var], eqs[piv] = eqs[piv], eqs[var]
+        inv = 1 / eqs[var][var]
+        eqs[var] = [x * inv for x in eqs[var]]
+        for i in range(n_cols):
+            if i != var and eqs[i][var]:
+                f = eqs[i][var]
+                eqs[i] = [a - f * b for a, b in zip(eqs[i], eqs[var])]
+    return [None if any(eqs[i][width + j] for i in range(width, n_cols))
+            else [eqs[i][width + j] for i in range(width)]
+            for j in range(len(targets))]
+
+
+def in_lattice(rows: list[dict[int, int]], vec: dict[int, int], n_cols: int) -> bool:
+    """Whether vec is an integer combination of rows, which need not be
+    independent: the rows are brought to an echelon basis of the same
+    Z-lattice by Euclid's algorithm on each column, then vec is reduced
+    against it, each step an integer multiple of a basis row."""
+    mat = [[r.get(c, 0) for c in range(n_cols)] for r in rows]
+    basis = []
+    for col in range(n_cols):
+        live = [r for r in mat if r[col]]
+        mat = [r for r in mat if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            head, rest = live[0], []
+            for r in live[1:]:
+                q = r[col] // head[col]
+                r = [a - q * b for a, b in zip(r, head)]
+                (rest if r[col] else mat).append(r)
+            live = [head, *rest]
+        if live:
+            basis.append((col, live[0]))
+    v = [vec.get(c, 0) for c in range(n_cols)]
+    for col, b in basis:
+        q, rem = divmod(v[col], b[col])
+        if rem:
+            return False
+        v = [a - q * x for a, x in zip(v, b)]
+    return not any(v)
+
+
 def in_row_space(rref: list[tuple[int, list[Fraction]]], vec: dict[int, int], n_cols: int) -> bool:
     """Whether vec lies in the span over Q of the rows whose reduced form
     is rref (from rref_fraction): each pivot row is 1 at its own pivot

@@ -445,6 +445,7 @@ def _succeeds_under_O(script):
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_exact_audit_survives_python_O():
@@ -610,22 +611,33 @@ def test_character_averages_are_orbit_counts():
 
 
 def test_character_relabels_each_stratum_once_per_permutation(monkeypatch):
-    """Every modulus and presentation reads a stratum's image under g from
-    one cache, so the characters relabel each (stratum, g) once."""
+    """Every k, modulus and presentation reads a side's image under g from
+    one table per (n, g), so the characters relabel each side once per
+    (n, g) and each column's image is looked up from the table alone."""
     import strata_lab.homology as h
 
-    calls = Counter()
-    relabel = h._image_id.__wrapped__
+    tables, relabelled = Counter(), Counter()
+    build, bits_side = h._side_images.__wrapped__, h._bits_side
 
-    def counting_image_id(*args):
-        calls[args] += 1
-        return relabel(*args)
+    def counting_side_images(n, g):
+        tables[n, g] += 1
+        return build(n, g)
 
-    monkeypatch.setattr(h, "_image_id", lru_cache(maxsize=None)(counting_image_id))
+    def counting_bits_side(bits):
+        relabelled[bits] += 1
+        return bits_side(bits)
+
+    monkeypatch.setattr(h, "_side_images", lru_cache(maxsize=None)(counting_side_images))
+    monkeypatch.setattr(h, "_bits_side", counting_bits_side)
     character_homology(7, 2)
     character_graded(7, 2, 1)
-    assert calls and set(calls.values()) == {1}
-    assert len(calls) == h._image_id.cache_info().currsize
+    character_homology(7, 3)
+    assert set(tables) == {(7, representative(t)) for t in partitions_of(7)}
+    assert set(tables.values()) == {1}
+    assert len(tables) == h._side_images.cache_info().currsize
+    sides = 2 ** (7 - 1) - 7 - 1
+    assert all(len(h._side_images(*key)) == sides for key in tables)
+    assert sum(relabelled.values()) == sides * len(tables)
 
 
 @pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
@@ -635,15 +647,19 @@ def test_image_id_relabels_like_apply_permutation(n, k):
     trees, idx = enumerate_strata(n, k), h._index(n, k)
     for t in partitions_of(n):
         g = representative(t)
+        images = h._side_images(n, g)
+        for side, image in images.items():
+            assert (image,) == apply_permutation(MarkedTree(n, (side,)), g).splits
         for tree in trees:
-            got = h._image_id.__wrapped__(n, k, idx[tree.splits], g)
+            got = h._image_column(n, k, idx[tree.splits], images)
             assert got == idx[apply_permutation(tree, g).splits]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 2)] + [(8, 3)])
 def test_filtration_cuts_are_free_column_tails(n, k, seed):
-    """The columns are in filtration order, so every span of the strata of
+    """The columns are in filtration order, ties by depth (the sum of the
+    split sizes) and then enumeration order, so every span of the strata of
     key >= m is the tail of columns from _cut(n, k, m) on, and every reduced
     row with its pivot past a cut has its free columns past it too: the
     graded dimensions, class tests and traces rely on this."""
@@ -652,13 +668,13 @@ def test_filtration_cuts_are_free_column_tails(n, k, seed):
     cols, strata = h._columns(n, k), enumerate_strata(n, k)
     position = {t: i for i, t in enumerate(strata)}
     assert sorted(cols, key=position.__getitem__) == list(strata)
-    ordered = [(_filtration_key(t), position[t]) for t in cols]
+    ordered = [(_filtration_key(t), sum(len(s) for s in t.splits), position[t]) for t in cols]
     assert ordered == sorted(ordered)
     assert h._index(n, k) == {t.splits: c for c, t in enumerate(cols)}
-    keys = [key for key, _ in ordered]
+    keys = [key for key, _, _ in ordered]
     for t in partitions_of(n):
-        g = representative(t)
-        assert all(keys[h._image_id(n, k, c, g)] == keys[c] for c in range(len(cols)))
+        images = h._side_images(n, representative(t))
+        assert all(keys[h._image_column(n, k, c, images)] == keys[c] for c in range(len(cols)))
     primes = prime_stream(seed)
     qb = h._quotient_basis(n, k, next(primes) * next(primes))
     cuts = sorted({h._cut(n, k, key) for key in keys})
@@ -672,8 +688,25 @@ def test_filtration_cuts_are_free_column_tails(n, k, seed):
 def test_image_id_refuses_a_family_that_is_no_stratum():
     import strata_lab.homology as h
 
+    images = h._side_images.__wrapped__(6, (1, 2, 2, 4, 5, 6))
     with pytest.raises(TreeStructureError, match="gives no stratum"):
-        h._image_id.__wrapped__(6, 2, 0, (1, 2, 2, 4, 5, 6))
+        h._image_column(6, 2, 0, images)
+
+
+def test_relation_matrix_work_counts():
+    """The relation matrix is fed m(m-3)/2 rows per site of valence m, and
+    the (8,3) echelon at the first pair modulus stores fewer entries than
+    the 10,884 of the full spanning family in key-then-enumeration order."""
+    import strata_lab.homology as h
+    from strata_lab.relations import _site_basis, _sites
+
+    for (n, k), want in {(7, 2): 434, (8, 3): 1358}.items():
+        sites = [len(fl) for _, _, fl, _, _ in _sites(n, k, _site_basis)]
+        assert len(h._relation_rows(n, k)) == want == sum(m * (m - 3) // 2 for m in sites)
+    primes = prime_stream(0)
+    echelon = h._echelon(8, 3, next(primes) * next(primes))
+    assert echelon.rank == len(enumerate_strata(8, 3)) - keel_betti(8)[3]
+    assert sum(map(len, echelon.pivots.values())) < 10884
 
 
 def test_character_values_independent_of_seed():

@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from oracles import rank_fraction
+from oracles import in_lattice, rank_fraction, solve_fraction
 from test_homology import _succeeds_under_O
 
 import strata_lab.homology as h
@@ -151,6 +151,12 @@ def test_jsonl_round_trip():
         assert MarkedTree.from_obj(obj["sigma"]) == rel.sigma
 
 
+def _through_two_least_flags(m):
+    """Every row of the template of the 4-subsets through the two least
+    flags, before the site basis drops any."""
+    return rel_mod._template(m, rel_mod._spanning_quads)
+
+
 def _columns(n, k):
     """Tree -> its column in the relation matrix of `homology`."""
     return {t: h._index(n, k)[t.splits] for t in enumerate_strata(n, k)}
@@ -164,25 +170,42 @@ def _full_rows(n, k):
 @pytest.mark.parametrize("n, rows, rank", [(5, 6, 5), (6, 12, 9), (7, 20, 14)])
 def test_spanning_family_on_stars(n, rows, rank):
     # the base cases (5 and 6 marks) of the spanning argument, and 7 marks
-    # as a check of its induction: at k = n-4 the only site is the star
+    # as a check of its induction: at k = n-4 the only site is the star;
+    # of the subfamily through the two least flags the site basis keeps
+    # rank = n(n-3)/2 rows
     idx = _index(n, n - 4)
+    through = [r.row(idx) for r in rel_mod._relations(n, n - 4, _through_two_least_flags)]
+    assert len(through) == rows
+    assert rank_fraction(through, len(idx)) == rank
     sub = [r.row(idx) for r in spanning_relations(n, n - 4)]
-    assert len(sub) == rows
+    assert len(sub) == rank == n * (n - 3) // 2
     assert rank_fraction(sub, len(idx)) == rank
     assert rank_fraction(_full_rows(n, n - 4), len(idx)) == rank
 
 
 def test_spanning_family_is_the_subfamily_through_the_two_least_flags():
+    # the template rows through the two least flags are the relations of
+    # generate_relations through them, and spanning_relations is the
+    # subsequence of those that the site basis of each valence keeps
     def key(rel):
         return rel.sigma, rel.vertex, rel.flags, rel.pairing, rel.terms
+
+    def kept(rel):
+        fl = vertex_flags(rel.sigma)[rel.vertex]
+        quad = tuple(fl.index(f) for f in rel.flags)
+        return any((quad, rel.pairing) == (q, pairing)
+                   for q, pairing, _ in rel_mod._site_basis(len(fl))[1])
 
     for n in (4, 5, 6, 7):
         for k in range(n - 3):
             want = [
-                key(r) for r in generate_relations(n, k)
+                r for r in generate_relations(n, k)
                 if set(vertex_flags(r.sigma)[r.vertex][:2]) <= set(r.flags)
             ]
-            assert [key(r) for r in spanning_relations(n, k)] == want
+            through = rel_mod._relations(n, k, _through_two_least_flags)
+            assert [key(r) for r in through] == [key(r) for r in want]
+            assert [key(r) for r in spanning_relations(n, k)] == [
+                key(r) for r in want if kept(r)]
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5, 6, 7) for k in range(n - 3)]
@@ -214,22 +237,126 @@ def test_spanning_family_gives_the_same_quotient_basis():
     assert have.rows == want.rows
 
 
-@pytest.mark.parametrize("quads", [rel_mod._every_quad, rel_mod._spanning_quads],
-                         ids=["every", "spanning"])
-def test_site_trees_are_the_strata_split_along_the_template(quads):
+@pytest.mark.parametrize("m", range(4, 10))
+def test_site_basis_is_an_integer_basis(m):
+    """The site basis keeps m(m-3)/2 rows of the template through the two
+    least flags, and every row it drops is an integer combination of the
+    rows it keeps before it, solved here over Q and checked term by term:
+    the kept rows generate the same Z-lattice as the template.  So does
+    every relation of the star, through the two least flags or not."""
+    keys, rows = rel_mod._template(m, rel_mod._spanning_quads)
+    basis_keys, basis = rel_mod._site_basis(m)
+    assert basis_keys is keys
+    assert len(basis) == m * (m - 3) // 2
+    positions = [rows.index(b) for b in basis]
+    assert positions == sorted(positions)
+    kept = [row for _, _, row in basis]
+    assert rank_fraction(kept, len(keys)) == len(kept)
+    dropped = [i for i in range(len(rows)) if i not in positions]
+    solved = solve_fraction(kept, [rows[i][2] for i in dropped], len(keys))
+    for i, x in zip(dropped, solved):
+        row = rows[i][2]
+        assert x is not None and all(c.denominator == 1 for c in x), (m, i, x)
+        assert not any(c for p, c in zip(positions, x) if p > i), (m, i, x)
+        combo = {}
+        for c, r in zip(x, kept):
+            for col, v in r.items():
+                combo[col] = combo.get(col, 0) + int(c) * v
+        assert {col: v for col, v in combo.items() if v} == row
+    every_keys, every = rel_mod._every_template(m)
+    local = {key: i for i, key in enumerate(keys)}
+    assert sorted(every_keys) == sorted(keys)
+    for _, _, row in every:
+        assert in_lattice(kept, {local[every_keys[i]]: c for i, c in row.items()}, len(keys))
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
+def test_site_basis_gives_the_same_quotient_basis_mod_a_pair(n, k):
+    # the reduced quotient basis mod p*q from the relation rows, row for
+    # row, is the one from every row through the two least flags
+    idx = _columns(n, k)
+    primes = prime_stream(5)
+    m = next(primes) * next(primes)
+    full = ModEchelon(m)
+    full.add_rows([r.row(idx) for r in rel_mod._relations(n, k, _through_two_least_flags)])
+    want = quotient_basis(full, len(idx))
+    have = h._quotient_basis(n, k, m)
+    assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
+    assert have.rows == want.rows
+
+
+DOUBLED_ROW_UNDER_O = """
+import json
+import sys
+import strata_lab.relations as r
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+m, doubled = M_AND_DOUBLED
+template = r._template
+
+
+def patched(m, quads):
+    keys, rows = template(m, quads)
+    quad, pairing, row = rows[doubled]
+    twice = (quad, pairing, {c: 2 * v for c, v in row.items()})
+    return keys, rows[:doubled] + (twice,) + rows[doubled + 1:]
+
+
+r._template = patched
+keys, rows = patched(m, r._spanning_quads)
+print(json.dumps([rows.index(row) for row in r._site_basis(m)[1]]))
+"""
+
+
+def test_site_basis_keeps_what_a_doubled_row_no_longer_generates():
+    """With one kept row of the template doubled, a row that is an integer
+    combination through it is only a rational one through the doubled row,
+    so the rule keeps it though it is dependent, and the kept rows still
+    generate every row of the patched template over Z: the rule is a
+    check that raises no AssertionError, so it holds under -O too."""
+    m = 7
+    keys, rows = rel_mod._template(m, rel_mod._spanning_quads)
+    kept = [rows.index(b) for b in rel_mod._site_basis(m)[1]]
+    dropped = next(i for i in range(len(rows)) if i not in kept)
+    [x] = solve_fraction([rows[i][2] for i in kept], [rows[dropped][2]], len(keys))
+    doubled = next(i for i, c in zip(kept, x) if c % 2)
+    out = _succeeds_under_O(DOUBLED_ROW_UNDER_O.replace("M_AND_DOUBLED", f"{m}, {doubled}"))
+    patched = [row for _, _, row in rows]
+    patched[doubled] = {c: 2 * v for c, v in patched[doubled].items()}
+    now = json.loads(out)
+    assert now == sorted(now) and set(kept) <= set(now)
+    extra = [i for i in now if i not in kept]
+    assert dropped in extra
+    for i in extra:
+        before = [patched[j] for j in now if j < i]
+        assert rank_fraction(before + [patched[i]], len(keys)) == rank_fraction(before, len(keys))
+    kept_rows = [patched[i] for i in now]
+    assert all(in_lattice(kept_rows, row, len(keys)) for row in patched)
+
+
+TEMPLATES = {
+    "every": (rel_mod._every_template, lambda m: 2 * comb(m, 4)),
+    "spanning": (_through_two_least_flags, lambda m: (m - 2) * (m - 3)),
+    "basis": (rel_mod._site_basis, lambda m: m * (m - 3) // 2),
+}
+
+
+@pytest.mark.parametrize("family", list(TEMPLATES))
+def test_site_trees_are_the_strata_split_along_the_template(family):
     """Every site tree is the enumerated stratum that splits the site along
     its template split; a template of valence m has every split of the
-    m-pointed star once and the rows of its quad family."""
+    m-pointed star once and the rows of its family."""
+    template, count = TEMPLATES[family]
     for n in (4, 5, 6, 7):
         for k in range(n - 3):
             enumerated = {id(t) for t in enumerate_strata(n, k)}
-            for sigma, v, fl, trees, rows in rel_mod._sites(n, k, quads):
+            for sigma, v, fl, trees, rows in rel_mod._sites(n, k, template):
                 m = len(fl)
-                keys, template_rows = rel_mod._template(m, quads)
+                keys, template_rows = template(m)
                 assert rows is template_rows
                 assert len(keys) == len(set(keys)) == len(trees) == 2 ** (m - 1) - m - 1
-                want = 2 * comb(m, 4) if quads is rel_mod._every_quad else (m - 2) * (m - 3)
-                assert len(rows) == want
+                assert len(rows) == count(m)
                 for key, t in zip(keys, trees):
                     assert id(t) in enumerated
                     side = [f for i, f in enumerate(fl) if key >> i & 1]
@@ -246,7 +373,7 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 r.enumerate_strata = lambda n, k: enumerate_strata(n, k)[1:] if k == 2 else enumerate_strata(n, k)
 try:
-    list(r._sites(7, 2, r._spanning_quads))
+    list(r._sites(7, 2, r._site_basis))
 except TreeStructureError:
     sys.exit(0)
 sys.exit("a split with no stratum got through")
