@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over Q via modular arithmetic.
 
-Matrices are sequences of sparse rows {column: coefficient}.  Ranks and
-reduced forms come from one natural-order row echelon modulo m,
-`ModEchelon`, and its reduced quotient basis, `quotient_basis`; they are
-certified by `certified_value`, the one loop that repeats across random
-62-bit primes.  `rank_bareiss`, a fraction-free integer elimination, is
+Matrices are sequences of sparse rows {column: coefficient}.  Ranks,
+pivot columns and reduced vectors (`ModEchelon.reduce`, the one
+membership test) come from one natural-order row echelon modulo m,
+`ModEchelon`; `quotient_basis` reads its reduced row echelon form, for
+traces.  Values are certified by `certified_value`, the one loop that
+repeats across random 62-bit primes.  `rank_bareiss`, a fraction-free integer elimination, is
 the exact audit for small matrices.
 
 `certified_value` takes the primes two at a time and eliminates once,
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 DEFAULT_PRIME_BITS = 62
@@ -273,61 +273,20 @@ def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
     return r
 
 
-@dataclass
-class QuotientBasis:
-    """RREF presentation of (Z/m)^{n_cols} / rowspace, basis = free columns,
-    m the modulus of the echelon it was read from.
-
-    For a pivot column c, rows[c] is the free-column part of the reduced
-    relation  e_c + sum_f rows[c][f] e_f  in the row space; hence the class
-    of e_c is  -sum_f rows[c][f] [e_f].  Every f in rows[c] is after c.
-    """
-
-    modulus: int
-    n_cols: int
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-    rows: dict[int, dict[int, int]] = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
-
-    @property
-    def dim(self) -> int:
-        return len(self.free_cols)
-
-    def quotient_reduce(self, v: dict[int, int]) -> list[int]:
-        """Coordinates of the class of v on the free-column basis, mod m."""
-        p = self.modulus
-        pos = self._free_index
-        out = [0] * len(self.free_cols)
-        for c, val in v.items():
-            if not 0 <= c < self.n_cols:
-                raise ValueError(f"column {c} out of range")
-            if c in self.rows:
-                for fc, fv in self.rows[c].items():
-                    out[pos[fc]] -= val * fv
-            else:
-                out[pos[c]] += val
-        return [x % p for x in out]
-
-    def __post_init__(self):
-        self._free_index = {c: i for i, c in enumerate(self.free_cols)}
-
-
-def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
-    """Full RREF of the row space of an echelon; the echelon is not modified."""
+def quotient_basis(echelon: ModEchelon) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of the row space of an echelon, as
+    {pivot column c: {free column f: coeff}}: the relation
+    e_c + sum_f rows[c][f] e_f is in the row space, so the class of e_c in
+    the quotient by it is -sum_f rows[c][f] [e_f], the free columns (those
+    that are no key) being a basis of the quotient.  Every f in rows[c] is
+    after c.  The echelon is not modified."""
     p = echelon.p
     pivots = echelon.pivots
-    pivot_cols = sorted(pivots)
-    pivot_set = set(pivot_cols)
-    free_cols = tuple(c for c in range(n_cols) if c not in pivot_set)
     reduced: dict[int, dict[int, int]] = {}
-    for c in reversed(pivot_cols):
+    for c in sorted(pivots, reverse=True):
         row = dict(pivots[c])
         row.pop(c)
-        for cc in [x for x in row if x in pivot_set]:
+        for cc in [x for x in row if x in pivots]:
             f = row.pop(cc)
             for fc, fv in reduced[cc].items():
                 nv = (row.get(fc, 0) - f * fv) % p
@@ -336,7 +295,7 @@ def quotient_basis(echelon: ModEchelon, n_cols: int) -> QuotientBasis:
                 else:
                     row.pop(fc, None)
         reduced[c] = row
-    return QuotientBasis(p, n_cols, tuple(pivot_cols), free_cols, reduced)
+    return reduced
 
 
 def lift_symmetric(x: int, p: int) -> int:

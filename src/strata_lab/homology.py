@@ -1,12 +1,10 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
-Everything is read off the reduced quotient basis of one natural-order
-echelon of the relation matrix per modulus, whose rows are the site
-basis `relations.spanning_relations` (m(m-3)/2 rows per site of valence
+Everything is read off one natural-order echelon of the relation matrix
+per modulus, whose rows are the site basis
+`relations.spanning_relations` (m(m-3)/2 rows per site of valence
 m <= 9, with the row space of all the relations modulo every modulus at
-those valences): a
-free column is a basis vector of the quotient, and the class of a pivot
-column is minus its reduced row.
+those valences).
 
 The columns are the strata in filtration order (`_columns`): by
 filtration key (`trees._filtration_key`: n * level, plus the inner level
@@ -16,21 +14,25 @@ columns: it moves no cut and changes no graded quantity, and it costs
 nothing per elimination step, but the echelon it gives does less work
 where a key has many strata (at (8,3), one prime: 113,004 entry updates
 and 10,222 stored entries, against 230,926 and 11,446 with ties in
-enumeration order).  The strata of key >= m, which
-span a step of the filtration by level (m = n*r) or of the inner
-filtration of level 2 (m = 2n + b), are then the columns from a cut c_m
-on (`_cut`).  The pivot of a reduced row is its least column, and the
-row holds no other pivot column, so every reduced row with a pivot
-c >= c_m has all its free columns after c, past the cut.  Hence the span
-of the classes of the columns >= c_m is spanned by the free columns
->= c_m, and every graded quantity is read off the one quotient basis:
+enumeration order).  The strata of key >= m, which span a step of the
+filtration by level (m = n*r) or of the inner filtration of level 2
+(m = 2n + b), are then the columns from a cut c_m on (`_cut`).
 
-- the dimension of the span is the number of free columns >= c_m;
-- a class lies in it iff its coordinates below c_m vanish;
+A vector lies in the span of the relations and the columns >= a cut iff
+the echelon reduces it to zero or to a row leading at or past the cut
+(`_member`, which states why); with the cut at the width this is
+homology equality (`class_equal`), with a filtration cut it is equality
+in an inner graded piece (`graded_class_equal`).  The free columns
+(those that are no pivot) are a basis of the quotient, and a reduced
+row echelon row with its pivot c >= c_m has all its free columns after
+c, past the cut.  Hence the span of the classes of the columns >= c_m
+is spanned by the free columns >= c_m:
+
+- its dimension is the number of columns >= c_m that are no pivot;
 - the trace of a permutation g on it (or on a quotient of two such
   spans) is the sum over its free columns f of the coefficient of [e_f]
   in [e_{g f}]: 1 if g f = f, minus the reduced row of g f at f if g f
-  is a pivot column, else 0.
+  is a pivot column (`exact_linalg.quotient_basis`), else 0.
 
 The image of a column under a permutation g is its sides' images,
 sorted, looked up as a split family (`_image_column`); the sides' images
@@ -66,7 +68,6 @@ from math import comb
 from .characters import Character, partitions_of, representative
 from .exact_linalg import (
     ModEchelon,
-    QuotientBasis,
     RankCertificationError,
     certified_value,
     lift_symmetric,
@@ -132,8 +133,8 @@ def _echelon(n: int, k: int, p: int) -> ModEchelon:
 
 
 @lru_cache(maxsize=None)
-def _quotient_basis(n: int, k: int, p: int) -> QuotientBasis:
-    return quotient_basis(_echelon(n, k, p), len(_index(n, k)))
+def _quotient_basis(n: int, k: int, p: int) -> dict[int, dict[int, int]]:
+    return quotient_basis(_echelon(n, k, p))
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +177,13 @@ def betti(n: int, k: int, seed: int = 0) -> int:
 def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:
     """Certified dimensions of the successive quotients of the chain of spans
     of the strata of filtration key >= each of key_mins, in increasing order:
-    the numbers of free columns between consecutive cuts."""
+    the numbers of columns between consecutive cuts that are no pivot."""
     cuts = [_cut(n, k, m) for m in key_mins]
 
     def compute(p: int) -> tuple[int, ...]:
-        free = _quotient_basis(n, k, p).free_cols
-        return tuple(bisect_left(free, b) - bisect_left(free, a) for a, b in zip(cuts, cuts[1:]))
+        pivots = sorted(_echelon(n, k, p).pivots)
+        return tuple(b - a - (bisect_left(pivots, b) - bisect_left(pivots, a))
+                     for a, b in zip(cuts, cuts[1:]))
 
     return list(certified_value(compute, seed, what=what))
 
@@ -220,6 +222,27 @@ def _difference(t1: MarkedTree, t2: MarkedTree) -> dict[int, int]:
     return {idx[t1.splits]: 1, idx[t2.splits]: -1}
 
 
+def _member(n: int, k: int, diff: dict[int, int], cut: int, seed: int, what: str) -> bool:
+    """Certified: whether diff lies in the span of the relation rows of
+    (n, k) and the unit vectors of the columns >= cut.
+
+    It does iff the echelon reduces it to zero or to a row leading at or
+    past the cut.  A reduced row r differs from diff by a vector of the
+    row space, and leads at a column that is no pivot.  Every nonzero
+    vector of the row space leads at a pivot column, since each echelon
+    row is 1 at its own pivot and 0 before it.  If r leads at c >= cut, r
+    itself is supported on the columns >= cut.  If r leads at c < cut and
+    r - u were in the row space for some u supported on the columns
+    >= cut, r - u would lead at c, which is no pivot: impossible.  Modulo
+    p*q the lead of r is a unit or `_NonUnitLead` is raised, so r reduces
+    to the reduced row modulo each prime, with the same lead, and the
+    verdict is the one each prime alone gives."""
+    def compute(p: int) -> bool:
+        return min(_echelon(n, k, p).reduce(diff), default=cut) >= cut
+
+    return certified_value(compute, seed, what=what)
+
+
 @lru_cache(maxsize=None)
 def exact_rank(n: int, k: int) -> int:
     """Rank over Q of the relation matrix, by fraction-free elimination:
@@ -245,11 +268,7 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
         base = exact_rank(n, k)
     if t1 == t2:
         return True
-
-    def compute(p: int) -> bool:
-        return not _echelon(n, k, p).reduce(diff)
-
-    verdict = certified_value(compute, seed, what="class membership")
+    verdict = _member(n, k, diff, len(_index(n, k)), seed, "class membership")
     if exact:
         if (base == rank_bareiss((*_relation_rows(n, k), diff), len(_index(n, k)))) != verdict:
             raise RankCertificationError(
@@ -277,13 +296,7 @@ def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
         raise DomainError(f"inner levels differ: {key1 - 2 * n} vs {key2 - 2 * n}")
     if t1 == t2:
         return True
-    cut = _cut(n, k, key1 + 1)
-
-    def compute(p: int) -> bool:
-        qb = _quotient_basis(n, k, p)
-        return not any(qb.quotient_reduce(diff)[:bisect_left(qb.free_cols, cut)])
-
-    return certified_value(compute, seed, what="graded class membership")
+    return _member(n, k, diff, _cut(n, k, key1 + 1), seed, "graded class membership")
 
 
 @lru_cache(maxsize=None)
@@ -315,11 +328,11 @@ def _image_column(n: int, k: int, c: int, images: dict[tuple, tuple]) -> int:
 def _character(n: int, k: int, lo: int, hi: int, seed: int, what: str) -> Character:
     """Certified character of the span of the classes of the columns >= lo
     modulo that of the columns >= hi, lo and hi cuts: one trace per cycle
-    type, summed over the free columns in [lo, hi)."""
+    type, summed over the free columns in [lo, hi), the columns there that
+    are no pivot of the reduced rows."""
     def compute(p: int) -> tuple[int, ...]:
-        qb = _quotient_basis(n, k, p)
-        free, rows = qb.free_cols, qb.rows
-        free = free[bisect_left(free, lo):bisect_left(free, hi)]
+        rows = _quotient_basis(n, k, p)
+        free = [c for c in range(lo, hi) if c not in rows]
         traces = []
         for t in partitions_of(n):
             images, total = _side_images(n, representative(t)), 0

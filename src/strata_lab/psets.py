@@ -63,7 +63,7 @@ class PairLabel:
 
 def enumerate_p1(n: int, k: int) -> list[frozenset]:
     """All subsets A with k+3 <= |A| <= n and |A| = k+3 (mod 2)."""
-    if n < 3 or k < 0:
+    if not 0 <= k <= n - 3:
         raise DomainError(f"bad (n, k) = ({n}, {k})")
     marks = range(1, n + 1)
     out = []
@@ -73,15 +73,15 @@ def enumerate_p1(n: int, k: int) -> list[frozenset]:
 
 
 def cardinality_p1(n: int, k: int) -> int:
-    if n < 3 or k < 0:
+    if not 0 <= k <= n - 3:
         raise DomainError(f"bad (n, k) = ({n}, {k})")
     return sum(comb(n, j) for j in range(k + 3, n + 1, 2))
 
 
 def enumerate_p2(n: int, k: int) -> list[PairLabel]:
     """All normalized weighted pairs for the given k >= 2."""
-    if n < 3 or k < 2:
-        raise DomainError(f"level-2 labels need k >= 2, got (n, k) = ({n}, {k})")
+    if not 2 <= k <= n - 3:
+        raise DomainError(f"level-2 labels need 2 <= k <= n-3, got (n, k) = ({n}, {k})")
     marks = list(range(1, n + 1))
     out = []
     for s1 in range(3, n - 2):
@@ -96,8 +96,8 @@ def enumerate_p2(n: int, k: int) -> list[PairLabel]:
 
 def cardinality_p2(n: int, k: int) -> int:
     """Closed-form count: ordered binomial double sum, halved."""
-    if n < 3 or k < 2:
-        raise DomainError(f"level-2 labels need k >= 2, got (n, k) = ({n}, {k})")
+    if not 2 <= k <= n - 3:
+        raise DomainError(f"level-2 labels need 2 <= k <= n-3, got (n, k) = ({n}, {k})")
     total = 0
     for a1 in range(1, k):
         a2 = k - a1

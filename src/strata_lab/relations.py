@@ -53,6 +53,7 @@ from .trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
+    _flags_at,
     enumerate_strata,
     split_vertex,
     vertex_flags,
@@ -95,7 +96,7 @@ def expand_relation(
 ) -> KMRelation:
     """Expand one relation over all bipartitions of the leftover flags."""
     a, b, c, d = (tuple(sorted(f)) for f in (a, b, c, d))
-    here = vertex_flags(sigma)[vertex]
+    here = _flags_at(sigma, vertex)
     quad = (a, b, c, d)
     if len(set(quad)) != 4:
         raise DomainError("flags A, B, C, D must be distinct")

@@ -186,6 +186,14 @@ def vertex_flags(t: MarkedTree) -> tuple[tuple[Side, ...], ...]:
     return tuple(tuple(sorted(f)) for f in flags)
 
 
+def _flags_at(t: MarkedTree, v: int) -> tuple[Side, ...]:
+    """vertex_flags(t)[v]; DomainError for a vertex index outside the tree."""
+    flags = vertex_flags(t)
+    if not 0 <= v < len(flags):
+        raise DomainError(f"no vertex {v} in a tree with {len(flags)} internal vertices")
+    return flags[v]
+
+
 def canonical_form(t: MarkedTree) -> str:
     """Canonical string form; equal iff the marked trees are isomorphic."""
     return json.dumps([list(s) for s in t.splits], separators=(",", ":"))
@@ -222,7 +230,7 @@ def split_vertex(
     Both flag groups must have at least two members, otherwise the result
     would be unstable.  Contracting the new edge recovers t.
     """
-    here = vertex_flags(t)[v]
+    here = _flags_at(t, v)
     fa = [tuple(sorted(f)) for f in flags_a]
     fb = [tuple(sorted(f)) for f in flags_b]
     if len(fa) < 2 or len(fb) < 2:

@@ -145,6 +145,9 @@ def test_conjecture_k_has_graded_pieces(tmp_path, k, code, out):
     ["verify", "forgetful", "--n", "5"],
     ["verify", "conjecture", "--n", "2"],
     ["verify", "rewrite", "--n", "6", "--sample", "-1"],
+    ["character", "--n", "5", "--k", "9", "--space", "homology"],
+    ["character", "--n", "5", "--k", "9", "--space", "p1"],
+    ["character", "--n", "5", "--k", "9", "--space", "p2"],
 ])
 def test_nothing_to_compute_is_a_domain_error(tmp_path, args):
     assert run_cli(args, tmp_path) == (2, "")

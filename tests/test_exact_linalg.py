@@ -42,10 +42,10 @@ def rank_exact(rows, seed=0):
     return certified_value(lambda p: _rank_mod_p(rows, p), seed, lower_bound=True)
 
 
-def _quotient_basis(rows, n_cols, p):
+def _quotient_basis(rows, p):
     ech = ModEchelon(p)
     ech.add_rows(rows)
-    return quotient_basis(ech, n_cols)
+    return quotient_basis(ech)
 
 
 def _random_sparse(rng, n_rows, n_cols, density=0.3, lo=-4, hi=4):
@@ -146,13 +146,19 @@ def test_bareiss_refuses_out_of_range_columns(row):
 def test_quotient_basis_and_reduce():
     p = next(iter(prime_stream(0)))
     rows, n_cols = _relation_matrix(4, 0)
-    qb = _quotient_basis(rows, n_cols, p)
-    assert qb.rank == 2 and qb.dim == 1
+    ech = ModEchelon(p)
+    ech.add_rows(rows)
+    reduced = quotient_basis(ech)
+    assert ech.rank == len(reduced) == 2
+    [f] = [c for c in range(n_cols) if c not in reduced]
+    # each reduced row is e_c plus free columns after c, in the row space
+    for c, row in reduced.items():
+        assert all(x == f and x > c for x in row)
+        assert ech.reduce({c: 1, **row}) == {}
     # a relation row reduces to zero
-    assert qb.quotient_reduce(rows[0]) == [0]
-    # a free-column unit vector is its own coordinate
-    f = qb.free_cols[0]
-    assert qb.quotient_reduce({f: 1}) == [1]
+    assert ech.reduce(rows[0]) == {}
+    # a free-column unit vector is no member: it reduces to itself
+    assert ech.reduce({f: 1}) == {f: 1}
     # e_(12|34) - e_(13|24) is a relation row
     trees = enumerate_strata(4, 0)
     idx = {t: i for i, t in enumerate(trees)}
@@ -162,14 +168,7 @@ def test_quotient_basis_and_reduce():
         idx[MarkedTree.from_sides(4, [(3, 4)])]: 1,
         idx[MarkedTree.from_sides(4, [(2, 4)])]: -1,
     }
-    assert qb.quotient_reduce(d) == [0]
-
-
-def test_quotient_reduce_rejects_out_of_range():
-    p = next(iter(prime_stream(0)))
-    qb = _quotient_basis([{0: 1, 1: -1}], 2, p)
-    with pytest.raises(ValueError):
-        qb.quotient_reduce({5: 1})
+    assert ech.reduce(d) == {}
 
 
 def test_lift_symmetric():
@@ -184,15 +183,11 @@ def test_row_order_leaves_the_reduced_form_unchanged(n, k):
     """Leading column, largest first, against the reference order: the
     pivots and the RREF depend on the row space alone."""
     rows = _relation_rows(n, k)
-    width = len(enumerate_strata(n, k))
     for seed in (0, 7):
         p = next(prime_stream(seed))
         ref = ModEchelon(p)
         ref.add_rows(sorted(rows, key=reference_row_order_key), presorted=True)
-        want = quotient_basis(ref, width)
-        got = _quotient_basis(rows, width, p)
-        assert (got.pivot_cols, got.free_cols) == (want.pivot_cols, want.free_cols)
-        assert got.rows == want.rows
+        assert _quotient_basis(rows, p) == quotient_basis(ref)
 
 
 def test_row_order_keeps_the_n8k3_echelon_sparse():
@@ -293,22 +288,23 @@ def test_scratch_row_is_clean_after_a_failed_call():
 SMALL_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 
 
-def _eliminate(rows, probe, n_cols, m):
-    """An elimination mod m: rank, quotient basis, the probe's verdict and
-    its quotient coordinates."""
+def _eliminate(rows, probe, cut, m):
+    """An elimination mod m: rank, reduced rows, the probe's verdict and its
+    graded verdict at cut (whether it lies in the row space plus the span
+    of the columns >= cut)."""
     ech = ModEchelon(m)
     ech.add_rows(rows)
-    qb = quotient_basis(ech, n_cols)
-    return ech.rank, qb, not ech.reduce(probe), qb.quotient_reduce(probe)
+    reduced = ech.reduce(probe)
+    return ech.rank, quotient_basis(ech), not reduced, min(reduced, default=cut) >= cut
 
 
 def _read_at(result, p):
     """What an elimination shows at the prime p dividing its modulus: rank,
-    pivot columns, reduced pivot rows mod p, verdict and coordinates mod p."""
-    rank, qb, member, coords = result
-    rows = tuple((c, tuple((f, v % p) for f, v in sorted(qb.rows[c].items()) if v % p))
-                 for c in qb.pivot_cols)
-    return rank, qb.pivot_cols, rows, member, tuple(x % p for x in coords)
+    pivot columns, reduced pivot rows mod p and both verdicts."""
+    rank, reduced, member, graded = result
+    rows = tuple((c, tuple((f, v % p) for f, v in sorted(reduced[c].items()) if v % p))
+                 for c in sorted(reduced))
+    return rank, tuple(sorted(reduced)), rows, member, graded
 
 
 def test_pair_modulus_reads_each_prime_or_falls_back(monkeypatch):
@@ -323,15 +319,16 @@ def test_pair_modulus_reads_each_prime_or_falls_back(monkeypatch):
         n_cols = rng.randint(2, 9)
         rows = _random_sparse(rng, rng.randint(1, 10), n_cols, density=0.4, lo=-250, hi=250)
         probe = _random_sparse(rng, 1, n_cols, density=0.5, lo=-250, hi=250)[0]
+        cut = rng.randint(0, n_cols)
         moduli = []
 
         def compute(m):
             moduli.append(m)
-            return _eliminate(rows, probe, n_cols, m)
+            return _eliminate(rows, probe, cut, m)
 
         def read(result, p):
             got = _read_at(result, p)
-            assert got == _read_at(_eliminate(rows, probe, n_cols, p), p)
+            assert got == _read_at(_eliminate(rows, probe, cut, p), p)
             return got
 
         def outcome(certify, lower_bound):

@@ -212,6 +212,32 @@ def test_graded_class_equal_matches_stacked_membership():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+@pytest.mark.parametrize("n, k", [(5, 0), (6, 1), (6, 2), (7, 3)])
+def test_membership_at_any_cut_matches_the_fraction_oracle(n, k):
+    """_member at every kind of cut, filtration cut or not, 0 and the width
+    included: diff lies in the span of the relations and the columns
+    >= cut iff its projection to the columns < cut lies in the row space
+    of the relation rows projected there.  The unit vector of a free
+    column c, at cut c, reduces to a row leading at the cut itself."""
+    import strata_lab.homology as h
+
+    width, rows = len(_index(n, k)), _relation_rows(n, k)
+    free = sorted(set(range(width)) - {c for c, _ in rref_fraction(list(rows), width)})
+    rng = random.Random(n * 10 + k)
+    cuts = {0, width, *rng.sample(free, min(4, len(free))),
+            *rng.sample(range(1, width), min(4, width - 1))}
+    verdicts = Counter()
+    for cut in sorted(cuts):
+        rref = rref_fraction([{c: v for c, v in r.items() if c < cut} for r in rows], cut)
+        diffs = [{i: 1, j: -1} for i, j in (rng.sample(range(width), 2) for _ in range(12))]
+        diffs += [{c: 1} for c in (cut - 1, cut) if 0 <= c < width]
+        for diff in diffs:
+            want = in_row_space(rref, {c: v for c, v in diff.items() if c < cut}, cut)
+            assert h._member(n, k, diff, cut, 0, "membership") == want, (cut, diff)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 def test_graded_class_equal_refuses_other_levels_and_mixed_inner_levels():
     trees = enumerate_strata(7, 2)
     level1 = next(t for t in trees if filtration_level(t) == 1)
@@ -662,7 +688,7 @@ def test_filtration_cuts_are_free_column_tails(n, k, seed):
     split sizes) and then enumeration order, so every span of the strata of
     key >= m is the tail of columns from _cut(n, k, m) on, and every reduced
     row with its pivot past a cut has its free columns past it too: the
-    graded dimensions, class tests and traces rely on this."""
+    graded dimensions and traces rely on this."""
     import strata_lab.homology as h
 
     cols, strata = h._columns(n, k), enumerate_strata(n, k)
@@ -676,11 +702,11 @@ def test_filtration_cuts_are_free_column_tails(n, k, seed):
         images = h._side_images(n, representative(t))
         assert all(keys[h._image_column(n, k, c, images)] == keys[c] for c in range(len(cols)))
     primes = prime_stream(seed)
-    qb = h._quotient_basis(n, k, next(primes) * next(primes))
+    reduced = h._quotient_basis(n, k, next(primes) * next(primes))
     cuts = sorted({h._cut(n, k, key) for key in keys})
     assert cuts == sorted({keys.index(key) for key in keys})
     for cut in cuts:
-        for c, row in qb.rows.items():
+        for c, row in reduced.items():
             if c >= cut:
                 assert all(f >= cut for f in row), (cut, c)
 

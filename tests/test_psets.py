@@ -151,6 +151,11 @@ def test_odd_pair_count_raises(monkeypatch):
 def test_pset_domain_errors():
     with pytest.raises(DomainError):
         enumerate_p2(6, 1)
+    # past the top degree k = n-3 there is no homology group to label
+    for fn, k in [(enumerate_p1, 3), (cardinality_p1, 3), (enumerate_p1, -1),
+                  (enumerate_p2, 3), (cardinality_p2, 3), (enumerate_p2, 9)]:
+        with pytest.raises(DomainError):
+            fn(5, k)
     with pytest.raises(DomainError):
         character_pset(6, 2, "p3")
     with pytest.raises(DomainError):

@@ -85,6 +85,42 @@ def test_repeated_flags_rejected():
         expand_relation(star, 0, (1,), (1,), (3,), (4,), 1)
 
 
+VERTEX_OUTSIDE_UNDER_O = """
+import sys
+from strata_lab.relations import expand_relation
+from strata_lab.trees import DomainError, MarkedTree, split_vertex, vertex_flags
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+t = MarkedTree.from_sides(6, [(5, 6)])
+here = vertex_flags(t)[0]
+for v in (-2, 2):
+    for call in (lambda: split_vertex(t, v, here[:2], here[2:]),
+                 lambda: expand_relation(t, v, *here[:4], 1)):
+        try:
+            call()
+        except DomainError:
+            continue
+        sys.exit(f"vertex {v} got through")
+"""
+
+
+@pytest.mark.parametrize("v", [-2, -1, 2, 9])
+def test_vertex_outside_the_tree_is_refused(v):
+    # with two vertices, -2 used to split vertex 0 and 2 to raise IndexError
+    t = MarkedTree.from_sides(6, [(5, 6)])
+    here = vertex_flags(t)[0]
+    assert len(vertex_flags(t)) == 2 and len(here) == 5
+    with pytest.raises(DomainError, match=f"no vertex {v} in a tree with 2"):
+        split_vertex(t, v, here[:2], here[2:])
+    with pytest.raises(DomainError, match=f"no vertex {v} in a tree with 2"):
+        expand_relation(t, v, *here[:4], 1)
+
+
+def test_vertex_outside_the_tree_is_refused_under_python_O():
+    _succeeds_under_O(VERTEX_OUTSIDE_UNDER_O)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         generate_relations(5, 2)  # k = n-3: no relations
@@ -231,10 +267,7 @@ def test_spanning_family_gives_the_same_quotient_basis():
     p = next(iter(prime_stream(5)))
     full = ModEchelon(p)
     full.add_rows(_full_rows(n, k))
-    want = quotient_basis(full, len(_index(n, k)))
-    have = h._quotient_basis(n, k, p)
-    assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
-    assert have.rows == want.rows
+    assert h._quotient_basis(n, k, p) == quotient_basis(full)
 
 
 @pytest.mark.parametrize("m", range(4, 10))
@@ -279,10 +312,7 @@ def test_site_basis_gives_the_same_quotient_basis_mod_a_pair(n, k):
     m = next(primes) * next(primes)
     full = ModEchelon(m)
     full.add_rows([r.row(idx) for r in rel_mod._relations(n, k, _through_two_least_flags)])
-    want = quotient_basis(full, len(idx))
-    have = h._quotient_basis(n, k, m)
-    assert (have.pivot_cols, have.free_cols) == (want.pivot_cols, want.free_cols)
-    assert have.rows == want.rows
+    assert h._quotient_basis(n, k, m) == quotient_basis(full)
 
 
 DOUBLED_ROW_UNDER_O = """
