@@ -75,11 +75,12 @@ from .exact_linalg import (
     quotient_basis,
     rank_bareiss,
 )
-from .relations import _bits_side, _site_basis, _sites
+from .relations import _site_basis, _sites
 from .trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
+    _bits_side,
     _filtration_key,
     _filtration_keys,
     enumerate_strata,

@@ -53,6 +53,7 @@ from .trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
+    _bits_side,
     _flags_at,
     enumerate_strata,
     split_vertex,
@@ -203,12 +204,6 @@ def _sites(n: int, k: int, template: Callable[[int], tuple]
                         f"dimension {k}")
                 trees.append(t)
             yield sigma, v, fl, trees, rows
-
-
-@lru_cache(maxsize=None)
-def _bits_side(bits: int) -> tuple[int, ...]:
-    """The sorted marks m with bit m set in bits."""
-    return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
 def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelation]:

@@ -15,7 +15,10 @@ How the splits hang together is worked out in one place, ``_vertex_pass``:
 one pass over the splits, larger first, gives the parent vertex of each
 split, the valence of each vertex and the vertex each mark sits at.  The
 vertex flags, the fat vertices (valence >= 4), the two sides of a
-level-2 tree and the filtration keys are all read off that pass.
+level-2 tree and the filtration keys are all read off that pass.  The
+two sides of a level-2 tree are mark bitmasks (bit m for mark m,
+`_two_vertex_bits`); sets are built from them only by the public
+`decompose_two_vertex`.
 
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
@@ -57,6 +60,12 @@ def _side_bits(n: int, s: Side) -> int:
             and s[0] >= 2 and s[-1] <= n and all(a < b for a, b in zip(s, s[1:]))):
         return sum(1 << m for m in s)
     return 0
+
+
+@lru_cache(maxsize=None)
+def _bits_side(bits: int) -> tuple[int, ...]:
+    """The sorted marks m with bit m set in bits."""
+    return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
 def _splits_valid(n: int, splits) -> bool:
@@ -249,26 +258,64 @@ def contract_edge(t: MarkedTree, side: Iterable[int]) -> MarkedTree:
     return MarkedTree(t.n, tuple(x for x in t.splits if x != s))
 
 
-def _fat_vertices(t: MarkedTree) -> tuple[list[int], list[int], int]:
-    """(valence, fat, c): the valences of _vertex_pass, the fat vertices
-    (valence >= 4) and, at level 2, the child c on the path between them.
+def _fat_vertices(t: MarkedTree) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """(parent, valence, owner, fat, c): the pass of _vertex_pass, the fat
+    vertices (valence >= 4) and, at level 2, the child c on the path
+    between them.
 
     At level 2, fat = [u, w] in order of decreasing split size (vertex 0
     counting as size n), so w is never above u; c is the child of u on the
     path to w, found by walking up from w, or 0 when u is not above w.
     """
     splits = t.splits
-    parent, valence, _ = _vertex_pass(t)
+    parent, valence, owner = _vertex_pass(t)
     fat = [v for v, val in enumerate(valence) if val >= 4]
     if len(fat) != 2:
-        return valence, fat, 0
+        return parent, valence, owner, fat, 0
     u, w = fat
     if u and len(splits[u - 1]) < len(splits[w - 1]):
         u, w = w, u
     c = w
     while c and parent[c] != u:
         c = parent[c]
-    return valence, [u, w], c
+    return parent, valence, owner, [u, w], c
+
+
+def _two_vertex_bits(t: MarkedTree, passed=None) -> tuple[int, int, int, int]:
+    """(P1, a1, P2, a2) of a level-2 tree, the sides as mark bitmasks: the
+    marks at the two fat vertices once the edges between them are cut, with
+    their excess valences a_i = val(v_i) - 3, ordered so min(P1) < min(P2).
+    passed is _fat_vertices(t) when the caller has it."""
+    _, valence, _, fat, c = passed or _fat_vertices(t)
+    if len(fat) != 2:
+        raise DomainError(f"expected filtration level 2, got level {len(fat)} tree")
+    n, splits = t.n, t.splits
+    u, w = fat
+    p2 = _side_bits(n, splits[w - 1])
+    if c:  # u above w: u keeps every mark outside c's side
+        p1 = ((1 << n + 1) - 2) ^ _side_bits(n, splits[c - 1])
+    else:
+        p1 = _side_bits(n, splits[u - 1])
+    a1, a2 = valence[u] - 3, valence[w] - 3
+    if p2 & -p2 < p1 & -p1:
+        p1, a1, p2, a2 = p2, a2, p1, a1
+    if a1 + a2 != t.k or p1.bit_count() < a1 + 2 or p2.bit_count() < a2 + 2:
+        raise TreeStructureError(f"fat vertices {a1}, {a2} do not fit {canonical_form(t)}")
+    return p1, a1, p2, a2
+
+
+def _flag_bits(t: MarkedTree, v: int, passed) -> list[int]:
+    """The flags at vertex v as mark bitmasks, in the order of
+    vertex_flags(t)[v] (the flags are disjoint, so by least mark); passed
+    is _fat_vertices(t)."""
+    parent, _, owner, _, _ = passed
+    n, splits = t.n, t.splits
+    flags = [_side_bits(n, s) for i, s in enumerate(splits, 1) if parent[i] == v]
+    if v:
+        flags.append(((1 << n + 1) - 2) ^ _side_bits(n, splits[v - 1]))
+    flags.extend(1 << m for m in range(1, n + 1) if owner[m] == v)
+    flags.sort(key=lambda f: f & -f)
+    return flags
 
 
 def decompose_two_vertex(t: MarkedTree):
@@ -278,19 +325,10 @@ def decompose_two_vertex(t: MarkedTree):
     vertices with their excess valences a_i = val(v_i) - 3, ordered so
     min(P1) < min(P2), plus the marks on the connecting subtree.
     """
-    valence, fat, c = _fat_vertices(t)
-    if len(fat) != 2:
-        raise DomainError(f"expected filtration level 2, got level {len(fat)} tree")
-    u, w = fat
-    full = frozenset(range(1, t.n + 1))
-    p2 = frozenset(t.splits[w - 1])
-    p1 = full - frozenset(t.splits[c - 1]) if c else frozenset(t.splits[u - 1])
-    a1, a2 = valence[u] - 3, valence[w] - 3
-    if min(p2) < min(p1):
-        p1, a1, p2, a2 = p2, a2, p1, a1
-    if a1 + a2 != t.k or len(p1) < a1 + 2 or len(p2) < a2 + 2:
-        raise TreeStructureError(f"fat vertices {a1}, {a2} do not fit {canonical_form(t)}")
-    return p1, a1, p2, a2, full - p1 - p2
+    p1, a1, p2, a2 = _two_vertex_bits(t)
+    mid = ((1 << t.n + 1) - 2) & ~(p1 | p2)
+    return (frozenset(_bits_side(p1)), a1, frozenset(_bits_side(p2)), a2,
+            frozenset(_bits_side(mid)))
 
 
 def _filtration_key(t: MarkedTree) -> int:
@@ -298,7 +336,7 @@ def _filtration_key(t: MarkedTree) -> int:
     connecting subtree, < n) counted at level 2 only; read off split
     sizes, without building a set."""
     n, splits = t.n, t.splits
-    _, fat, c = _fat_vertices(t)
+    _, _, _, fat, c = _fat_vertices(t)
     if len(fat) != 2:
         return n * len(fat)
     u, w = fat

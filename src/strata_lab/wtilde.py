@@ -12,6 +12,15 @@ checked at runtime to kill every relation modulo pairs of inner level
 rewrite_to_standard normalizes a level-2 tree within its homology class
 to the canonical representative of its pair fiber, recording a replayable
 move list (trivalent-subtree rearrangements and single relation swaps).
+
+Pairs and splits are worked on as mark bitmasks (bit m for mark m): a
+pair is the key (P1 bits, a1, P2 bits, a2), read off the tree by
+`trees._two_vertex_bits`, and `_half_units` gives 2 * wtilde(t) in ints
+over those keys.  A split is the bitmask of its side away from mark 1,
+and both the rewrite and apply_move change a tree's splits by one
+surgery, `_surgery`.  PairLabels, Fractions, frozensets and MarkedTrees
+are built from the bits only where a public function returns them, where
+the rewrite records a move, and for failure reports.
 """
 
 from __future__ import annotations
@@ -22,30 +31,39 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .psets import PairLabel, inner_level
+from .psets import PairLabel
 from .relations import KMRelation, _every_template, _sites
 from .trees import (
     DomainError,
     MarkedTree,
+    _bits_side,
+    _fat_vertices,
     _filtration_keys,
-    decompose_two_vertex,
+    _flag_bits,
+    _side_bits,
+    _two_vertex_bits,
     enumerate_strata,
-    filtration_level,
     forget_mark,
     vertex_flags,
 )
 
 PVector = dict  # PairLabel -> Fraction, exact, denominators are powers of 2
+PairBits = tuple  # (P1 bits, a1, P2 bits, a2) with min(P1) < min(P2)
 
 
 class RewriteError(RuntimeError):
     """A rewrite did not end at the standard form of its pair fiber."""
 
 
+def _pair_label(key: PairBits) -> PairLabel:
+    """The PairLabel of a pair on mark bitmasks."""
+    p1, a1, p2, a2 = key
+    return PairLabel(_bits_side(p1), a1, _bits_side(p2), a2)
+
+
 def w_map(t: MarkedTree) -> PairLabel:
     """Weighted pair of a level-2 tree: mark sets at the two fat vertices."""
-    p1, a1, p2, a2, _ = decompose_two_vertex(t)
-    return PairLabel.from_parts(p1, a1, p2, a2)
+    return _pair_label(_two_vertex_bits(t))
 
 
 def level1_partition(t: MarkedTree) -> tuple[frozenset, ...]:
@@ -78,36 +96,39 @@ def e_pi(pi: Iterable[Iterable[int]], gamma: PairLabel, s1: int | None = None) -
     return min(computed - gamma.a1, s2 - gamma.a2)
 
 
-_ONE, _HALF, _MINUS_HALF = Fraction(1), Fraction(1, 2), Fraction(-1, 2)
+def _half_units(t: MarkedTree) -> dict[PairBits, int]:
+    """2 * wtilde(t) in ints, keyed by pairs on mark bitmasks, in the order
+    wtilde gives them: 2 at the cut pair of a level-2 tree; at a level-1
+    tree, (-1)^e at each pair whose sides are unions of the flags at the fat
+    vertex (side 1 holding mark 1's flag), e = min(s1 - a1, s2 - a2) for
+    s_i flags making up side i; nothing at any other level."""
+    passed = _fat_vertices(t)
+    fat = passed[3]
+    if len(fat) == 2:
+        return {_two_vertex_bits(t, passed): 2}
+    if len(fat) != 1:
+        return {}
+    first, *rest = _flag_bits(t, fat[0], passed)
+    full = (1 << t.n + 1) - 2
+    k = t.k
+    out = {}
+    for r in range(len(rest) + 1):
+        s1, s2 = 1 + r, len(rest) - r
+        for chosen in combinations(rest, r):
+            p1 = first | sum(chosen)
+            p2 = full ^ p1
+            size1, size2 = p1.bit_count(), p2.bit_count()
+            for a1 in range(1, k):
+                a2 = k - a1
+                if size1 < a1 + 2 or size2 < a2 + 2:
+                    continue
+                out[p1, a1, p2, a2] = -1 if min(s1 - a1, s2 - a2) % 2 else 1
+    return out
 
 
 def wtilde(t: MarkedTree) -> PVector:
     """Signed rational image of a stratum in the space of weighted pairs."""
-    lvl = filtration_level(t)
-    if lvl == 2:
-        return {w_map(t): _ONE}
-    if lvl != 1:
-        return {}
-    parts = level1_partition(t)
-    k = t.k
-    out: PVector = {}
-    rest = parts[1:]
-    for r in range(len(rest) + 1):
-        for chosen in combinations(range(len(rest)), r):
-            side1 = set(parts[0])
-            for i in chosen:
-                side1 |= rest[i]
-            side2 = [rest[i] for i in range(len(rest)) if i not in chosen]
-            p2 = set().union(*side2) if side2 else set()
-            s1, s2 = 1 + r, len(rest) - r
-            for a1 in range(1, k):
-                a2 = k - a1
-                if len(side1) < a1 + 2 or len(p2) < a2 + 2:
-                    continue
-                e = min(s1 - a1, s2 - a2)
-                gamma = PairLabel.from_parts(side1, a1, p2, a2)
-                out[gamma] = _MINUS_HALF if e % 2 else _HALF
-    return out
+    return {_pair_label(key): Fraction(h, 2) for key, h in _half_units(t).items()}
 
 
 def wtilde_relation(rel: KMRelation) -> PVector:
@@ -127,16 +148,19 @@ class HalfIntegerError(ArithmeticError):
     """A value of wtilde lies outside (1/2)Z, the lattice the killing check sums in."""
 
 
-def _covering_half_units(t: MarkedTree, n: int) -> dict[PairLabel, int]:
-    """2 * wtilde(t) on the pairs of inner level 0, as ints; a value may
-    be a Fraction or an int."""
+def _covering_image(t: MarkedTree, full: int, number: dict[PairBits, int]) -> dict[int, int]:
+    """_half_units(t) on the pairs of inner level 0 (P1 | P2 == full), each
+    pair given by its number in `number`, where a new pair takes the next
+    one.  A value that is not an integer raises HalfIntegerError."""
     out = {}
-    for gamma, q in wtilde(t).items():
-        if inner_level(gamma, n) == 0:
-            den = q.denominator
-            if 2 % den:
-                raise HalfIntegerError(f"wtilde({t}) has coefficient {q} at {gamma}")
-            out[gamma] = q.numerator * (2 // den)
+    for key, h in _half_units(t).items():
+        if key[0] | key[2] == full:
+            if type(h) is not int:
+                if getattr(h, "denominator", None) != 1:
+                    raise HalfIntegerError(
+                        f"wtilde({t}) has coefficient {h}/2 at {_pair_label(key)}")
+                h = int(h)
+            out[number.setdefault(key, len(number))] = h
     return out
 
 
@@ -174,19 +198,20 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     (every value of wtilde lies in (1/2)Z; HalfIntegerError otherwise),
     with its pairs numbered in order of appearance, and each relation is
     summed in integers over the local ids of its site's template splits.
+    PairLabels are built only for the residual of a failure.
     """
     if not 2 <= k <= n - 4:
         raise DomainError(f"check needs 2 <= k <= n-4, got ({n}, {k})")
     report = KilledReport(n, k, 0)
-    number: dict[PairLabel, int] = {}  # pair -> its position in the dict
+    full = (1 << n + 1) - 2
+    number: dict[PairBits, int] = {}  # pair -> its position in the dict
     images: dict[MarkedTree, dict[int, int]] = {}
     for sigma, v, fl, trees, rows in _sites(n, k, _every_template):
         local = []
         for t in trees:
             img = images.get(t)
             if img is None:
-                img = images[t] = {number.setdefault(gamma, len(number)): h
-                                   for gamma, h in _covering_half_units(t, n).items()}
+                img = images[t] = _covering_image(t, full, number)
             local.append(img)
         report.relations += len(rows)
         for quad, pairing, row in rows:
@@ -200,7 +225,7 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
                         acc.pop(g, None)
             if acc:
                 pairs = list(number)
-                residual = {pairs[g]: Fraction(h, 2) for g, h in acc.items()}
+                residual = {_pair_label(pairs[g]): Fraction(h, 2) for g, h in acc.items()}
                 report.max_residual = max(
                     report.max_residual, *(abs(q) for q in residual.values())
                 )
@@ -248,23 +273,22 @@ def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
     report = SquareReport(n, k, b, 0)
     key = 2 * (n + 1) + b + 1  # level 2, inner level b+1, on n+1 marks
+    last = 1 << n + 1
     for sigma, sigma_key in zip(enumerate_strata(n + 1, k), _filtration_keys(n + 1, k)):
         if sigma_key != key:
             continue
-        p1, a1, p2, a2, mid = decompose_two_vertex(sigma)
+        pair = _two_vertex_bits(sigma)
         report.checked += 1
-        pair = PairLabel.from_parts(p1, a1, p2, a2)
-        pair_route = None if (n + 1) in (set(p1) | set(p2)) else pair
-        tree_route = None
-        if (n + 1) in mid:
-            image, _ = forget_mark(sigma)
-            tree_route = w_map(image)
-        if pair_route != tree_route:
+        if (pair[0] | pair[2]) & last:
+            continue  # the last mark sits at a fat vertex: both routes are zero
+        image, _ = forget_mark(sigma)
+        tree_route = _two_vertex_bits(image)
+        if pair != tree_route:
             report.mismatches.append(
                 {
                     "sigma": sigma.to_obj(),
-                    "pair_route": pair_route.to_obj() if pair_route else None,
-                    "tree_route": tree_route.to_obj() if tree_route else None,
+                    "pair_route": _pair_label(pair).to_obj(),
+                    "tree_route": _pair_label(tree_route).to_obj(),
                 }
             )
     return report
@@ -298,6 +322,8 @@ class RewriteMove:
 
     @staticmethod
     def from_obj(obj: dict) -> "RewriteMove":
+        if obj["kind"] not in ("rearrange", "km_swap"):
+            raise DomainError(f"unknown move kind {obj['kind']!r}")
         if obj["kind"] == "rearrange":
             region = (obj["region"][0],) + tuple(
                 frozenset(x) for x in obj["region"][1:]
@@ -316,50 +342,94 @@ class RewriteMove:
         )
 
 
-def _comb_sides(marks: Iterable[int]) -> list[frozenset]:
-    """Edge sides of the canonical caterpillar hanging a sorted mark list."""
-    ms = sorted(marks)
-    return [frozenset(ms[i:]) for i in range(len(ms) - 1)] if len(ms) >= 2 else []
+def _comb_bits(x: int) -> list[int]:
+    """Sides of the caterpillar combing the marks of x in ascending order:
+    x, then x less its least mark, and so on down to its last two marks."""
+    out = []
+    while x & (x - 1):
+        out.append(x)
+        x &= x - 1
+    return out
 
 
-def _strictly_inside(side: frozenset, other: frozenset, region: tuple) -> bool:
-    if region[0] == "hanging":
-        (m,) = region[1:]
-        return side < m or other < m
-    _, p1, mid = region[0], region[1], region[2]
-    span = p1 | mid
-    for s in (side, other):
-        if s <= mid:
-            return True
-        if p1 < s < span:
-            return True
-    return False
+def _least_marks(x: int, count: int) -> int:
+    """The `count` least marks of x."""
+    rest = x
+    for _ in range(count):
+        rest &= rest - 1
+    return x ^ rest
 
 
-def _apply_rearrange(t: MarkedTree, region: tuple, sides) -> MarkedTree:
-    full = frozenset(range(1, t.n + 1))
-    kept = [
-        s
-        for s in t.splits
-        if not _strictly_inside(frozenset(s), full - frozenset(s), region)
-    ]
-    return MarkedTree.from_sides(t.n, kept + [tuple(sorted(s)) for s in sides])
+def _middle_chain(p1: int, mid: int) -> list[int]:
+    """Sides of the middle marks combed in ascending order away from side
+    1: P1 plus the i least marks of mid, for i = 1 .. |mid| - 1."""
+    out, rest = [], mid
+    while rest & (rest - 1):
+        rest &= rest - 1
+        out.append(p1 | mid ^ rest)
+    return out
+
+
+def _tree(n: int, family) -> MarkedTree:
+    """The (validated) tree whose splits have the given side bitmasks."""
+    return MarkedTree(n, tuple(sorted(map(_bits_side, family))))
+
+
+def _surgery(family: list[int], full: int, kind: str, where, sides) -> list[int]:
+    """The splits of a tree after one move, each the bitmask of its side
+    away from mark 1: a "rearrange" drops every split strictly inside the
+    region `where`, ("hanging", M) or ("middle", P1, mid), and a "km_swap"
+    the one split `where`; both then add `sides`, given in either
+    orientation.  DomainError when the split a swap drops is missing."""
+    if kind == "rearrange":
+        if where[0] == "hanging":
+            (m,) = where[1:]
+
+            def inside(x):  # strictly inside M
+                return x & m == x and x != m
+        else:
+            p1, mid = where[1], where[2]
+            span = p1 | mid
+
+            def inside(x):  # within the middle, or strictly between P1 and P1 + middle
+                return x & mid == x or (x & p1 == p1 and x != p1 and x & span == x and x != span)
+
+        kept = [s for s in family if not (inside(s) or inside(full ^ s))]
+    else:
+        edge = full ^ where if where & 2 else where
+        if edge not in family:
+            raise DomainError("swap edge not present; moves replayed out of order?")
+        kept = [s for s in family if s != edge]
+    return kept + [full ^ x if x & 2 else x for x in sides]
+
+
+def _marks_bits(marks, full: int) -> int:
+    """Bitmask of the marks of a move payload; DomainError for a mark outside
+    the tree's marks (the bits of full)."""
+    bits = 0
+    for m in marks:
+        if type(m) is not int or not 0 < m < full.bit_length():
+            raise DomainError(f"move mark {m!r} is not a mark in 1..{full.bit_length() - 1}")
+        bits |= 1 << m
+    return bits
 
 
 def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
     """Replay one recorded move on a tree."""
+    n = t.n
+    full = (1 << n + 1) - 2
+    family = [_side_bits(n, s) for s in t.splits]
     if move.kind == "rearrange":
         region, sides = move.payload
-        return _apply_rearrange(t, region, sides)
-    if move.kind != "km_swap":
+        where = (region[0], *(_marks_bits(x, full) for x in region[1:]))
+        after = _surgery(family, full, "rearrange", where, [_marks_bits(s, full) for s in sides])
+    elif move.kind == "km_swap":
+        e, a, _, c = move.payload
+        after = _surgery(family, full, "km_swap", _marks_bits(e, full),
+                         [_marks_bits(a, full) | _marks_bits(c, full)])
+    else:
         raise DomainError(f"unknown move kind {move.kind!r}")
-    e, a, b, c = move.payload
-    full = frozenset(range(1, t.n + 1))
-    e_norm = tuple(sorted(e if 1 not in e else full - e))
-    if e_norm not in t.splits:
-        raise DomainError("swap edge not present; moves replayed out of order?")
-    kept = [s for s in t.splits if s != e_norm]
-    return MarkedTree.from_sides(t.n, kept + [tuple(sorted(a | c))])
+    return _tree(n, after)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -367,30 +437,37 @@ def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     """Canonical level-2 tree in the fiber of a weighted pair: the first
     a_i + 1 marks of each side sit at the fat vertex, everything else is
     combed into caterpillars, middle marks ascending away from side 1."""
-    sides: set[frozenset] = set()
-    mid = sorted(set(range(1, n + 1)) - set(pair.p1) - set(pair.p2))
-    for p, a in ((pair.p1, pair.a1), (pair.p2, pair.a2)):
-        rest = list(p[a + 1 :])
-        sides.update(_comb_sides(rest))
-        sides.add(frozenset(p))
-    for i in range(1, len(mid)):
-        sides.add(frozenset(pair.p1) | frozenset(mid[:i]))
-    full = frozenset(range(1, n + 1))
-    norm = {frozenset(s) if 1 not in s else full - frozenset(s) for s in sides}
-    return MarkedTree.from_sides(n, (tuple(sorted(s)) for s in norm))
+    full = (1 << n + 1) - 2
+    p1, p2 = (sum(1 << m for m in p) for p in (pair.p1, pair.p2))
+    sides = {p1, p2, *_middle_chain(p1, full & ~(p1 | p2))}
+    for p, a in ((p1, pair.a1), (p2, pair.a2)):
+        sides.update(_comb_bits(p & ~_least_marks(p, a + 1)))
+    return _tree(n, {full ^ x if x & 2 else x for x in sides})
 
 
-def _fat_vertex_flags(t: MarkedTree, p_side: frozenset):
-    """Flags at the fat vertex whose cut component is p_side, plus its
-    outward flag (the one pointing at the rest of the tree)."""
-    full = frozenset(range(1, t.n + 1))
-    for fl in vertex_flags(t):
-        if len(fl) < 4:
-            continue
-        outward = [f for f in fl if not frozenset(f) <= p_side]
-        if len(outward) == 1 and full - frozenset(outward[0]) == p_side:
-            return fl, outward[0]
-    raise DomainError(f"no fat vertex with component {sorted(p_side)}")
+def _component_flags(family: list[int], full: int, p: int) -> list[int]:
+    """The flags other than full ^ p at the fat vertex whose cut component
+    is p, as mark bitmasks: the largest sides strictly inside p, then the
+    marks of p under none of them.  DomainError when the edge cutting p off
+    is missing or the vertex at its p end has valence < 4."""
+    inside = sorted((x for s in family for x in (s, full ^ s) if x & p == x and x != p),
+                    key=int.bit_count, reverse=True)
+    flags, covered = [], 0
+    for x in inside:  # nested or disjoint: a side is largest iff it misses the larger ones
+        if not x & covered:
+            flags.append(x)
+            covered |= x
+    rest = p & ~covered
+    while rest:
+        flags.append(rest & -rest)
+        rest &= rest - 1
+    if (full ^ p if p & 2 else p) not in family or len(flags) < 3:
+        raise DomainError(f"no fat vertex with component {list(_bits_side(p))}")
+    return flags
+
+
+def _sets(bits) -> tuple[frozenset, ...]:
+    return tuple(frozenset(_bits_side(x)) for x in bits)
 
 
 def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
@@ -398,56 +475,57 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
 
     Each swap strictly increases the number of required marks incident to
     the fat vertex being processed, so the move list is finite; replaying
-    it from t reproduces the returned tree exactly.
+    it from t reproduces the returned tree exactly.  The rewrite works on
+    the splits as bitmasks and builds one tree per recorded move; a
+    rearrange that changes no split is not recorded.
     """
-    pair = w_map(t)
+    n = t.n
+    full = (1 << n + 1) - 2
+    pair = _two_vertex_bits(t)
+    p1, a1, p2, a2 = pair
+    family = [_side_bits(n, s) for s in t.splits]
     moves: list[RewriteMove] = []
     cur = t
 
-    def do_rearrange(region, sides):
-        nonlocal cur
-        nxt = _apply_rearrange(cur, region, sides)
-        if nxt != cur:
-            moves.append(RewriteMove("rearrange", (region, tuple(sides))))
-            cur = nxt
+    def rearrange(where, sides):
+        nonlocal family, cur
+        after = _surgery(family, full, "rearrange", where, sides)
+        if sorted(after) == sorted(family):
+            return
+        family, cur = after, _tree(n, after)
+        region = (where[0], *_sets(where[1:]))
+        moves.append(RewriteMove("rearrange", (region, _sets(sides))))
 
-    for p, a in ((pair.p1, pair.a1), (pair.p2, pair.a2)):
-        p_side = frozenset(p)
-        required = set(p[: a + 1])
+    for p, a in ((p1, a1), (p2, a2)):
+        required = _least_marks(p, a + 1)
         while True:
-            flags, _ = _fat_vertex_flags(cur, p_side)
-            incident = {f[0] for f in flags if len(f) == 1}
-            missing = sorted(required - incident)
+            flags = _component_flags(family, full, p)
+            incident = 0
+            for f in flags:
+                if not f & (f - 1):
+                    incident |= f
+            missing = required & ~incident
             if not missing:
                 break
-            m = missing[0]
-            e_set = frozenset(next(f for f in flags if m in f))
-            # put m right behind the edge, rest of the subtree combed
-            do_rearrange(("hanging", e_set), tuple(_comb_sides(e_set - {m})))
-            flags, outward = _fat_vertex_flags(cur, p_side)
-            eligible = [
-                f
-                for f in flags
-                if frozenset(f) not in (e_set, frozenset(outward))
-                and not (len(f) == 1 and f[0] in required)
-            ]
-            c_set = frozenset(max(eligible))
-            a_set = e_set - {m}
-            swap = RewriteMove("km_swap", (e_set, a_set, m, c_set))
-            moves.append(swap)
-            cur = apply_move(cur, swap)
+            m_bit = missing & -missing
+            e = next(f for f in flags if f & m_bit)
+            # put m right behind the edge, rest of the subtree combed; the
+            # flags at the fat vertex lie outside e, so they stay as they are
+            rearrange(("hanging", e), _comb_bits(e ^ m_bit))
+            eligible = [f for f in flags if f != e and not (f & required and not f & (f - 1))]
+            c = max(eligible, key=lambda f: f & -f)  # flags are disjoint: by least mark
+            e_set, a_set, c_set = _sets((e, e ^ m_bit, c))
+            moves.append(RewriteMove("km_swap", (e_set, a_set, m_bit.bit_length() - 1, c_set)))
+            family = _surgery(family, full, "km_swap", e, [e ^ m_bit | c])
+            cur = _tree(n, family)
         # comb the leftover subtree of this side (its own edge is the boundary)
-        leftover = p_side - required
-        if len(leftover) >= 3:
-            do_rearrange(("hanging", leftover), tuple(_comb_sides(leftover)[1:]))
-    mid = frozenset(range(1, cur.n + 1)) - frozenset(pair.p1) - frozenset(pair.p2)
+        leftover = p & ~required
+        if leftover.bit_count() >= 3:
+            rearrange(("hanging", leftover), _comb_bits(leftover)[1:])
+    mid = full & ~(p1 | p2)
     if mid:
-        chain = tuple(
-            frozenset(pair.p1) | frozenset(sorted(mid)[:i])
-            for i in range(1, len(mid))
-        )
-        do_rearrange(("middle", frozenset(pair.p1), mid), chain)
-    expected = standard_tree(cur.n, pair)
+        rearrange(("middle", p1, mid), _middle_chain(p1, mid))
+    expected = standard_tree(n, _pair_label(pair))
     if cur != expected:
         raise RewriteError(f"rewrite ended at {cur} instead of {expected}")
     return cur, moves

@@ -251,6 +251,58 @@ def brute_force_filtration_key(n: int, splits) -> int:
     return 2 * n + n - sum(kept)
 
 
+def brute_force_two_vertex(n: int, splits):
+    """(P1, a1, P2, a2) of a tree with exactly two fat vertices, None for any
+    other tree; from brute_force_vertex_flags.  P_i is the marks behind the
+    flags at the i-th fat vertex other than the one toward the other, a_i
+    its valence less 3, and the sides are ordered by least mark."""
+    fat = [f for f in brute_force_vertex_flags(n, splits) if len(f) >= 4]
+    if len(fat) != 2:
+        return None
+    sides = []
+    for here, there in (fat, fat[::-1]):
+        toward = next(set(f) for f in here if not any(set(f) <= set(g) for g in there))
+        sides.append((tuple(sorted(set(range(1, n + 1)) - toward)), len(here) - 3))
+    (p1, a1), (p2, a2) = sorted(sides)
+    return p1, a1, p2, a2
+
+
+def reference_wtilde(n: int, splits) -> dict:
+    """The signed pair map as the library computed it in Fractions before
+    its half-unit core, with the structure of the tree taken from
+    brute_force_vertex_flags and brute_force_two_vertex: {pair: 1} at level
+    2, a sum over the covering pairs refined by the fat vertex with
+    coefficient (-1)^e / 2 at level 1, {} at any other level, pairs in the
+    same order."""
+    from strata_lab.psets import PairLabel
+
+    fat = [f for f in brute_force_vertex_flags(n, splits) if len(f) >= 4]
+    if len(fat) == 2:
+        return {PairLabel.from_parts(*brute_force_two_vertex(n, splits)): Fraction(1)}
+    if len(fat) != 1:
+        return {}
+    parts = [frozenset(f) for f in fat[0]]
+    k = n - 3 - len(splits)
+    out = {}
+    rest = parts[1:]
+    for r in range(len(rest) + 1):
+        for chosen in combinations(range(len(rest)), r):
+            side1 = set(parts[0])
+            for i in chosen:
+                side1 |= rest[i]
+            side2 = [rest[i] for i in range(len(rest)) if i not in chosen]
+            p2 = set().union(*side2) if side2 else set()
+            s1, s2 = 1 + r, len(rest) - r
+            for a1 in range(1, k):
+                a2 = k - a1
+                if len(side1) < a1 + 2 or len(p2) < a2 + 2:
+                    continue
+                e = min(s1 - a1, s2 - a2)
+                gamma = PairLabel.from_parts(side1, a1, p2, a2)
+                out[gamma] = Fraction(-1, 2) if e % 2 else Fraction(1, 2)
+    return out
+
+
 def certify_prime_by_prime(compute, seed: int = 0, what: str = "value",
                            lower_bound: bool = False, read=lambda value, p: value):
     """Reference for `exact_linalg.certified_value`: the same rules, with

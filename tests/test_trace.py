@@ -9,21 +9,37 @@ import strata_lab
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_benchmark_worker_sees_every_layer(tmp_path):
-    """A traced filtration-n8 run of the benchmark worker passes its oracles
-    and charges calls to the elimination and to the quotient basis: a rename
-    that unhooks a traced function would zero its per-layer metric."""
+def _traced_worker_run(tmp_path, workload: str) -> dict:
+    """The result of one traced library run of the benchmark worker at seed
+    0, after checking that it exited cleanly and that no operation failed."""
     src = str(Path(strata_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = tmp_path / "worker.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "library", "filtration-n8",
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "library", workload,
          "--seed", "0", "--out", str(out), "--trace"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert result["failed"] == 0, result["raised"] + result["wrong"]
-    agg = result["trace"]["agg"]
+    return result
+
+
+def test_traced_benchmark_worker_sees_every_layer(tmp_path):
+    """A traced filtration-n8 run of the benchmark worker passes its oracles
+    and charges calls to the elimination and to the quotient basis: a rename
+    that unhooks a traced function would zero its per-layer metric."""
+    agg = _traced_worker_run(tmp_path, "filtration-n8")["trace"]["agg"]
     for name in ("exact_linalg.eliminate", "exact_linalg.quotient_basis"):
+        assert agg.get(name, [0])[0] > 0, name
+
+
+def test_traced_pairs_worker_sees_the_pair_map_checks(tmp_path):
+    """A traced pairs-n8 run passes its oracles and charges calls to the
+    killing check, the rewrite and the forgetful square, which the
+    per-layer metrics wtilde.killed_s, rewrite_s and square_s read."""
+    agg = _traced_worker_run(tmp_path, "pairs-n8")["trace"]["agg"]
+    for name in ("wtilde.verify_relations_killed", "wtilde.rewrite_to_standard",
+                 "wtilde.verify_forgetful_square"):
         assert agg.get(name, [0])[0] > 0, name

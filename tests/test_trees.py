@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import brute_force_strata, brute_force_vertex_flags
+from oracles import brute_force_strata, brute_force_two_vertex, brute_force_vertex_flags
 from test_homology import _succeeds_under_O
 
 from strata_lab import trees
@@ -279,6 +279,27 @@ def test_decompose_invariants_over_all_level2():
                 assert len(p1) >= a1 + 2 and len(p2) >= a2 + 2
                 assert min(p1) < min(p2)
                 assert p1 | p2 | mid == set(range(1, n + 1))
+
+
+def _two_vertex_or_none(t):
+    try:
+        p1, a1, p2, a2 = trees._two_vertex_bits(t)
+    except DomainError:
+        return None
+    return trees._bits_side(p1), a1, trees._bits_side(p2), a2
+
+
+def test_two_vertex_bits_match_the_brute_force_flags():
+    # every tree at n <= 7 and at (8, 2..4), and every tree of (9,3): the
+    # level-2 ones decompose as the oracle does, the others raise
+    cases = [(n, k) for n in range(3, 8) for k in range(n - 2)] + [(8, 2), (8, 3), (8, 4), (9, 3)]
+    level2 = 0
+    for n, k in cases:
+        for t in enumerate_strata(n, k):
+            want = brute_force_two_vertex(n, t.splits)
+            assert _two_vertex_or_none(t) == want, t
+            level2 += want is not None
+    assert level2 > 0
 
 
 def test_decompose_rejects_wrong_level():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -5,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import brute_force_filtration_key
+from oracles import brute_force_filtration_key, reference_wtilde
 from test_homology import _succeeds_under_O
 
 from strata_lab.homology import class_equal, graded_class_equal
@@ -83,6 +84,15 @@ def test_wtilde_level1_example():
     assert img == want
 
 
+def test_wtilde_matches_the_fraction_reference_in_order():
+    # the half-unit core read as Fractions is the old Fraction map, pair by
+    # pair and in the same iteration order, on every tree with k >= 2
+    for n in range(5, 9):
+        for k in range(2, n - 2):
+            for t in enumerate_strata(n, k):
+                assert list(wtilde(t).items()) == list(reference_wtilde(n, t.splits).items()), t
+
+
 def test_wtilde_level1_coefficients_from_e_pi():
     t = MarkedTree.from_sides(7, [(6, 7)])  # 6-valent vertex, k = 3
     pi = level1_partition(t)
@@ -139,12 +149,14 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
     module = sys.modules["strata_lab.wtilde"]
     n, k = 7, 2
     bad = next(t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and wtilde(t))
+    real = module._half_units
 
     def flipped(t):
-        img = wtilde(t)
-        return {g: -q for g, q in img.items()} if t == bad else img
+        img = real(t)
+        return {g: -h for g, h in img.items()} if t == bad else img
 
-    monkeypatch.setattr(module, "wtilde", flipped)
+    # wtilde is the view of the half-unit core, so it sees the flip too
+    monkeypatch.setattr(module, "_half_units", flipped)
     rep = verify_relations_killed(n, k)
     # the image of a level-1 tree lies in inner level 0, so every relation
     # through it, and no other, is left with a residual: the covering part
@@ -184,12 +196,12 @@ def _killed_reference(n, k):
 def test_killing_report_matches_the_relation_by_relation_reference(monkeypatch, n, k, flip):
     module = sys.modules["strata_lab.wtilde"]
     if flip:
-        real = wtilde
+        real = module._half_units
         bad = {t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and real(t)}
         bad = set(sorted(bad)[::7])
         monkeypatch.setattr(
-            module, "wtilde",
-            lambda t: {g: -q for g, q in real(t).items()} if t in bad else real(t))
+            module, "_half_units",
+            lambda t: {g: -h for g, h in real(t).items()} if t in bad else real(t))
     have = verify_relations_killed(n, k).to_obj()
     assert bool(have["failures"]) == flip
     # json.dumps keeps dict order: failures and residuals in the same order
@@ -216,9 +228,11 @@ from strata_lab.trees import enumerate_strata, filtration_level
 module = sys.modules["strata_lab.wtilde"]
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-wtilde = module.wtilde
-bad = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 1 and wtilde(t))
-module.wtilde = lambda t: {g: Fraction(1, 3) for g in wtilde(t)} if t == bad else wtilde(t)
+half_units = module._half_units
+bad = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 1 and half_units(t))
+# 2 * (1/3): a value of wtilde outside (1/2)Z
+module._half_units = lambda t: ({g: Fraction(2, 3) for g in half_units(t)} if t == bad
+                                else half_units(t))
 try:
     module.verify_relations_killed(6, 2)
 except module.HalfIntegerError:
@@ -234,17 +248,25 @@ def test_killing_check_refuses_a_third_under_python_O():
 @pytest.mark.parametrize("value, half_units", [
     (Fraction(1), 2), (Fraction(-1, 2), -1), (3, 6), (-2, -4), (Fraction(1, 4), None)])
 def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
+    # value is a value of wtilde; the core holds it as 2 * value, which the
+    # killing check must take as an int, or refuse when it is no integer
     module = sys.modules["strata_lab.wtilde"]
     n = 6
+    full = (1 << n + 1) - 2
     t = MarkedTree.from_sides(n, [(4, 5, 6)])
     gamma = PairLabel.from_parts([1, 2, 3], 1, [4, 5, 6], 1)
     assert inner_level(gamma, n) == 0
-    monkeypatch.setattr(module, "wtilde", lambda tree: {gamma: value})
+    key = next(iter(module._half_units(t)))
+    assert module._pair_label(key) == gamma
+    monkeypatch.setattr(module, "_half_units", lambda tree: {key: 2 * value})
+    number = {}
     if half_units is None:
         with pytest.raises(module.HalfIntegerError):
-            module._covering_half_units(t, n)
+            module._covering_image(t, full, number)
     else:
-        assert module._covering_half_units(t, n) == {gamma: half_units}
+        img = module._covering_image(t, full, number)
+        assert img == {0: half_units} and type(img[0]) is int
+        assert number == {key: 0}
 
 
 def test_wtilde_relation_linearity():
@@ -282,16 +304,17 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     n, k = 7, 2
     keys = _filtration_keys(n + 1, k)
     calls = []
+    real = w._two_vertex_bits
 
-    def counting(t):
+    def counting(t, *args):
         calls.append(t)
-        return decompose_two_vertex(t)
+        return real(t, *args)
 
-    monkeypatch.setattr(w, "decompose_two_vertex", counting)
+    monkeypatch.setattr(w, "_two_vertex_bits", counting)
     for b in range(n - k - 3):
         calls.clear()
         rep = verify_forgetful_square(n, k, b)
-        # w_map decomposes the n-marked images too; count the (n+1)-marked trees
+        # the n-marked images are decomposed too; count the (n+1)-marked trees
         selected = [t for t in calls if t.n == n + 1]
         assert rep.passed and len(selected) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
 
@@ -380,6 +403,61 @@ def test_rewrite_moves_preserve_invariants():
             assert filtration_level(cur) == 2
             assert w_map(cur) == pair
             assert len(decompose_two_vertex(cur)[4]) == b
+
+
+# sha256 over the move lists of every level-2 tree at n, k = 2..n-4 in
+# enumeration order, each list as compact JSON of [m.to_obj() for m in moves];
+# recorded before the rewrite worked on split bitmasks
+MOVE_DIGESTS = {
+    7: "607ebf49ff685d9c41c8c604573572606c7c17e2cb354c9782bedfabf44f184b",
+    8: "0ed9cd87b57cafff790c36a2aa4f89333296f98f99e329d391a904b975d5a5c3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MOVE_DIGESTS))
+def test_rewrite_move_lists_are_unchanged(n):
+    h = hashlib.sha256()
+    for k in range(2, n - 3):
+        for t in enumerate_strata(n, k):
+            if filtration_level(t) == 2:
+                moves = rewrite_to_standard(t)[1]
+                h.update(json.dumps([m.to_obj() for m in moves], separators=(",", ":")).encode())
+    assert h.hexdigest() == MOVE_DIGESTS[n]
+
+
+def test_rewrite_builds_one_tree_per_recorded_move(monkeypatch):
+    n = 7
+    pool = [t for k in range(2, n - 3) for t in enumerate_strata(n, k) if filtration_level(t) == 2]
+    for t in pool:
+        standard_tree(n, w_map(t))  # cached: the end check builds nothing below
+    built = []
+    real = MarkedTree.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(MarkedTree, "__post_init__", counting)
+    recorded = 0
+    for t in pool:
+        built.clear()
+        sigma0, moves = rewrite_to_standard(t)
+        # a no-op rearrange builds nothing, each recorded move one tree
+        assert len(built) == len(moves), t
+        assert (built[-1] if moves else t) is sigma0
+        recorded += len(moves)
+    assert recorded > 0
+
+
+def test_unknown_move_kinds_and_marks_are_refused():
+    with pytest.raises(DomainError, match="unknown move kind 'swap'"):
+        RewriteMove.from_obj({"kind": "swap", "e": [2, 3], "a": [2], "b": 3, "c": [4]})
+    t = MarkedTree.from_sides(8, [(2, 6), (2, 6, 7, 8)])
+    with pytest.raises(DomainError, match="unknown move kind"):
+        apply_move(t, RewriteMove("swap", (frozenset({2, 6}), frozenset({2}), 6, frozenset({7}))))
+    with pytest.raises(DomainError, match="move mark 9"):
+        apply_move(t, RewriteMove("km_swap", (frozenset({2, 6}), frozenset({2}), 6,
+                                              frozenset({9}))))
 
 
 def test_move_serialization_round_trip():
