@@ -44,7 +44,6 @@ from .trees import (  # noqa: F401
 from .wtilde import (  # noqa: F401
     RewriteMove,
     apply_move,
-    e_pi,
     rewrite_to_standard,
     standard_tree,
     verify_forgetful_square,

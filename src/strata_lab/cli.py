@@ -82,12 +82,19 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    from .cache import cached
+    from .cache import cached, default_cache_dir
 
     n, seed = args.n, args.seed
     ks = [args.k] if args.k is not None else list(range(n - 2))
     if not ks:
         raise DomainError(f"no homology group for n={n}")
+    if not args.exact:  # before any work: a directory that cannot be made is refused
+        cache_dir = args.cache_dir or default_cache_dir()
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"cannot create cache directory {cache_dir}: "
+                              f"{exc.strerror or exc}") from None
     rows = []
     for k in ks:
         if args.exact:
@@ -95,7 +102,7 @@ def cmd_betti(args) -> int:
             b = len(enumerate_strata(n, k)) - rank
         else:
             b = cached("betti", {"n": n, "k": k, "seed": seed},
-                       lambda: betti(n, k, seed), args.cache_dir)
+                       lambda: betti(n, k, seed), cache_dir)
         rows.append({"n": n, "k": k, "betti": b})
     _emit_table(rows, args.format)
     return EXIT_OK

@@ -80,9 +80,12 @@ from .trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
+    _away,
     _bits_side,
     _filtration_key,
     _filtration_keys,
+    _full,
+    _marks_bits,
     enumerate_strata,
 )
 
@@ -305,14 +308,12 @@ def _side_images(n: int, g: tuple[int, ...]) -> dict[tuple, tuple]:
     """The image under g (g[m-1] the image of mark m) of every side of n
     marks: its marks moved by g, as the side away from mark 1.  One table
     per (n, g), shared by every k and every modulus."""
-    full = (1 << n + 1) - 2
+    full = _full(n)
     images = {}
     for size in range(2, n - 1):
         for side in combinations(range(2, n + 1), size):
-            bits = 0
-            for m in side:
-                bits |= 1 << g[m - 1]
-            images[side] = _bits_side(full ^ bits if bits & 2 else bits)
+            bits = _marks_bits((g[m - 1] for m in side), n)
+            images[side] = _bits_side(_away(bits, full))
     return images
 
 

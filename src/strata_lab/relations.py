@@ -55,9 +55,9 @@ from .trees import (
     TreeStructureError,
     _bits_side,
     _flags_at,
+    _vertex_flag_bits,
     enumerate_strata,
     split_vertex,
-    vertex_flags,
 )
 
 Side = tuple
@@ -176,19 +176,19 @@ def _sites(n: int, k: int, template: Callable[[int], tuple]
     template's split keys[i], the object enumerate_strata(n, k) holds.  The
     flags partition the marks and sort as tuples, so fl[0] holds mark 1 and
     the side of a split away from fl[0] is its new edge's side as
-    MarkedTree records it.
+    MarkedTree records it.  The flags are read as mark bitmasks
+    (`trees._vertex_flag_bits`); fl is built only for the sites yielded.
     """
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
     strata = {t.splits: t for t in enumerate_strata(n, k)}
     for sigma in enumerate_strata(n, k + 1):
         splits = sigma.splits
-        for v, fl in enumerate(vertex_flags(sigma)):
-            m = len(fl)
+        for v, marks in enumerate(_vertex_flag_bits(sigma)):
+            m = len(marks)
             if m < 4:
                 continue
             keys, rows = template(m)
-            marks = [sum(1 << x for x in f) for f in fl]
             trees = []
             for key in keys:
                 bits = 0
@@ -203,7 +203,7 @@ def _sites(n: int, k: int, template: Callable[[int], tuple]
                         f"splitting vertex {v} of {sigma} along {side} gives no stratum of "
                         f"dimension {k}")
                 trees.append(t)
-            yield sigma, v, fl, trees, rows
+            yield sigma, v, tuple(map(_bits_side, marks)), trees, rows
 
 
 def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelation]:

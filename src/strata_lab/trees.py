@@ -11,14 +11,21 @@ Vertex numbering convention used by all surgery operations: vertex 0 is
 the internal vertex incident to mark 1, and vertex i >= 1 is the far
 endpoint of the edge recorded by ``t.splits[i-1]``.
 
+This module owns the bitmask encoding of sides that the package works
+on: bit m stands for mark m, the n marks fill `_full(n)`, a mark bitmask
+becomes the side away from mark 1 by `_away`, a set of marks becomes a
+range-checked bitmask by `_marks_bits`, and `_side_bits` / `_bits_side`
+convert between a side's tuple and its bitmask.  Other modules ask these
+helpers rather than write the mask or the flip themselves.  Validation
+(`_check_splits`), containment and orientation are all done on bitmasks;
+sets are built only by the public `decompose_two_vertex`.
+
 How the splits hang together is worked out in one place, ``_vertex_pass``:
 one pass over the splits, larger first, gives the parent vertex of each
 split, the valence of each vertex and the vertex each mark sits at.  The
-vertex flags, the fat vertices (valence >= 4), the two sides of a
-level-2 tree and the filtration keys are all read off that pass.  The
-two sides of a level-2 tree are mark bitmasks (bit m for mark m,
-`_two_vertex_bits`); sets are built from them only by the public
-`decompose_two_vertex`.
+vertex flags (`_vertex_flag_bits`, as bitmasks), the fat vertices
+(valence >= 4), the two sides of a level-2 tree (`_two_vertex_bits`) and
+the filtration keys are all read off that pass.
 
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
@@ -31,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Side = tuple  # sorted marks on the side of an edge away from mark 1
@@ -45,11 +51,31 @@ class TreeStructureError(RuntimeError):
     """An internal invariant of a tree's vertex structure does not hold."""
 
 
-def _norm_side(side: Iterable[int], n: int) -> Side:
-    s = frozenset(side)
-    if 1 in s:
-        s = frozenset(range(1, n + 1)) - s
-    return tuple(sorted(s))
+def _full(n: int) -> int:
+    """Bitmask of the marks 1..n: bit m for mark m."""
+    return (1 << n + 1) - 2
+
+
+def _away(bits: int, full: int) -> int:
+    """A mark bitmask as the side away from mark 1: bits, or its complement
+    in full (`_full(n)`) when it holds mark 1."""
+    return full ^ bits if bits & 2 else bits
+
+
+def _marks_bits(marks: Iterable[int], n: int, what: str = "mark") -> int:
+    """Bitmask of a set of marks; DomainError naming `what` for a mark that
+    is not an int in 1..n."""
+    bits = 0
+    for m in marks:
+        if type(m) is not int or not 0 < m <= n:
+            raise DomainError(f"{what} {m!r} is not a mark in 1..{n}")
+        bits |= 1 << m
+    return bits
+
+
+def _side(marks: Iterable[int], n: int) -> Side:
+    """The side of an edge given by the marks on either end of it."""
+    return _bits_side(_away(_marks_bits(marks, n), _full(n)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -68,44 +94,38 @@ def _bits_side(bits: int) -> tuple[int, ...]:
     return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
-def _splits_valid(n: int, splits) -> bool:
-    """Whether splits is a strictly sorted family of valid, pairwise nested
-    or disjoint sides, each side's marks read as one bitmask; on False,
-    `_check_splits` decides and names the fault."""
+def _check_splits(n: int, splits) -> None:
+    """Raise naming the first fault of a tree's marks and splits, if any:
+    ValueError unless n is an int and splits a strictly sorted tuple of
+    valid, pairwise nested or disjoint sides, DomainError for n < 3.  One
+    pass, each side read as the bitmask of its marks."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 3:
+        raise DomainError(f"need at least 3 marks, got n={n}")
+    if type(splits) is not tuple:
+        raise ValueError(f"splits must be a tuple of sides, got {type(splits).__name__}")
     prev = ()
     seen = []
     for s in splits:
-        b = _side_bits(n, s)
-        if not b or s <= prev:
-            return False
+        try:
+            b = _side_bits(n, s)
+        except TypeError:  # unhashable
+            b = 0
+        if not b:
+            if (type(s) is not tuple or any(type(m) is not int for m in s)
+                    or list(s) != sorted(set(s))):
+                raise ValueError(f"split {s!r} is not a sorted duplicate-free tuple")
+            if not 2 <= len(s) <= n - 2:
+                raise ValueError(f"split {s!r} has invalid size for n={n}")
+            raise ValueError(f"split {s!r} must use marks in 2..{n}")
+        if s <= prev:
+            raise ValueError("split family must be strictly sorted")
         for a in seen:
             if a & b not in (0, a, b):
-                return False
+                raise ValueError(f"incompatible splits {_bits_side(a)} / {s}")
         seen.append(b)
         prev = s
-    return True
-
-
-def _check_splits(n: int, splits) -> None:
-    """Raise ValueError naming the first fault of a split family, if any."""
-    prev = None
-    sets = []
-    for s in splits:
-        if not isinstance(s, tuple) or list(s) != sorted(set(s)):
-            raise ValueError(f"split {s!r} is not a sorted duplicate-free tuple")
-        if not 2 <= len(s) <= n - 2:
-            raise ValueError(f"split {s!r} has invalid size for n={n}")
-        if s[0] < 2 or s[-1] > n:
-            raise ValueError(f"split {s!r} must use marks in 2..{n}")
-        if prev is not None and s <= prev:
-            raise ValueError("split family must be strictly sorted")
-        prev = s
-        sets.append(frozenset(s))
-    for a, b in combinations(sets, 2):
-        if not (a <= b or b <= a or not (a & b)):
-            raise ValueError(
-                f"incompatible splits {tuple(sorted(a))} / {tuple(sorted(b))}"
-            )
 
 
 @dataclass(frozen=True, order=True)
@@ -116,13 +136,6 @@ class MarkedTree:
     splits: tuple[Side, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"need at least 3 marks, got n={self.n}")
-        try:
-            if _splits_valid(self.n, self.splits):
-                return
-        except TypeError:
-            pass
         _check_splits(self.n, self.splits)
 
     @property
@@ -137,7 +150,7 @@ class MarkedTree:
     @staticmethod
     def from_sides(n: int, sides: Iterable[Iterable[int]]) -> "MarkedTree":
         """Build a tree from edge sides given in any orientation."""
-        return MarkedTree(n, tuple(sorted(_norm_side(s, n) for s in sides)))
+        return MarkedTree(n, tuple(sorted(_side(s, n) for s in sides)))
 
     def to_obj(self) -> dict:
         return {"n": self.n, "splits": [list(s) for s in self.splits]}
@@ -177,30 +190,42 @@ def _vertex_pass(t: MarkedTree) -> tuple[list[int], list[int], list[int]]:
     return parent, valence, owner
 
 
-@lru_cache(maxsize=1 << 18)
+def _vertex_flag_bits(t: MarkedTree, passed=None) -> list[list[int]]:
+    """The flags at each internal vertex as mark bitmasks, the marks behind
+    each flag; a vertex's flags partition the marks, so they are listed by
+    least mark.  passed is _vertex_pass(t) when the caller has it.
+
+    The flag toward mark 1 comes first at every vertex but 0.  The splits
+    sort by least mark, so walking the marks in order and each split with
+    its least mark appends the other flags in order, with no sort."""
+    parent, _, owner = passed or _vertex_pass(t)
+    n, splits = t.n, t.splits
+    full = _full(n)
+    bits = [_side_bits(n, s) for s in splits]
+    flags = [[]] + [[full ^ b] for b in bits]
+    i = 0
+    for m in range(1, n + 1):
+        while i < len(splits) and splits[i][0] == m:
+            flags[parent[i + 1]].append(bits[i])
+            i += 1
+        flags[owner[m]].append(1 << m)
+    return flags
+
+
 def vertex_flags(t: MarkedTree) -> tuple[tuple[Side, ...], ...]:
     """Flags at each internal vertex, identified by the mark set behind them.
 
     The behind-sets of the flags at any one vertex partition {1..n}.
     """
-    parent, _, owner = _vertex_pass(t)
-    marks = range(1, t.n + 1)
-    flags: list[list[Side]] = [[] for _ in parent]
-    for i, s in enumerate(t.splits, 1):
-        flags[parent[i]].append(s)
-        inside = set(s)
-        flags[i].append(tuple(m for m in marks if m not in inside))
-    for m in marks:
-        flags[owner[m]].append((m,))
-    return tuple(tuple(sorted(f)) for f in flags)
+    return tuple(tuple(map(_bits_side, f)) for f in _vertex_flag_bits(t))
 
 
 def _flags_at(t: MarkedTree, v: int) -> tuple[Side, ...]:
     """vertex_flags(t)[v]; DomainError for a vertex index outside the tree."""
-    flags = vertex_flags(t)
+    flags = _vertex_flag_bits(t)
     if not 0 <= v < len(flags):
         raise DomainError(f"no vertex {v} in a tree with {len(flags)} internal vertices")
-    return flags[v]
+    return tuple(map(_bits_side, flags[v]))
 
 
 def canonical_form(t: MarkedTree) -> str:
@@ -252,7 +277,7 @@ def split_vertex(
 
 def contract_edge(t: MarkedTree, side: Iterable[int]) -> MarkedTree:
     """Contract the internal edge with the given side; inverse of split_vertex."""
-    s = _norm_side(side, t.n)
+    s = _side(side, t.n)
     if s not in t.splits:
         raise DomainError(f"no edge with side {s} in {canonical_form(t)}")
     return MarkedTree(t.n, tuple(x for x in t.splits if x != s))
@@ -293,7 +318,7 @@ def _two_vertex_bits(t: MarkedTree, passed=None) -> tuple[int, int, int, int]:
     u, w = fat
     p2 = _side_bits(n, splits[w - 1])
     if c:  # u above w: u keeps every mark outside c's side
-        p1 = ((1 << n + 1) - 2) ^ _side_bits(n, splits[c - 1])
+        p1 = _full(n) ^ _side_bits(n, splits[c - 1])
     else:
         p1 = _side_bits(n, splits[u - 1])
     a1, a2 = valence[u] - 3, valence[w] - 3
@@ -304,20 +329,6 @@ def _two_vertex_bits(t: MarkedTree, passed=None) -> tuple[int, int, int, int]:
     return p1, a1, p2, a2
 
 
-def _flag_bits(t: MarkedTree, v: int, passed) -> list[int]:
-    """The flags at vertex v as mark bitmasks, in the order of
-    vertex_flags(t)[v] (the flags are disjoint, so by least mark); passed
-    is _fat_vertices(t)."""
-    parent, _, owner, _, _ = passed
-    n, splits = t.n, t.splits
-    flags = [_side_bits(n, s) for i, s in enumerate(splits, 1) if parent[i] == v]
-    if v:
-        flags.append(((1 << n + 1) - 2) ^ _side_bits(n, splits[v - 1]))
-    flags.extend(1 << m for m in range(1, n + 1) if owner[m] == v)
-    flags.sort(key=lambda f: f & -f)
-    return flags
-
-
 def decompose_two_vertex(t: MarkedTree):
     """Cut the two edges separating the fat vertices of a level-2 tree.
 
@@ -326,7 +337,7 @@ def decompose_two_vertex(t: MarkedTree):
     min(P1) < min(P2), plus the marks on the connecting subtree.
     """
     p1, a1, p2, a2 = _two_vertex_bits(t)
-    mid = ((1 << t.n + 1) - 2) & ~(p1 | p2)
+    mid = _full(t.n) & ~(p1 | p2)
     return (frozenset(_bits_side(p1)), a1, frozenset(_bits_side(p2)), a2,
             frozenset(_bits_side(mid)))
 
@@ -366,9 +377,9 @@ def forget_mark(t: MarkedTree) -> tuple[MarkedTree, bool]:
     n1 = t.n - 1
     kept = set()
     for s in t.splits:
-        s1 = tuple(x for x in s if x != t.n)
-        if 2 <= len(s1) <= n1 - 2:
-            kept.add(s1)
+        b = _side_bits(t.n, s) & ~(1 << t.n)
+        if 2 <= b.bit_count() <= n1 - 2:
+            kept.add(_bits_side(b))
     out = MarkedTree(n1, tuple(sorted(kept)))
     return out, len(kept) < len(t.splits)
 
@@ -383,20 +394,19 @@ def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     # mark n at vertex 0 (no split changes) or at the far end of edge s:
     # n joins s and every split containing s
     for t in _level(n - 1, n_edges):
-        sets = [frozenset(s) for s in t.splits]
+        bits = [_side_bits(n - 1, s) for s in t.splits]
         out.append(t.splits)
-        for s in sets:
-            out.append(tuple(sorted(x + (n,) if s <= u else x for x, u in zip(t.splits, sets))))
+        for b in bits:
+            out.append(tuple(sorted(x + (n,) if b & u == b else x for x, u in zip(t.splits, bits))))
     # mark n on a new trivalent vertex inside the leaf edge of mark 1 (new
     # split {2..n-1}), or inside the edge whose far side s is a leaf {m} or
     # a split: s stays, s + {n} is new, n joins every split strictly above s
     for t in _level(n - 1, n_edges - 1):
-        sets = [frozenset(s) for s in t.splits]
+        bits = [_side_bits(n - 1, s) for s in t.splits]
         out.append(tuple(sorted(t.splits + (tuple(range(2, n)),))))
-        for s in [(m,) for m in range(2, n)] + list(t.splits):
-            f = frozenset(s)
+        for s, b in [((m,), 1 << m) for m in range(2, n)] + list(zip(t.splits, bits)):
             out.append(tuple(sorted(
-                [s + (n,), *(x + (n,) if f < u else x for x, u in zip(t.splits, sets))])))
+                [s + (n,), *(x + (n,) if b & u == b != u else x for x, u in zip(t.splits, bits))])))
     return tuple(MarkedTree(n, splits) for splits in sorted(out))
 
 

@@ -13,7 +13,8 @@ rewrite_to_standard normalizes a level-2 tree within its homology class
 to the canonical representative of its pair fiber, recording a replayable
 move list (trivalent-subtree rearrangements and single relation swaps).
 
-Pairs and splits are worked on as mark bitmasks (bit m for mark m): a
+Pairs and splits are worked on as mark bitmasks in the encoding of
+`trees` (bit m for mark m; `trees._full`, `_away` and `_marks_bits`): a
 pair is the key (P1 bits, a1, P2 bits, a2), read off the tree by
 `trees._two_vertex_bits`, and `_half_units` gives 2 * wtilde(t) in ints
 over those keys.  A split is the bitmask of its side away from mark 1,
@@ -29,22 +30,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .psets import PairLabel
-from .relations import KMRelation, _every_template, _sites
+from .relations import _every_template, _sites
 from .trees import (
     DomainError,
     MarkedTree,
+    _away,
     _bits_side,
     _fat_vertices,
     _filtration_keys,
-    _flag_bits,
+    _full,
+    _marks_bits,
     _side_bits,
     _two_vertex_bits,
+    _vertex_flag_bits,
     enumerate_strata,
     forget_mark,
-    vertex_flags,
 )
 
 PVector = dict  # PairLabel -> Fraction, exact, denominators are powers of 2
@@ -66,36 +68,6 @@ def w_map(t: MarkedTree) -> PairLabel:
     return _pair_label(_two_vertex_bits(t))
 
 
-def level1_partition(t: MarkedTree) -> tuple[frozenset, ...]:
-    """Mark-set partition induced by the unique fat vertex of a level-1 tree."""
-    fat = [f for f in vertex_flags(t) if len(f) >= 4]
-    if len(fat) != 1:
-        raise DomainError(f"expected filtration level 1, got {len(fat)}")
-    return tuple(frozenset(f) for f in fat[0])
-
-
-def e_pi(pi: Iterable[Iterable[int]], gamma: PairLabel, s1: int | None = None) -> int:
-    """min(s1 - a1, s2 - a2) where s_i parts of pi make up gamma's side i.
-
-    The pair must cover the ground set of the partition (inner level 0),
-    each side being a union of parts.
-    """
-    parts = [frozenset(x) for x in pi]
-    side1 = frozenset(gamma.p1)
-    inside = [q for q in parts if q <= side1]
-    union = frozenset().union(*inside) if inside else frozenset()
-    if union != side1:
-        raise DomainError(f"side {gamma.p1} is not a union of parts")
-    rest = frozenset().union(*parts) - side1
-    if rest != frozenset(gamma.p2):
-        raise DomainError(f"pair does not cover the partitioned set: {gamma}")
-    computed = len(inside)
-    if s1 is not None and s1 != computed:
-        raise DomainError(f"claimed s1={s1} but side 1 is a union of {computed} parts")
-    s2 = len(parts) - computed
-    return min(computed - gamma.a1, s2 - gamma.a2)
-
-
 def _half_units(t: MarkedTree) -> dict[PairBits, int]:
     """2 * wtilde(t) in ints, keyed by pairs on mark bitmasks, in the order
     wtilde gives them: 2 at the cut pair of a level-2 tree; at a level-1
@@ -108,8 +80,8 @@ def _half_units(t: MarkedTree) -> dict[PairBits, int]:
         return {_two_vertex_bits(t, passed): 2}
     if len(fat) != 1:
         return {}
-    first, *rest = _flag_bits(t, fat[0], passed)
-    full = (1 << t.n + 1) - 2
+    first, *rest = _vertex_flag_bits(t, passed[:3])[fat[0]]
+    full = _full(t.n)
     k = t.k
     out = {}
     for r in range(len(rest) + 1):
@@ -129,19 +101,6 @@ def _half_units(t: MarkedTree) -> dict[PairBits, int]:
 def wtilde(t: MarkedTree) -> PVector:
     """Signed rational image of a stratum in the space of weighted pairs."""
     return {_pair_label(key): Fraction(h, 2) for key, h in _half_units(t).items()}
-
-
-def wtilde_relation(rel: KMRelation) -> PVector:
-    """wtilde of a relation, by linearity, in exact rational arithmetic."""
-    acc: PVector = {}
-    for tree, coeff in rel.terms.items():
-        for gamma, q in wtilde(tree).items():
-            val = acc.get(gamma, 0) + coeff * q
-            if val:
-                acc[gamma] = val
-            else:
-                acc.pop(gamma, None)
-    return acc
 
 
 class HalfIntegerError(ArithmeticError):
@@ -203,7 +162,7 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     if not 2 <= k <= n - 4:
         raise DomainError(f"check needs 2 <= k <= n-4, got ({n}, {k})")
     report = KilledReport(n, k, 0)
-    full = (1 << n + 1) - 2
+    full = _full(n)
     number: dict[PairBits, int] = {}  # pair -> its position in the dict
     images: dict[MarkedTree, dict[int, int]] = {}
     for sigma, v, fl, trees, rows in _sites(n, k, _every_template):
@@ -325,9 +284,10 @@ class RewriteMove:
         if obj["kind"] not in ("rearrange", "km_swap"):
             raise DomainError(f"unknown move kind {obj['kind']!r}")
         if obj["kind"] == "rearrange":
-            region = (obj["region"][0],) + tuple(
+            region = tuple(obj["region"][:1]) + tuple(
                 frozenset(x) for x in obj["region"][1:]
             )
+            _check_region(region)
             return RewriteMove(
                 "rearrange", (region, tuple(frozenset(s) for s in obj["sides"]))
             )
@@ -340,6 +300,14 @@ class RewriteMove:
                 frozenset(obj["c"]),
             ),
         )
+
+
+def _check_region(region: tuple) -> None:
+    """DomainError unless a rearrange region is ("hanging", M) or
+    ("middle", P1, mid)."""
+    kind = region[0] if region else None
+    if (kind, len(region)) not in (("hanging", 2), ("middle", 3)):
+        raise DomainError(f"unknown rearrange region {kind!r} with {len(region) - 1} sets")
 
 
 def _comb_bits(x: int) -> list[int]:
@@ -396,37 +364,30 @@ def _surgery(family: list[int], full: int, kind: str, where, sides) -> list[int]
 
         kept = [s for s in family if not (inside(s) or inside(full ^ s))]
     else:
-        edge = full ^ where if where & 2 else where
+        edge = _away(where, full)
         if edge not in family:
             raise DomainError("swap edge not present; moves replayed out of order?")
         kept = [s for s in family if s != edge]
-    return kept + [full ^ x if x & 2 else x for x in sides]
-
-
-def _marks_bits(marks, full: int) -> int:
-    """Bitmask of the marks of a move payload; DomainError for a mark outside
-    the tree's marks (the bits of full)."""
-    bits = 0
-    for m in marks:
-        if type(m) is not int or not 0 < m < full.bit_length():
-            raise DomainError(f"move mark {m!r} is not a mark in 1..{full.bit_length() - 1}")
-        bits |= 1 << m
-    return bits
+    return kept + [_away(x, full) for x in sides]
 
 
 def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
     """Replay one recorded move on a tree."""
     n = t.n
-    full = (1 << n + 1) - 2
+    full = _full(n)
     family = [_side_bits(n, s) for s in t.splits]
+
+    def bits(marks):
+        return _marks_bits(marks, n, "move mark")
+
     if move.kind == "rearrange":
         region, sides = move.payload
-        where = (region[0], *(_marks_bits(x, full) for x in region[1:]))
-        after = _surgery(family, full, "rearrange", where, [_marks_bits(s, full) for s in sides])
+        _check_region(region)
+        where = (region[0], *map(bits, region[1:]))
+        after = _surgery(family, full, "rearrange", where, list(map(bits, sides)))
     elif move.kind == "km_swap":
         e, a, _, c = move.payload
-        after = _surgery(family, full, "km_swap", _marks_bits(e, full),
-                         [_marks_bits(a, full) | _marks_bits(c, full)])
+        after = _surgery(family, full, "km_swap", bits(e), [bits(a) | bits(c)])
     else:
         raise DomainError(f"unknown move kind {move.kind!r}")
     return _tree(n, after)
@@ -437,12 +398,12 @@ def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     """Canonical level-2 tree in the fiber of a weighted pair: the first
     a_i + 1 marks of each side sit at the fat vertex, everything else is
     combed into caterpillars, middle marks ascending away from side 1."""
-    full = (1 << n + 1) - 2
-    p1, p2 = (sum(1 << m for m in p) for p in (pair.p1, pair.p2))
+    full = _full(n)
+    p1, p2 = _marks_bits(pair.p1, n), _marks_bits(pair.p2, n)
     sides = {p1, p2, *_middle_chain(p1, full & ~(p1 | p2))}
     for p, a in ((p1, pair.a1), (p2, pair.a2)):
         sides.update(_comb_bits(p & ~_least_marks(p, a + 1)))
-    return _tree(n, {full ^ x if x & 2 else x for x in sides})
+    return _tree(n, {_away(x, full) for x in sides})
 
 
 def _component_flags(family: list[int], full: int, p: int) -> list[int]:
@@ -461,7 +422,7 @@ def _component_flags(family: list[int], full: int, p: int) -> list[int]:
     while rest:
         flags.append(rest & -rest)
         rest &= rest - 1
-    if (full ^ p if p & 2 else p) not in family or len(flags) < 3:
+    if _away(p, full) not in family or len(flags) < 3:
         raise DomainError(f"no fat vertex with component {list(_bits_side(p))}")
     return flags
 
@@ -480,7 +441,7 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
     rearrange that changes no split is not recorded.
     """
     n = t.n
-    full = (1 << n + 1) - 2
+    full = _full(n)
     pair = _two_vertex_bits(t)
     p1, a1, p2, a2 = pair
     family = [_side_bits(n, s) for s in t.splits]

@@ -205,6 +205,33 @@ def keel_betti(n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in out)
 
 
+def reference_split_fault(n: int, splits) -> str | None:
+    """The message MarkedTree(n, splits) raises for a tuple of split tuples,
+    None for a valid family: reading the splits in order, the first of a
+    split's form, size, marks, order after the split before it and
+    compatibility with each earlier split that fails.  Works on frozensets,
+    not on the library's bitmasks."""
+    sets: list[frozenset] = []
+    prev = None
+    for s in splits:
+        if (not isinstance(s, tuple) or any(type(m) is not int for m in s)
+                or list(s) != sorted(set(s))):
+            return f"split {s!r} is not a sorted duplicate-free tuple"
+        if not 2 <= len(s) <= n - 2:
+            return f"split {s!r} has invalid size for n={n}"
+        if s[0] < 2 or s[-1] > n:
+            return f"split {s!r} must use marks in 2..{n}"
+        if prev is not None and s <= prev:
+            return "split family must be strictly sorted"
+        b = frozenset(s)
+        for a in sets:
+            if not (a <= b or b <= a or not a & b):
+                return f"incompatible splits {tuple(sorted(a))} / {s}"
+        sets.append(b)
+        prev = s
+    return None
+
+
 def brute_force_vertex_flags(n: int, splits) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Flags at each vertex of a tree, from the definition: vertex i >= 1 is
     the far end of the edge of splits[i-1], vertex 0 the one at mark 1.

@@ -299,3 +299,34 @@ def test_cache_hit_identical(tmp_path):
     warm = run_cli(["betti", "--n", "5", "--format", "json"], tmp_path)
     assert cold == warm
     assert (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("via", ["option", "env"])
+def test_betti_refuses_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys, via):
+    """A cache directory that cannot be created is refused with exit 2 and
+    one domain-error line, before any enumeration or elimination."""
+    import strata_lab.cli as cli
+
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cache directory was checked")
+
+    monkeypatch.setattr(cli, "betti", no_work)
+    monkeypatch.setattr(cli, "enumerate_strata", no_work)
+    argv = ["betti", "--n", "5"]
+    if via == "option":
+        argv += ["--cache-dir", str(blocker)]
+    else:
+        monkeypatch.setenv("STRATA_CACHE_DIR", str(blocker))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == ""
+    # --exact never touches the cache
+    monkeypatch.undo()
+    code, out = run_cli(["betti", "--n", "5", "--exact", "--cache-dir", str(blocker)], tmp_path)
+    assert code == 0 and out.split() == ["n", "k", "betti", "5", "0", "1", "5", "1", "5", "5",
+                                         "2", "1"]

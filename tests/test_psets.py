@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -29,12 +30,31 @@ def test_p2_examples():
     assert cardinality_p2(8, 2) == 651
 
 
+def _p1_count(n, k):
+    """Subsets of {1..n} of size >= k+3 and of the parity of k+3, counted
+    one bitmask at a time."""
+    return sum(1 for x in range(1 << n)
+               if x.bit_count() >= k + 3 and (x.bit_count() - k - 3) % 2 == 0)
+
+
+def _p2_count(n, k):
+    """Normalized weighted pairs counted by ordered side sizes: choose
+    P1 + P2 (s1 + s2 marks), put its least mark in P1 and s1 - 1 of the
+    rest with it; no halving."""
+    return sum(comb(n, s1 + s2) * comb(s1 + s2 - 1, s1 - 1)
+               for a1 in range(1, k) for s1 in range(a1 + 2, n + 1)
+               for s2 in range(k - a1 + 2, n - s1 + 1))
+
+
 def test_cardinalities_match_enumeration_to_n12():
+    # the labels themselves up to n = 9, an independent count beyond
     for n in range(4, 13):
         for k in range(0, n - 2):
-            assert cardinality_p1(n, k) == len(enumerate_p1(n, k))
+            want_p1 = len(enumerate_p1(n, k)) if n <= 9 else _p1_count(n, k)
+            assert cardinality_p1(n, k) == _p1_count(n, k) == want_p1, (n, k)
             if k >= 2:
-                assert cardinality_p2(n, k) == len(enumerate_p2(n, k))
+                want_p2 = len(enumerate_p2(n, k)) if n <= 9 else _p2_count(n, k)
+                assert cardinality_p2(n, k) == _p2_count(n, k) == want_p2, (n, k)
 
 
 def test_p2_enumeration_unique_and_normalized():

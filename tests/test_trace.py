@@ -43,3 +43,28 @@ def test_traced_pairs_worker_sees_the_pair_map_checks(tmp_path):
     for name in ("wtilde.verify_relations_killed", "wtilde.rewrite_to_standard",
                  "wtilde.verify_forgetful_square"):
         assert agg.get(name, [0])[0] > 0, name
+
+
+def test_traced_cli_run_matches_the_untraced_command(tmp_path):
+    """A traced `betti --n 7` through the benchmark worker exits 0, prints
+    what the untraced command prints, and charges calls to the elimination
+    and to the cache; the tracer reads `ModEchelon.add_rows(rows, presorted)`
+    and `ModEchelon.key`, so this run pins both."""
+    src = str(Path(strata_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "trace.json"
+    args = ["betti", "--n", "7"]
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "cli", "--out", str(out),
+         "--", *args, "--cache-dir", str(tmp_path / "traced")],
+        env=env, capture_output=True, text=True)
+    assert traced.returncode == 0, traced.stderr
+    plain = subprocess.run(
+        [sys.executable, "-m", "strata_lab.cli", *args, "--cache-dir", str(tmp_path / "plain")],
+        env=env, capture_output=True, text=True)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout != ""
+    agg = json.loads(out.read_text())["trace"]["agg"]
+    for name in ("exact_linalg.eliminate", "cache.cached"):
+        assert agg.get(name, [0])[0] > 0, name

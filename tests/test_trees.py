@@ -2,7 +2,12 @@ import math
 import random
 
 import pytest
-from oracles import brute_force_strata, brute_force_two_vertex, brute_force_vertex_flags
+from oracles import (
+    brute_force_strata,
+    brute_force_two_vertex,
+    brute_force_vertex_flags,
+    reference_split_fault,
+)
 from test_homology import _succeeds_under_O
 
 from strata_lab import trees
@@ -140,18 +145,44 @@ def _verdict(build):
 
 
 def test_fast_split_check_agrees_with_the_detailed_validator():
-    """Accept or reject, and the message, as the detailed validator, on
-    random families, crossing pairs of sides of equal size among them."""
+    """The one bitmask validator accepts or rejects, with the message of
+    the first fault, as the set-based reference does, on random families,
+    crossing pairs of sides of equal size among them."""
     rng = random.Random(3)
     crossing = 0
     for n in range(4, 10):
         for _ in range(400):
             fam = _random_family(rng, n)
-            want = _verdict(lambda: trees._check_splits(n, fam))
-            assert trees._splits_valid(n, fam) == (want is None)
+            fault = reference_split_fault(n, fam)
+            want = None if fault is None else (ValueError, fault)
+            assert _verdict(lambda: trees._check_splits(n, fam)) == want
             assert _verdict(lambda: MarkedTree(n, fam)) == want
             crossing += want is not None and want[1].startswith("incompatible")
     assert crossing > 100
+
+
+@pytest.mark.parametrize("n, splits, message", [
+    (5, [(2, 3)], "splits must be a tuple of sides, got list"),
+    (5, None, "splits must be a tuple of sides, got NoneType"),
+    (5.0, (), "n must be an int, got 5.0"),
+    ("5", ((2, 3),), "n must be an int, got '5'"),
+    (True, (), "n must be an int, got True"),
+    (5, ([2, 3],), "split [2, 3] is not a sorted duplicate-free tuple"),
+    (5, (("2", "3"),), "split ('2', '3') is not a sorted duplicate-free tuple"),
+])
+def test_tree_refuses_splits_that_are_not_a_tuple_and_n_that_is_not_an_int(n, splits, message):
+    # a list of splits would give a tree that cannot be hashed and is not
+    # equal to the one with a tuple
+    with pytest.raises(ValueError) as err:
+        MarkedTree(n, splits)
+    assert str(err.value) == message
+    assert MarkedTree(5, ((2, 3),)) == MarkedTree.from_sides(5, [[3, 2]])
+
+
+def test_from_sides_refuses_marks_outside_the_tree():
+    for sides in ([(0, 3)], [(3, 6)], [(2.0, 3)], [(-1, 3)]):
+        with pytest.raises(DomainError, match="is not a mark in 1..5"):
+            MarkedTree.from_sides(5, sides)
 
 
 def test_valence_partition_examples():

@@ -18,20 +18,49 @@ from strata_lab.trees import (
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
+    vertex_flags,
 )
 from strata_lab.wtilde import (
     RewriteMove,
     apply_move,
-    e_pi,
-    level1_partition,
     rewrite_to_standard,
     standard_tree,
     verify_forgetful_square,
     verify_relations_killed,
     w_map,
     wtilde,
-    wtilde_relation,
 )
+
+
+def _wtilde_relation(rel):
+    """wtilde of a relation by linearity over its terms, in Fractions, zeros
+    dropped as the sum goes."""
+    acc = {}
+    for tree, coeff in rel.terms.items():
+        for gamma, q in wtilde(tree).items():
+            val = acc.get(gamma, 0) + coeff * q
+            if val:
+                acc[gamma] = val
+            else:
+                acc.pop(gamma, None)
+    return acc
+
+
+def _exponent(parts, gamma):
+    """e = min(s1 - a1, s2 - a2) with s_i the parts making up side i of a
+    pair covering the partitioned marks; None unless each side is a union
+    of parts."""
+    s1 = sum(1 for q in parts if q <= set(gamma.p1))
+    s2 = sum(1 for q in parts if q <= set(gamma.p2))
+    if s1 + s2 != len(parts):
+        return None
+    return min(s1 - gamma.a1, s2 - gamma.a2)
+
+
+def _fat_parts(t):
+    """The flags at the one fat vertex of a level-1 tree, as mark sets."""
+    (fat,) = [f for f in vertex_flags(t) if len(f) >= 4]
+    return [set(f) for f in fat]
 
 
 def test_w_map_examples():
@@ -49,28 +78,25 @@ def test_w_map_rejects_wrong_level():
 
 
 def test_e_pi_examples():
-    # one side is (A u B) plus a1 singleton blocks: s1 - a1 = 1 and
-    # s2 - a2 = 2 forced, so the exponent is min(1, 2) = 1
-    pi = [{1, 2}, {3}, {4}, {5}, {6}, {7}]
+    # the exponent e_pi of a level-1 tree, read off the sign of its wtilde
+    # coefficient (-1)^e / 2.  One side is (A u B) plus a1 singleton blocks:
+    # s1 - a1 = 1 and s2 - a2 = 2 forced, so the exponent is min(1, 2) = 1
+    t = MarkedTree.from_sides(7, [(1, 2)])
+    assert _fat_parts(t) == [{1, 2}, {3}, {4}, {5}, {6}, {7}]
     gamma = PairLabel.from_parts([1, 2, 3], 1, [4, 5, 6, 7], 2)
-    assert e_pi(pi, gamma) == 1
-    pi2 = [{1}, {2}, {3}, {4}, {5, 6}]
+    assert _exponent(_fat_parts(t), gamma) == 1
+    assert wtilde(t)[gamma] == Fraction(-1, 2)
+    t2 = MarkedTree.from_sides(6, [(5, 6)])
+    assert _fat_parts(t2) == [{1}, {2}, {3}, {4}, {5, 6}]
     gamma2 = PairLabel.from_parts([1, 5, 6], 1, [2, 3, 4], 1)
-    assert e_pi(pi2, gamma2) == 1
-    assert e_pi(pi2, gamma2, s1=2) == 1
-
-
-def test_e_pi_errors():
-    pi = [{1, 2}, {3}, {4}, {5}, {6}]
-    gamma = PairLabel.from_parts([1, 3, 4], 1, [2, 5, 6], 1)  # splits {1,2}
-    with pytest.raises(DomainError):
-        e_pi(pi, gamma)
-    good = PairLabel.from_parts([1, 2, 3], 1, [4, 5, 6], 1)
-    with pytest.raises(DomainError):
-        e_pi(pi, good, s1=3)
-    not_covering = PairLabel.from_parts([1, 2, 3], 1, [4, 5, 6], 1)
-    with pytest.raises(DomainError):
-        e_pi([{1, 2}, {3}, {4}, {5}, {6}, {7}], not_covering)
+    assert _exponent(_fat_parts(t2), gamma2) == 1
+    assert wtilde(t2)[gamma2] == Fraction(-1, 2)
+    # side 1 is the union of s1 = 2 parts, {1} and {5, 6}
+    assert sum(1 for q in _fat_parts(t2) if q <= set(gamma2.p1)) == 2
+    # a pair whose side cuts a part is not in the image
+    cut = PairLabel.from_parts([1, 3, 4], 1, [2, 5, 6], 1)
+    assert _exponent([{1, 2}, {3}, {4}, {5}, {6}], cut) is None
+    assert cut not in wtilde(MarkedTree.from_sides(6, [(1, 2)]))
 
 
 def test_wtilde_level1_example():
@@ -95,11 +121,11 @@ def test_wtilde_matches_the_fraction_reference_in_order():
 
 def test_wtilde_level1_coefficients_from_e_pi():
     t = MarkedTree.from_sides(7, [(6, 7)])  # 6-valent vertex, k = 3
-    pi = level1_partition(t)
+    pi = _fat_parts(t)
     img = wtilde(t)
     assert img  # nonempty
     for gamma, coeff in img.items():
-        e = e_pi(pi, gamma)
+        e = _exponent(pi, gamma)
         assert coeff == Fraction((-1) ** e, 2)
         assert inner_level(gamma, 7) == 0
 
@@ -107,7 +133,7 @@ def test_wtilde_level1_coefficients_from_e_pi():
 def test_wtilde_denominators_are_powers_of_two():
     for n, k in [(6, 2), (7, 3)]:
         for rel in generate_relations(n, k)[:20]:
-            for q in wtilde_relation(rel).values():
+            for q in _wtilde_relation(rel).values():
                 assert q.denominator & (q.denominator - 1) == 0
 
 
@@ -164,7 +190,7 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
     failing = [r for r in generate_relations(n, k) if bad in r.terms]
     assert len(rep.failures) == len(failing) > 0
     for f, rel in zip(rep.failures, failing):
-        want = {g: q for g, q in wtilde_relation(rel).items() if inner_level(g, n) == 0}
+        want = {g: q for g, q in _wtilde_relation(rel).items() if inner_level(g, n) == 0}
         assert f["residual"] == {str(g.to_obj()): str(q) for g, q in want.items()}
     residuals = [Fraction(q) for f in rep.failures for q in f["residual"].values()]
     assert all(q != 0 and (2 * q).denominator == 1 for q in residuals)
@@ -173,11 +199,11 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
 
 def _killed_reference(n, k):
     """verify_relations_killed(n, k).to_obj(), relation by relation from
-    generate_relations and wtilde_relation in Fractions."""
+    generate_relations and wtilde by linearity in Fractions."""
     rels = generate_relations(n, k)
     failures, top = [], Fraction(0)
     for rel in rels:
-        residual = {g: q for g, q in wtilde_relation(rel).items() if inner_level(g, n) == 0}
+        residual = {g: q for g, q in _wtilde_relation(rel).items() if inner_level(g, n) == 0}
         if residual:
             top = max(top, *(abs(q) for q in residual.values()))
             failures.append({
@@ -270,14 +296,15 @@ def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
 
 
 def test_wtilde_relation_linearity():
-    rels = generate_relations(6, 2)
-    rel = rels[0]
-    direct = {}
-    for t, c in rel.terms.items():
-        for g, q in wtilde(t).items():
-            direct[g] = direct.get(g, Fraction(0)) + c * q
-    direct = {g: q for g, q in direct.items() if q}
-    assert wtilde_relation(rel) == direct
+    # wtilde of a relation by linearity is the same combination of the
+    # reference images, pair by pair
+    for rel in generate_relations(6, 2)[:40]:
+        direct = {}
+        for t, c in rel.terms.items():
+            for g, q in reference_wtilde(t.n, t.splits).items():
+                direct[g] = direct.get(g, Fraction(0)) + c * q
+        direct = {g: q for g, q in direct.items() if q}
+        assert _wtilde_relation(rel) == direct
 
 
 def test_forgetful_square_example():
@@ -458,6 +485,24 @@ def test_unknown_move_kinds_and_marks_are_refused():
     with pytest.raises(DomainError, match="move mark 9"):
         apply_move(t, RewriteMove("km_swap", (frozenset({2, 6}), frozenset({2}), 6,
                                               frozenset({9}))))
+
+
+@pytest.mark.parametrize("region", [
+    ("bogus", frozenset({2, 6}), frozenset({7})),  # was replayed as "middle"
+    ("bogus", frozenset({2, 6})),  # raised IndexError
+    ("hanging", frozenset({2, 6}), frozenset({7})),
+    ("middle", frozenset({2, 6})),
+    (),
+])
+def test_unknown_rearrange_regions_are_refused(region):
+    t = MarkedTree.from_sides(8, [(2, 6), (2, 6, 7, 8)])
+    move = RewriteMove("rearrange", (region, (frozenset({6, 7}),)))
+    with pytest.raises(DomainError, match="unknown rearrange region"):
+        apply_move(t, move)
+    obj = {"kind": "rearrange", "region": [region[0], *map(sorted, region[1:])] if region else [],
+           "sides": [[6, 7]]}
+    with pytest.raises(DomainError, match="unknown rearrange region"):
+        RewriteMove.from_obj(obj)
 
 
 def test_move_serialization_round_trip():
