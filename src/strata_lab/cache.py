@@ -38,7 +38,6 @@ def _load(path: Path, header: dict):
             obj = json.load(fh)
     except (OSError, ValueError):
         return None
-    # strata files of the former layout have the same header but no "value"
     if not isinstance(obj, dict) or obj.get("header") != header or "value" not in obj:
         return None
     if obj.get("sha256") != _digest(obj["value"]):

@@ -2,9 +2,8 @@
 
 Everything is read off one natural-order echelon of the relation matrix
 per modulus, whose rows are the site basis
-`relations.spanning_relations` (m(m-3)/2 rows per site of valence
-m <= 9, with the row space of all the relations modulo every modulus at
-those valences).
+`relations.spanning_relations` (m(m-3)/2 rows per site of valence m,
+with the row space of all the relations modulo every modulus).
 
 The columns are the strata in filtration order (`_columns`): by
 filtration key (`trees._filtration_key`: n * level, plus the inner level
@@ -118,8 +117,8 @@ def _cut(n: int, k: int, key_min: int) -> int:
 def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
     """Sparse rows of the relation matrix for (n, k), from the site basis
     (`relations.spanning_relations`): the row space, hence every rank and
-    reduced form computed from it, is that of all the relations, over Q and,
-    at valences up to 9, modulo every modulus.  Shared; never mutate a row."""
+    reduced form computed from it, is that of all the relations modulo
+    every modulus.  Shared; never mutate a row."""
     if k == n - 3:
         return ()
     idx, rows = _index(n, k), []

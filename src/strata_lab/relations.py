@@ -16,21 +16,22 @@ Two families are generated, both site by site in the same order:
   the family that is serialized and that `wtilde.verify_relations_killed`
   checks relation by relation.
 * `spanning_relations`: a basis of the relations at each site, m(m-3)/2
-  of them at valence m <= 9, chosen from the 4-subsets through the two
-  least flags; every relation it leaves out is an integer combination of
-  those it keeps, so it has the same row space over Q and, for valences
-  up to 9, modulo every modulus (see its docstring).  It is the family
-  that `homology` eliminates.
+  of them at valence m, picked by a fixed rule from the 4-subsets through
+  the two least flags fl[0], fl[1] (pairing 1 of each, pairing 2 only of
+  those that also hold fl[2]).  Every relation of the site is an integer
+  combination of them, so at every valence they span the row space of
+  all the relations modulo every modulus (see its docstring).  It is the
+  family that `homology` eliminates.
 
 A site of valence m is a copy of the m-pointed star M_{0,m}: the
 relations at a site (sigma, v) with flags fl are the image of one
 relation system on M_{0,m} under D_S -> split_vertex(sigma, v, S, fl - S)
 (see spanning_relations).  So that system is computed once per valence
-and quad family (`_template`): its 2^(m-1) - m - 1 splits, numbered in
-order of first use and keyed by the flag positions on the side away from
-fl[0], and its relations as rows {local id: coeff} over those numbers.
-The basis of the spanning family is chosen once per valence too
-(`_site_basis`, by exact fraction-free elimination in `_integer_basis`).
+(`_every_template`): its 2^(m-1) - m - 1 splits, numbered in order of
+first use and keyed by the flag positions on the side away from fl[0],
+and its relations as rows {local id: coeff} over those numbers.  The
+basis is a subsequence of the same rows over the same splits
+(`_site_basis`).
 `_sites` maps each split of the template onto a site's flags and looks
 the resulting split family up among enumerate_strata(n, k), so every
 term is an enumerated stratum and no tree is built or validated per
@@ -46,7 +47,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .trees import (
@@ -156,15 +156,6 @@ def _site(m: int, quads: Iterable[tuple]) -> tuple[list[int], list[tuple]]:
     return list(ids), rows
 
 
-@lru_cache(maxsize=None)
-def _template(m: int, quads: Callable[[tuple], Iterable[tuple]]
-              ) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """_site(m, quads(0..m-1)), computed once per valence and quad family.
-    Shared by every site of valence m: never mutate a row."""
-    keys, rows = _site(m, quads(tuple(range(m))))
-    return tuple(keys), tuple(rows)
-
-
 def _sites(n: int, k: int, template: Callable[[int], tuple]
            ) -> Iterator[tuple[MarkedTree, int, tuple, list[MarkedTree], tuple]]:
     """(sigma, v, fl, trees, rows) for every site of the relations of
@@ -214,77 +205,26 @@ def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelat
             for quad, pairing, row in rows]
 
 
-def _every_quad(fl: tuple) -> Iterable[tuple]:
-    return combinations(fl, 4)
-
-
-def _spanning_quads(fl: tuple) -> Iterable[tuple]:
-    return (fl[:2] + rest for rest in combinations(fl[2:], 2))
-
-
+@lru_cache(maxsize=None)
 def _every_template(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Both pairings of every 4-subset on the star of m marks."""
-    return _template(m, _every_quad)
+    """_site(m, every 4-subset): both pairings of every 4-subset on the
+    star of m marks, computed once per valence.  Shared by every site of
+    valence m: never mutate a row."""
+    keys, rows = _site(m, combinations(range(m), 4))
+    return tuple(keys), tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _site_basis(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """The splits of _template(m, _spanning_quads) and the rows of it that
-    _integer_basis keeps, in template order: rows that generate the same
-    Z-lattice as all of them.  Shared by every site of valence m: never
-    mutate a row."""
-    keys, rows = _template(m, _spanning_quads)
-    return keys, tuple(rows[i] for i in _integer_basis([row for _, _, row in rows]))
-
-
-def _integer_basis(rows: Sequence[dict[int, int]]) -> list[int]:
-    """Positions of the rows to keep, in order: a row is dropped only when
-    exact elimination over Q writes it as an integer combination of the
-    rows kept before it, so the kept rows generate the same Z-lattice as
-    all the rows.
-
-    The elimination is fraction-free: each pivot column holds an integer
-    row and its integer combination of kept rows, and a row being reduced
-    carries a scale s with s * row = (reduced row) + (combination), so a
-    row that reduces to zero is the combination divided by s, an integer
-    one when s divides every coefficient.  A row that reduces to zero with
-    a combination that is not integral is kept, with no pivot: keeping a
-    row never changes the lattice.  Later rows are then written over the
-    rows with pivots alone, so a row may be kept that an integer
-    combination through it would have let go, never the other way round.
-    """
-    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    kept = []
-    for i, row in enumerate(rows):
-        r = {c: v for c, v in row.items() if v}
-        scale, combo = 1, {}  # scale * rows[i] = r + sum_j combo[j] rows[j]
-        while r:
-            lead = min(r)
-            if lead not in pivots:
-                break
-            prow, pcombo = pivots[lead]
-            g = gcd(prow[lead], r[lead])
-            a, b = prow[lead] // g, r[lead] // g
-            r = _combine(a, r, -b, prow)
-            combo = _combine(a, combo, b, pcombo)
-            scale *= a
-        if not r and all(x % scale == 0 for x in combo.values()):
-            continue
-        if r:
-            pivots[lead] = (r, {i: scale, **{j: -x for j, x in combo.items()}})
-        kept.append(i)
-    return kept
-
-
-def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
-    """a * x + b * y on sparse integer vectors, zeros dropped."""
-    out = {c: a * v for c, v in x.items()}
-    for c, v in y.items():
-        if nv := out.get(c, 0) + b * v:
-            out[c] = nv
-        else:
-            out.pop(c, None)
-    return out
+    """The splits of _every_template(m) and the rows of it that the rule
+    keeps, in template order: pairing 1 of each 4-subset through positions
+    0 and 1, pairing 2 of those that also hold position 2.  They generate
+    the Z-lattice of all the rows (see spanning_relations).  Shared by
+    every site of valence m: never mutate a row."""
+    keys, rows = _every_template(m)
+    # a quad lists its positions in order, so it holds 0 and 1 when quad[1] == 1
+    return keys, tuple((quad, pairing, row) for quad, pairing, row in rows
+                       if quad[1] == 1 and (pairing == 1 or quad[2] == 2))
 
 
 def generate_relations(n: int, k: int) -> list[KMRelation]:
@@ -294,58 +234,41 @@ def generate_relations(n: int, k: int) -> list[KMRelation]:
 
 def spanning_relations(n: int, k: int) -> list[KMRelation]:
     """A basis of the relations at each site, as a subsequence of
-    generate_relations(n, k) (same provenance, terms and order): of the
-    relations whose 4-subset contains the two least flags fl[0], fl[1] of
-    its site, those that `_site_basis` keeps.
+    generate_relations(n, k) (same provenance, terms and order): the rule
+    rows, pairing 1 of each 4-subset through the two least flags fl[0],
+    fl[1] of its site and pairing 2 of those that also hold fl[2]
+    (`_site_basis`).
 
-    A site of valence m emits m(m-3)/2 of its 2*C(m,4) relations for
-    m = 4..9, the rank of the relations among the boundary divisors of
-    M_{0,m} (Keel, Trans. AMS 330, 1992).  They span the row space of the
-    subfamily through fl[0], fl[1] modulo every modulus, and so that of
-    all the relations over Q:
+    A site of valence m emits C(m-2, 2) + (m-3) = m(m-3)/2 of its
+    2*C(m,4) relations, the rank of the relations among the boundary
+    divisors of M_{0,m} (Keel, Trans. AMS 330, 1992).  At every valence
+    every relation of the site is an integer combination of the rule
+    rows, so modulo every modulus the two families span the same rows:
+    every rank, reduced form and certified value computed from the rule
+    rows mod p or mod p*q is the one all the relations give.
 
-    * The subfamily through fl[0], fl[1], (m-2)(m-3) relations per site,
-      spans the same row space over Q as all of them:
+    * Per-site linearity.  The relations at (sigma, v) with flag set F
+      are the image of the 4-point relations of the F-pointed space
+      M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
+      the same with B and X exchanged) under the linear map
+      D_S -> split_vertex(sigma, v, S, F - S), and so is every integer
+      combination of them.  So it is enough to prove the claim on
+      M_{0,F}, as formal combinations of the D_S.
+    * Pullback.  Take a 4-subset Q of F and let G be Q together with the
+      three least flags of F, so 4 <= |G| <= 7.  Forgetting the flags of
+      F outside G, D_S -> sum of D_{S+T} over the subsets T of F - G,
+      sends the Q-relation on G to the Q-relation on F, term by term,
+      for either pairing (the flags keep their order, so A, B, C, D do).
+      The three least flags of G are those of F, so it sends each rule
+      row on G to a rule row on F, and an integer combination of rule
+      rows on G to the same combination on F.
+    * Base case.  On 4 to 7 flags every relation is an integer
+      combination of the rule rows, a finite check on the stars of 4 to
+      7 marks (tests/test_relations.py checks it up to 9 marks, and the
+      rank m(m-3)/2 of the rule rows and of all the relations mod a prime
+      at 10 and 11).  So the Q-relation on F is one, for every Q.
 
-      - Per-site linearity.  The relations at (sigma, v) with flag set F
-        are the image of the 4-point relations of the F-pointed space
-        M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
-        the same with B and X exchanged) under the linear map
-        D_S -> split_vertex(sigma, v, S, F - S).  So it is enough that the
-        subfamily spans the full family on M_{0,F}, as formal combinations
-        of the D_S.
-      - Pullback.  For a flag t outside a 4-subset Q, the map
-        D_S -> D_S + D_{S+t} (forgetting t) sends the Q-relation on F - t
-        to the Q-relation on F, term by term.  If t is not fl[0] or fl[1],
-        the two least flags of F - t are those of F, so it sends subfamily
-        relations to subfamily relations.
-      - Induction on m = |F|.  Given Q, forget the flags outside
-        Q + {fl[0], fl[1]} one at a time: the Q-relation on F is the image
-        of the Q-relation on Q + {fl[0], fl[1]}, and the images of
-        subfamily relations there are subfamily relations on F.  So it is
-        enough that the claim holds on Q + {fl[0], fl[1]}, which has 4, 5
-        or 6 flags.  With 4 the Q-relation is in the subfamily.  With 5
-        and 6 the claim is a finite rank check, and since S_m permutes
-        the pairs of flags transitively one labelling suffices: on the
-        star of 5 marks the subfamily has 6 rows of rank 5, on the star
-        of 6 marks 12 rows of rank 9, the ranks of the full families
-        (tests/test_relations.py checks these over Q).
-
-    * The kept relations generate the same Z-lattice as the subfamily.
-      `_integer_basis` drops a row of the template only when it has
-      written it as an integer combination of rows kept before it, and
-      by per-site linearity the same combination holds at every site of
-      valence m.  So every subfamily row is an integer combination of
-      kept rows there, and modulo any modulus the two families span the
-      same rows: every rank, reduced form and certified value computed
-      from the kept rows mod p or mod p*q is the one the subfamily gives.
-
-    For m = 4..9 the kept rows number m(m-3)/2, so they are independent
-    over Q, and every relation of the site, not only those through fl[0],
-    fl[1], is an integer combination of them: modulo every modulus they
-    span the row space of all the relations (tests/test_relations.py
-    checks the count, each dropped row's integer combination by an
-    independent solve, and the lattice of every relation).
+    The rule rows number the rank, so they are also independent over Q.
     """
     return _relations(n, k, _site_basis)
 

@@ -80,10 +80,11 @@ def _side(marks: Iterable[int], n: int) -> Side:
 
 @lru_cache(maxsize=1 << 16)
 def _side_bits(n: int, s: Side) -> int:
-    """Bitmask of the marks of s when s is a valid side for n marks (a
-    sorted duplicate-free tuple of ints in 2..n, of size 2..n-2), else 0."""
-    if (type(s) is tuple and all(type(m) is int for m in s) and 2 <= len(s) <= n - 2
-            and s[0] >= 2 and s[-1] <= n and all(a < b for a, b in zip(s, s[1:]))):
+    """Bitmask of the marks of a tuple of ints s when s is a valid side for
+    n marks (sorted, duplicate-free, in 2..n, of size 2..n-2), else 0.
+    The cache matches keys by equality, (2, 3.0) with (2, 3), so the
+    caller refuses marks that are not ints first (`_check_splits`)."""
+    if 2 <= len(s) <= n - 2 and s[0] >= 2 and s[-1] <= n and all(a < b for a, b in zip(s, s[1:])):
         return sum(1 << m for m in s)
     return 0
 
@@ -108,9 +109,12 @@ def _check_splits(n: int, splits) -> None:
     prev = ()
     seen = []
     for s in splits:
+        # int marks (int subclasses count) sum to an int, and a float,
+        # Fraction or numpy mark makes the sum another type: it is refused
+        # here, before the cache
         try:
-            b = _side_bits(n, s)
-        except TypeError:  # unhashable
+            b = _side_bits(n, s) if type(s) is tuple and type(sum(s)) is int else 0
+        except TypeError:  # a mark that is not a number
             b = 0
         if not b:
             if (type(s) is not tuple or any(type(m) is not int for m in s)
@@ -122,7 +126,7 @@ def _check_splits(n: int, splits) -> None:
         if s <= prev:
             raise ValueError("split family must be strictly sorted")
         for a in seen:
-            if a & b not in (0, a, b):
+            if (c := a & b) and c != a and c != b:
                 raise ValueError(f"incompatible splits {_bits_side(a)} / {s}")
         seen.append(b)
         prev = s

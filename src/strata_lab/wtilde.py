@@ -281,23 +281,30 @@ class RewriteMove:
 
     @staticmethod
     def from_obj(obj: dict) -> "RewriteMove":
-        if obj["kind"] not in ("rearrange", "km_swap"):
-            raise DomainError(f"unknown move kind {obj['kind']!r}")
-        if obj["kind"] == "rearrange":
-            region = tuple(obj["region"][:1]) + tuple(
+        kind = obj.get("kind")
+        if kind not in ("rearrange", "km_swap"):
+            raise DomainError(f"unknown move kind {kind!r}")
+
+        def field(name):
+            if name not in obj:
+                raise DomainError(f"{kind} move has no field {name}")
+            return obj[name]
+
+        if kind == "rearrange":
+            region = tuple(field("region")[:1]) + tuple(
                 frozenset(x) for x in obj["region"][1:]
             )
             _check_region(region)
             return RewriteMove(
-                "rearrange", (region, tuple(frozenset(s) for s in obj["sides"]))
+                "rearrange", (region, tuple(frozenset(s) for s in field("sides")))
             )
         return RewriteMove(
             "km_swap",
             (
-                frozenset(obj["e"]),
-                frozenset(obj["a"]),
-                obj["b"],
-                frozenset(obj["c"]),
+                frozenset(field("e")),
+                frozenset(field("a")),
+                field("b"),
+                frozenset(field("c")),
             ),
         )
 
@@ -372,7 +379,10 @@ def _surgery(family: list[int], full: int, kind: str, where, sides) -> list[int]
 
 
 def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
-    """Replay one recorded move on a tree."""
+    """Replay one recorded move on a tree.  DomainError for a move that is
+    not one (a mark out of range, an unknown kind or region, a swap whose
+    side a is not its edge e less its mark b or whose flag c meets e) or
+    that does not fit the tree."""
     n = t.n
     full = _full(n)
     family = [_side_bits(n, s) for s in t.splits]
@@ -386,11 +396,22 @@ def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
         where = (region[0], *map(bits, region[1:]))
         after = _surgery(family, full, "rearrange", where, list(map(bits, sides)))
     elif move.kind == "km_swap":
-        e, a, _, c = move.payload
-        after = _surgery(family, full, "km_swap", bits(e), [bits(a) | bits(c)])
+        edge, side, mark, flag = move.payload
+        e, a, b, c = bits(edge), bits(side), bits([mark]), bits(flag)
+        if not b & e:
+            raise DomainError(f"swap mark {mark} is not in its edge {sorted(edge)}")
+        if a != e ^ b:
+            raise DomainError(f"swap side {sorted(side)} is not its edge {sorted(edge)} "
+                              f"less mark {mark}")
+        if c & e:
+            raise DomainError(f"swap flag {sorted(flag)} meets its edge {sorted(edge)}")
+        after = _surgery(family, full, "km_swap", e, [a | c])
     else:
         raise DomainError(f"unknown move kind {move.kind!r}")
-    return _tree(n, after)
+    try:
+        return _tree(n, after)
+    except ValueError as exc:  # the validator's fault: the moved splits are no tree
+        raise DomainError(f"{move.kind} does not fit the tree {t.to_json()}: {exc}") from None
 
 
 @lru_cache(maxsize=1 << 16)

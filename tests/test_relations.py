@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -187,10 +189,50 @@ def test_jsonl_round_trip():
         assert MarkedTree.from_obj(obj["sigma"]) == rel.sigma
 
 
+# sha256 of the relation rows that `homology` eliminates, each row's items
+# in order, and of the relation JSON lines, as (rows, lines) per (n, k)
+RELATION_DIGESTS = {
+    (4, 0): ("99396c2892fced29086b7394de749fb4af9f377fc5da1bad5016ea73980336ab",
+             "cee7978af8456afa0bc33a36780ca53313e6fbb78e91d045fed10550d3628caa"),
+    (5, 0): ("bf1a8abcc21bd24856a30c239dfb417c8e5fca3c5e62eb6635343e00acb8bbfb",
+             "f74c6255f579288b708597fecb8d982637037306908c8698a3c3c4df42eb0cc7"),
+    (5, 1): ("2e2bfacad7f800cf8a5cd081e824f431b928e818dd22744066f426c71f0b7b93",
+             "d4ebe4047fad49e2bba9da71cfc1f907747281c485f8f1ccfc1bdd9bcebf41df"),
+    (6, 0): ("37308bd075261b4f4b0740cd987851985a0d810c95ff1b269a5bcdacf8a40039",
+             "239f5100b9fd5f3226553d08734c5c6dc6d0518fecbb354291939334e64151cd"),
+    (6, 1): ("51894348f05390f0c80cde920f356834f5923e1f8d400d2199d3985c60f8c04e",
+             "7dca660e2151c85fe5fba6b8807a70cb55cea6512d500f6cc15bb249a8946b98"),
+    (6, 2): ("466b55bc27ec81ec40337622d928f7d3c00bf7dd8b0c416236578865f8d88841",
+             "758fe1b2a4fe37934e9000aad4b2ced18fdc636be9b5cb11420b8704deb8568c"),
+    (7, 0): ("d89b3fb3235beb8978dd03e27b8bbb7e626ec20c33aa4d1f96f7f72c624aff6c",
+             "ac8e29c86db4f37b60e893589d74919e3934b4dc0a7afc9a01deffaf35903e05"),
+    (7, 1): ("aa12b8ed45eabaad92289856b12f9f40006b178cf145c1cfa33ce2bd2f59a129",
+             "667af2c53e0df35794e8355f04d567a722d326af5615d85afcd17e152bf4fef8"),
+    (7, 2): ("9c448e526d6436b27383bbc05d1fb21ef5c9796f857800dde7080edf0738580b",
+             "76f5d601330a31d9e0783be90b6eb36bac0772e7e32bbe41480d0964e3af9029"),
+    (7, 3): ("a409708e7a9dcd98bb3bfc55e9131c459c64169ed3166902348ebe1621500225",
+             "8a05b27a5eb9b7918e2977edf493d65ae2e72ee97e12b51f8bd2cdc0fd2d5696"),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(RELATION_DIGESTS))
+def test_relation_rows_and_lines_are_unchanged(n, k):
+    rows = hashlib.sha256()
+    for row in h._relation_rows(n, k):
+        rows.update(json.dumps(list(row.items()), separators=(",", ":")).encode())
+    lines = hashlib.sha256()
+    for line in relations_jsonl(n, k):
+        lines.update(line.encode() + b"\n")
+    assert (rows.hexdigest(), lines.hexdigest()) == RELATION_DIGESTS[n, k]
+
+
+@lru_cache(maxsize=None)
 def _through_two_least_flags(m):
-    """Every row of the template of the 4-subsets through the two least
-    flags, before the site basis drops any."""
-    return rel_mod._template(m, rel_mod._spanning_quads)
+    """The splits of the template of valence m and its rows whose 4-subset
+    holds the two least flags, before the site basis drops any; cached, so
+    every site of valence m shares the rows, as with the real templates."""
+    keys, rows = rel_mod._every_template(m)
+    return keys, tuple(r for r in rows if r[0][:2] == (0, 1))
 
 
 def _columns(n, k):
@@ -205,10 +247,9 @@ def _full_rows(n, k):
 
 @pytest.mark.parametrize("n, rows, rank", [(5, 6, 5), (6, 12, 9), (7, 20, 14)])
 def test_spanning_family_on_stars(n, rows, rank):
-    # the base cases (5 and 6 marks) of the spanning argument, and 7 marks
-    # as a check of its induction: at k = n-4 the only site is the star;
-    # of the subfamily through the two least flags the site basis keeps
-    # rank = n(n-3)/2 rows
+    # at k = n-4 the only site is the star: the subfamily through the two
+    # least flags, the site basis (rank = n(n-3)/2 of its rows) and all
+    # the relations have the same rank over Q
     idx = _index(n, n - 4)
     through = [r.row(idx) for r in rel_mod._relations(n, n - 4, _through_two_least_flags)]
     assert len(through) == rows
@@ -276,10 +317,11 @@ def test_site_basis_is_an_integer_basis(m):
     least flags, and every row it drops is an integer combination of the
     rows it keeps before it, solved here over Q and checked term by term:
     the kept rows generate the same Z-lattice as the template.  So does
-    every relation of the star, through the two least flags or not."""
-    keys, rows = rel_mod._template(m, rel_mod._spanning_quads)
+    every relation of the star, through the two least flags or not: at
+    m = 4..7 this is the base case of the proof in spanning_relations."""
+    keys, rows = _through_two_least_flags(m)
     basis_keys, basis = rel_mod._site_basis(m)
-    assert basis_keys is keys
+    assert basis_keys is keys is rel_mod._every_template(m)[0]
     assert len(basis) == m * (m - 3) // 2
     positions = [rows.index(b) for b in basis]
     assert positions == sorted(positions)
@@ -315,54 +357,18 @@ def test_site_basis_gives_the_same_quotient_basis_mod_a_pair(n, k):
     assert h._quotient_basis(n, k, m) == quotient_basis(full)
 
 
-DOUBLED_ROW_UNDER_O = """
-import json
-import sys
-import strata_lab.relations as r
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-m, doubled = M_AND_DOUBLED
-template = r._template
-
-
-def patched(m, quads):
-    keys, rows = template(m, quads)
-    quad, pairing, row = rows[doubled]
-    twice = (quad, pairing, {c: 2 * v for c, v in row.items()})
-    return keys, rows[:doubled] + (twice,) + rows[doubled + 1:]
-
-
-r._template = patched
-keys, rows = patched(m, r._spanning_quads)
-print(json.dumps([rows.index(row) for row in r._site_basis(m)[1]]))
-"""
-
-
-def test_site_basis_keeps_what_a_doubled_row_no_longer_generates():
-    """With one kept row of the template doubled, a row that is an integer
-    combination through it is only a rational one through the doubled row,
-    so the rule keeps it though it is dependent, and the kept rows still
-    generate every row of the patched template over Z: the rule is a
-    check that raises no AssertionError, so it holds under -O too."""
-    m = 7
-    keys, rows = rel_mod._template(m, rel_mod._spanning_quads)
-    kept = [rows.index(b) for b in rel_mod._site_basis(m)[1]]
-    dropped = next(i for i in range(len(rows)) if i not in kept)
-    [x] = solve_fraction([rows[i][2] for i in kept], [rows[dropped][2]], len(keys))
-    doubled = next(i for i, c in zip(kept, x) if c % 2)
-    out = _succeeds_under_O(DOUBLED_ROW_UNDER_O.replace("M_AND_DOUBLED", f"{m}, {doubled}"))
-    patched = [row for _, _, row in rows]
-    patched[doubled] = {c: 2 * v for c, v in patched[doubled].items()}
-    now = json.loads(out)
-    assert now == sorted(now) and set(kept) <= set(now)
-    extra = [i for i in now if i not in kept]
-    assert dropped in extra
-    for i in extra:
-        before = [patched[j] for j in now if j < i]
-        assert rank_fraction(before + [patched[i]], len(keys)) == rank_fraction(before, len(keys))
-    kept_rows = [patched[i] for i in now]
-    assert all(in_lattice(kept_rows, row, len(keys)) for row in patched)
+@pytest.mark.parametrize("m", [10, 11])
+def test_site_basis_has_the_full_rank_past_the_lattice_check(m):
+    # past the valences whose lattice is checked above: the rule rows and
+    # all the relations of the star of m marks have rank m(m-3)/2 mod p
+    keys, every = rel_mod._every_template(m)
+    basis = rel_mod._site_basis(m)[1]
+    assert len(basis) == m * (m - 3) // 2
+    p = next(iter(prime_stream(3)))
+    for rows in (basis, every):
+        ech = ModEchelon(p)
+        ech.add_rows([row for _, _, row in rows])
+        assert ech.rank == m * (m - 3) // 2
 
 
 TEMPLATES = {

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -177,6 +178,21 @@ def test_tree_refuses_splits_that_are_not_a_tuple_and_n_that_is_not_an_int(n, sp
         MarkedTree(n, splits)
     assert str(err.value) == message
     assert MarkedTree(5, ((2, 3),)) == MarkedTree.from_sides(5, [[3, 2]])
+
+
+@pytest.mark.parametrize("order", [[(2, 3.0), (2, 3)], [(2, 3), (2, 3.0)]])
+def test_float_marks_are_refused_whatever_the_cache_holds(order):
+    # (2, 3.0) == (2, 3), so the cache of side bitmasks has one entry for
+    # both: the verdict must not depend on which was looked up first
+    trees._side_bits.cache_clear()
+    for marks in order:
+        want = None
+        if type(marks[1]) is not int:
+            want = (ValueError, f"split {marks!r} is not a sorted duplicate-free tuple")
+        assert _verdict(lambda: MarkedTree(8, (marks,))) == want
+        text = json.dumps({"n": 8, "splits": [marks]})
+        assert _verdict(lambda: MarkedTree.from_json(text)) == want
+    assert MarkedTree.from_json('{"n":8,"splits":[[2,3]]}').to_json() == '{"n":8,"splits":[[2,3]]}'
 
 
 def test_from_sides_refuses_marks_outside_the_tree():

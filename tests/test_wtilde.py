@@ -487,6 +487,36 @@ def test_unknown_move_kinds_and_marks_are_refused():
                                               frozenset({9}))))
 
 
+SWAP_TREE = MarkedTree.from_sides(7, [(2, 3), (2, 3, 4, 5)])
+SWAP = {"kind": "km_swap", "e": [2, 3], "a": [3], "b": 2, "c": [5]}  # recorded at (7,2)
+
+
+def test_recorded_swap_replays():
+    moved = apply_move(SWAP_TREE, RewriteMove.from_obj(SWAP))
+    assert moved == MarkedTree.from_sides(7, [(2, 3, 4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"b": 99}, "move mark 99 is not a mark in 1..7"),  # was ignored
+    ({"b": 4}, r"swap mark 4 is not in its edge \[2, 3\]"),
+    ({"a": [2, 3]}, r"swap side \[2, 3\] is not its edge \[2, 3\] less mark 2"),  # a == e
+    ({"c": [3, 5]}, r"swap flag \[3, 5\] meets its edge \[2, 3\]"),
+    ({"c": [4, 5, 6]}, r"km_swap does not fit the tree .*: incompatible splits"),  # was ValueError
+])
+def test_swap_that_is_not_one_is_refused(fields, message):
+    with pytest.raises(DomainError, match=message):
+        apply_move(SWAP_TREE, RewriteMove.from_obj({**SWAP, **fields}))
+
+
+@pytest.mark.parametrize("obj, field", [
+    (SWAP, "c"), (SWAP, "e"), (SWAP, "b"),  # was KeyError
+    ({"kind": "rearrange", "region": ["hanging", [2, 3]], "sides": []}, "sides"),
+])
+def test_move_object_with_a_field_missing_names_it(obj, field):
+    with pytest.raises(DomainError, match=f"{obj['kind']} move has no field {field}$"):
+        RewriteMove.from_obj({k: v for k, v in obj.items() if k != field})
+
+
 @pytest.mark.parametrize("region", [
     ("bogus", frozenset({2, 6}), frozenset({7})),  # was replayed as "middle"
     ("bogus", frozenset({2, 6})),  # raised IndexError
