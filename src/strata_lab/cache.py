@@ -6,7 +6,8 @@ old files automatically.  Each file echoes its header and carries the
 sha256 of its value's canonical JSON; a file whose header differs or
 whose hash is missing or does not match is recomputed and rewritten, so
 an edited or truncated value is never returned.  Writes go through a
-temp file and an atomic rename.  The CLI stores certified Betti numbers
+temp file and an atomic rename; a failed write is named on stderr and
+the value returned all the same.  The CLI stores certified Betti numbers
 only, keyed by (n, k, seed): they are the results that cost eliminations,
 while strata are recomputed faster than a cache file is read.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -76,5 +78,8 @@ def cached(kind: str, params: dict, compute: Callable[[], object],
     if obj is not None:
         return obj["value"]
     value = compute()
-    _store(path, header, value)
+    try:
+        _store(path, header, value)
+    except OSError as exc:
+        sys.stderr.write(f"cache: cannot write {path}: {exc.strerror or exc}\n")
     return value

@@ -143,10 +143,11 @@ class Character:
 
     @staticmethod
     def from_obj(obj: dict) -> "Character":
-        values = {
-            parse_cycle_type_key(key): int(v) for key, v in obj["values"].items()
-        }
-        return Character(int(obj["n"]), values)
+        for key, v in [("n", obj["n"]), *obj["values"].items()]:
+            if type(v) is not int:  # refused, not truncated: 2.9 is no 2
+                raise ValueError(f"{key}: {v!r} is not an int")
+        values = {parse_cycle_type_key(key): v for key, v in obj["values"].items()}
+        return Character(obj["n"], values)
 
     @staticmethod
     def from_fixed_points(n: int, objects: Iterable, act: Callable) -> "Character":

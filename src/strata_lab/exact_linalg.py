@@ -190,22 +190,19 @@ class ModEchelon:
 
     def add_rows(self, rows: Iterable[dict[int, int]], presorted: bool = False) -> int:
         """Insert rows, by leading column, largest first, unless presorted;
-        returns how many were independent."""
+        returns how many were independent.  Each row leaves the echelon's
+        own list once reduced, so rows an iterator made are freed as it goes."""
+        todo = list(rows) if presorted else sorted(rows, key=_row_order_key)
+        todo.reverse()
         added = 0
-        todo = rows if presorted else sorted(rows, key=_row_order_key)
-        for r in todo:
-            if self.add_row(r) is not None:
-                added += 1
+        while todo:
+            added += self.add_row(todo.pop()) is not None
         return added
-
-
-def _as_read(value, p: int):
-    return value
 
 
 def certified_value(compute: Callable[[int], object], seed: int = 0,
                     what: str = "value", lower_bound: bool = False,
-                    read: Callable[[object, int], object] = _as_read):
+                    read: Callable[[object, int], object] = lambda value, p: value):
     """Read values at the primes of prime_stream(seed), in stream order,
     until one is certified.
 

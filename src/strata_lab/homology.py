@@ -50,8 +50,9 @@ prime at a time.  The exception is a Betti number whose relation rank
 reaches its known value at the first prime: reduction mod p can only
 lower a rank, and the rank over Q is |S_{k,n}| - b_k with b_k from
 Keel's recursion (a theorem), so a mod-p rank equal to that bound is the
-rank over Q.  A wrong relation matrix misses the bound and is certified
-at two primes as before.  The graded dimensions must sum to that b_k.
+rank over Q, and that echelon is dropped: nothing else is read mod one
+prime.  A wrong relation matrix misses the bound and is certified at
+two primes as before.  The graded dimensions must sum to that b_k.
 
 The argument p of the closures and cached helpers below is the modulus:
 a prime, or a product of two.
@@ -63,6 +64,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .characters import Character, partitions_of, representative
 from .exact_linalg import (
@@ -113,19 +115,18 @@ def _cut(n: int, k: int, key_min: int) -> int:
     return sum(key < key_min for key in _filtration_keys(n, k))
 
 
-@lru_cache(maxsize=None)
-def _relation_rows(n: int, k: int) -> tuple[dict[int, int], ...]:
+def _relation_rows(n: int, k: int) -> Iterator[dict[int, int]]:
     """Sparse rows of the relation matrix for (n, k), from the site basis
     (`relations.spanning_relations`): the row space, hence every rank and
     reduced form computed from it, is that of all the relations modulo
-    every modulus.  Shared; never mutate a row."""
+    every modulus.  Generated, so an elimination frees each row once
+    reduced; a caller that reads them twice takes a tuple."""
     if k == n - 3:
-        return ()
-    idx, rows = _index(n, k), []
+        return
+    idx = _index(n, k)
     for _, _, _, trees, site_rows in _sites(n, k, _site_basis):
         cols = [idx[t.splits] for t in trees]
-        rows.extend({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
-    return tuple(rows)
+        yield from ({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
 
 
 @lru_cache(maxsize=None)
@@ -160,17 +161,16 @@ def _keel_row(n: int) -> tuple[int, ...]:
     return tuple(c + (pairs[i - 1] // 2 if i else 0) for i, c in enumerate(row))
 
 
-@lru_cache(maxsize=None)
 def betti(n: int, k: int, seed: int = 0) -> int:
     """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank.
 
-    The rank at the first prime is returned when it reaches |S_{k,n}| - b_k,
-    b_k from Keel's recursion; otherwise the rank is certified at two
-    primes, by `certified_value`."""
+    The rank at the first prime, in an echelon of its own, is returned when
+    it reaches |S_{k,n}| - b_k, b_k from Keel's recursion; otherwise the
+    rank is certified at two primes, by `certified_value`."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     size = len(enumerate_strata(n, k))
-    rank = _echelon(n, k, next(prime_stream(seed))).rank
+    rank = ModEchelon(next(prime_stream(seed))).add_rows(_relation_rows(n, k))
     if rank != size - _keel_row(n)[k]:
         rank = certified_value(lambda m: _echelon(n, k, m).rank, seed,
                                f"relation rank ({n},{k})", lower_bound=True)
@@ -253,7 +253,7 @@ def exact_rank(n: int, k: int) -> int:
     class_equal audit at (n, k).  Refused before any work for n > 6."""
     if n > 6:
         raise DomainError("exact audit elimination is limited to n <= 6")
-    return rank_bareiss(_relation_rows(n, k), len(_index(n, k)))
+    return rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k)))
 
 
 def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
@@ -266,17 +266,14 @@ def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
     RankCertificationError if the two verdicts differ.
     """
     diff = _difference(t1, t2)
-    n, k = t1.n, t1.k
+    n, k, width = t1.n, t1.k, len(_index(t1.n, t1.k))
     if exact:
         base = exact_rank(n, k)
     if t1 == t2:
         return True
-    verdict = _member(n, k, diff, len(_index(n, k)), seed, "class membership")
-    if exact:
-        if (base == rank_bareiss((*_relation_rows(n, k), diff), len(_index(n, k)))) != verdict:
-            raise RankCertificationError(
-                f"modular and exact class membership differ for {t1} and {t2}"
-            )
+    verdict = _member(n, k, diff, width, seed, "class membership")
+    if exact and verdict != (base == rank_bareiss((*_relation_rows(n, k), diff), width)):
+        raise RankCertificationError(f"modular and exact class membership differ for {t1} and {t2}")
     return verdict
 
 

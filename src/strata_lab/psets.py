@@ -26,12 +26,12 @@ class PairLabel:
 
     def __post_init__(self):
         for p, a in ((self.p1, self.a1), (self.p2, self.a2)):
-            if a < 1:
-                raise ValueError(f"weights must be positive, got {a}")
+            if type(a) is not int or a < 1:
+                raise ValueError(f"weights must be positive ints, got {a!r}")
             if len(p) < a + 2:
                 raise ValueError(f"side {p} too small for weight {a}")
-            if list(p) != sorted(set(p)) or p[0] < 1:
-                raise ValueError(f"side {p} is not a sorted set of marks")
+            if any(type(m) is not int for m in p) or list(p) != sorted(set(p)) or p[0] < 1:
+                raise ValueError(f"side {p} is not a sorted set of int marks")
         if set(self.p1) & set(self.p2):
             raise ValueError("sides must be disjoint")
         if self.p1[0] > self.p2[0]:

@@ -132,7 +132,7 @@ def _check_splits(n: int, splits) -> None:
         prev = s
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MarkedTree:
     """A stable tree with marks {1..n}, in canonical split-family form."""
 
@@ -164,7 +164,7 @@ class MarkedTree:
 
     @staticmethod
     def from_obj(obj: dict) -> "MarkedTree":
-        return MarkedTree(int(obj["n"]), tuple(tuple(s) for s in obj["splits"]))
+        return MarkedTree(obj["n"], tuple(tuple(s) for s in obj["splits"]))
 
     @staticmethod
     def from_json(text: str) -> "MarkedTree":

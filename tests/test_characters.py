@@ -1,5 +1,8 @@
 import json
+import re
 from math import factorial
+
+import pytest
 
 from strata_lab.characters import (
     Character,
@@ -58,6 +61,18 @@ def test_character_addition_and_json():
     assert Character.from_obj(obj) == b
     text = b.to_json()
     assert json.loads(text)["values"]["1^4"] == 2
+
+
+def test_character_from_obj_refuses_values_that_are_not_ints():
+    good = Character(3, {t: 1 for t in partitions_of(3)}).to_obj()
+    for key, bad in [("n", 3.7), ("n", "3"), ("1^3", 2.9), ("3", "1"), ("2,1", True)]:
+        obj = json.loads(json.dumps(good))
+        if key == "n":
+            obj["n"] = bad
+        else:
+            obj["values"][key] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{key}: {bad!r} is not an int")):
+            Character.from_obj(obj)
 
 
 def test_conjugacy_class_sizes():

@@ -330,3 +330,17 @@ def test_betti_refuses_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys,
     code, out = run_cli(["betti", "--n", "5", "--exact", "--cache-dir", str(blocker)], tmp_path)
     assert code == 0 and out.split() == ["n", "k", "betti", "5", "0", "1", "5", "1", "5", "5",
                                          "2", "1"]
+
+
+def test_betti_prints_its_table_when_a_cache_entry_cannot_be_written(tmp_path, capsys):
+    """A cache entry that cannot be written costs the reuse of the value,
+    not the value: the table is printed, one stderr line names the entry,
+    and the exit code is 0."""
+    cache = tmp_path / "cache"
+    entry = cache / "betti-n6-k1-seed0-7229650a9edf2612.json"
+    entry.mkdir(parents=True)
+    assert main(["betti", "--n", "6", "--k", "1", "--cache-dir", str(cache)]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == ["n", "k", "betti", "6", "1", "16"]
+    assert err == f"cache: cannot write {entry}: Is a directory\n"
+    assert entry.is_dir() and list(cache.iterdir()) == [entry]

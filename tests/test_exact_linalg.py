@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -182,7 +183,7 @@ def test_lift_symmetric():
 def test_row_order_leaves_the_reduced_form_unchanged(n, k):
     """Leading column, largest first, against the reference order: the
     pivots and the RREF depend on the row space alone."""
-    rows = _relation_rows(n, k)
+    rows = tuple(_relation_rows(n, k))
     for seed in (0, 7):
         p = next(prime_stream(seed))
         ref = ModEchelon(p)
@@ -194,6 +195,27 @@ def test_row_order_keeps_the_n8k3_echelon_sparse():
     ech = _echelon(8, 3, next(prime_stream(0)))
     assert ech.rank == 1203
     assert sum(len(r) for r in ech.pivots.values()) <= 13_000  # 32,875 in the reference order
+
+
+@pytest.mark.parametrize("presorted", [False, True])
+def test_add_rows_keeps_no_reduced_input_row(monkeypatch, presorted):
+    """Each row is dropped once reduced: when a row goes in, no row that went
+    in before it is alive, so generated rows are freed as they are used."""
+    class Row(dict):  # a dict that takes a weak reference
+        pass
+
+    rows = sorted(_relation_rows(6, 1), key=_row_order_key)
+    went_in, add_row = [], ModEchelon.add_row
+
+    def checking_add_row(self, row):
+        assert all(ref() is None for ref in went_in), "an earlier row is alive"
+        went_in.append(weakref.ref(row))
+        return add_row(self, row)
+
+    monkeypatch.setattr(ModEchelon, "add_row", checking_add_row)
+    ech = ModEchelon(next(prime_stream(0)))
+    added = ech.add_rows((Row(r) for r in rows), presorted)
+    assert len(went_in) == len(rows) and added == ech.rank == 105 - 16
 
 
 def test_add_rows_takes_empty_rows():

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -161,7 +162,7 @@ def test_graded_dims_match_stacked_rank_oracle():
     for n in range(4, 8):
         for k in range(1, n - 2):
             trees = enumerate_strata(n, k)
-            M = _relation_rows(n, k)
+            M = tuple(_relation_rows(n, k))
             rmax = min(k, n - 2 - k)
             span = [_stacked_span_dim(M, _level_set(trees, r), p) for r in range(1, rmax + 2)]
             assert graded_dims(n, k) == [span[r] - span[r + 1] for r in range(rmax)], (n, k)
@@ -179,7 +180,7 @@ def test_graded_class_equal_matches_stacked_membership():
     for n, k in [(6, 2), (7, 2), (7, 3)]:
         trees = enumerate_strata(n, k)
         idx = {t: _index(n, k)[t.splits] for t in trees}
-        M = _relation_rows(n, k)
+        M = tuple(_relation_rows(n, k))
         by_level: dict[int, list[MarkedTree]] = {}
         for t in trees:
             if filtration_level(t) == 2:
@@ -221,7 +222,7 @@ def test_membership_at_any_cut_matches_the_fraction_oracle(n, k):
     column c, at cut c, reduces to a row leading at the cut itself."""
     import strata_lab.homology as h
 
-    width, rows = len(_index(n, k)), _relation_rows(n, k)
+    width, rows = len(_index(n, k)), tuple(_relation_rows(n, k))
     free = sorted(set(range(width)) - {c for c, _ in rref_fraction(list(rows), width)})
     rng = random.Random(n * 10 + k)
     cuts = {0, width, *rng.sample(free, min(4, len(free))),
@@ -334,12 +335,12 @@ def test_keel_row_matches_the_test_oracle():
 
 @pytest.fixture
 def fresh_homology(monkeypatch):
-    """The homology module with betti and its per-modulus helpers on caches
-    of their own, so patched relation rows leave nothing behind in the
-    shared ones."""
+    """The homology module with its per-modulus helpers on caches of their
+    own, so patched relation rows leave nothing behind in the shared ones
+    (betti keeps nothing)."""
     import strata_lab.homology as h
 
-    for name in ("_echelon", "_quotient_basis", "betti"):
+    for name in ("_echelon", "_quotient_basis"):
         monkeypatch.setattr(h, name, lru_cache(maxsize=None)(getattr(h, name).__wrapped__))
     return h
 
@@ -356,6 +357,20 @@ def _independent_relation_rows(n, k):
     return tuple(basis)
 
 
+def _counting_eliminations(monkeypatch):
+    """Patch ModEchelon.add_rows to count the eliminations (calls on an
+    empty echelon) by modulus; returns the Counter."""
+    eliminations, add_rows = Counter(), ModEchelon.add_rows
+
+    def counting_add_rows(self, rows, presorted=False):
+        if not self.pivots:
+            eliminations[self.p] += 1
+        return add_rows(self, rows, presorted)
+
+    monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
+    return eliminations
+
+
 def test_one_prime_certificate_masks_no_fault(fresh_homology, monkeypatch):
     h = fresh_homology
     n, k = 6, 2
@@ -363,15 +378,20 @@ def test_one_prime_certificate_masks_no_fault(fresh_homology, monkeypatch):
     basis = list(_independent_relation_rows(n, k))
     assert len(basis) == width - b == width - h._keel_row(n)[k]
     unit = next({c: 1} for c in range(width) if rank_fraction(basis + [{c: 1}], width) > len(basis))
+    primes = prime_stream(0)
+    p, q = next(primes), next(primes)
+    eliminations = _counting_eliminations(monkeypatch)
     # dropping an independent row lowers the rank over Q, so the bound is
     # missed at every prime and the two-prime certificate reports b + 1;
-    # an extra unit row outside the row space raises it: b - 1
-    for rows, want, primes in [(basis, b, 1), (basis[1:], b + 1, 2), (basis + [unit], b - 1, 2)]:
-        h.betti.cache_clear()
+    # an extra unit row outside the row space raises it: b - 1.  Either
+    # way one more elimination, mod p*q, follows the one mod p
+    for rows, want, moduli in [(basis, b, [p]), (basis[1:], b + 1, [p, p * q]),
+                               (basis + [unit], b - 1, [p, p * q])]:
         h._echelon.cache_clear()
+        eliminations.clear()
         monkeypatch.setattr(h, "_relation_rows", lambda n, k, rows=rows: tuple(rows))
         assert h.betti(n, k) == want
-        assert h._echelon.cache_info().currsize == primes
+        assert eliminations == Counter(moduli)
 
 
 def test_graded_sum_check_catches_a_dropped_relation(fresh_homology, monkeypatch):
@@ -401,9 +421,32 @@ def test_betti_eliminates_at_one_prime(fresh_homology, monkeypatch):
         return add_rows(self, rows, presorted)
 
     monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
+    cached = h._echelon.cache_info()
     assert h.betti(n, k, seed) == keel_betti(n)[k]
     assert list(fed.values()) == [1]
     assert list(fed) == [next(prime_stream(seed))]
+    # the one-prime echelon is kept by nothing: no modulus reads it again
+    assert h._echelon.cache_info() == cached
+
+
+def test_verify_conjecture_eliminates_once_per_k(fresh_homology, monkeypatch, capsys):
+    """At k >= 1 the certified graded dims give the Betti number too, so
+    each relation matrix is generated and eliminated once."""
+    from strata_lab.cli import main
+
+    h, n = fresh_homology, 7
+    streamed, relation_rows = Counter(), h._relation_rows
+
+    def counting_rows(n, k):
+        streamed[n, k] += 1
+        return relation_rows(n, k)
+
+    monkeypatch.setattr(h, "_relation_rows", counting_rows)
+    eliminations = _counting_eliminations(monkeypatch)
+    assert main(["verify", "conjecture", "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert streamed == Counter({(n, k): 1 for k in range(n - 2)})
+    assert sum(eliminations.values()) == n - 2
 
 
 def test_class_equal_examples():
@@ -546,7 +589,7 @@ def test_exact_audit_computes_the_base_rank_once(monkeypatch):
     import strata_lab.homology as h
 
     n, k = 6, 2
-    base = len(h._relation_rows(n, k))
+    base = len(tuple(h._relation_rows(n, k)))
     sizes = []
     rank = h.rank_bareiss
 
@@ -728,7 +771,7 @@ def test_relation_matrix_work_counts():
 
     for (n, k), want in {(7, 2): 434, (8, 3): 1358}.items():
         sites = [len(fl) for _, _, fl, _, _ in _sites(n, k, _site_basis)]
-        assert len(h._relation_rows(n, k)) == want == sum(m * (m - 3) // 2 for m in sites)
+        assert len(tuple(h._relation_rows(n, k))) == want == sum(m * (m - 3) // 2 for m in sites)
     primes = prime_stream(0)
     echelon = h._echelon(8, 3, next(primes) * next(primes))
     assert echelon.rank == len(enumerate_strata(8, 3)) - keel_betti(8)[3]

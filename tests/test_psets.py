@@ -108,6 +108,19 @@ def test_pair_label_validation():
         PairLabel((1, 2, 3), 1, (3, 4, 5), 1)  # overlap
     with pytest.raises(ValueError):
         PairLabel((4, 5, 6), 1, (1, 2, 3), 1)  # wrong order
+
+
+@pytest.mark.parametrize("p1, a1, p2, a2, match", [
+    ((1, 2, 3), 1, (4.0, 5, 6), 1, "not a sorted set of int marks"),
+    ((1, 2, 3, 4, 5), 2.5, (6, 7, 8), 1, "positive ints, got 2.5"),  # k would be 3.5
+    ((1, 2, 3), 1.0, (4, 5, 6), 1, "positive ints, got 1.0"),
+    ((1, 2, 3), True, (4, 5, 6), 1, "positive ints, got True"),
+])
+def test_pair_label_refuses_marks_and_weights_that_are_not_ints(p1, a1, p2, a2, match):
+    with pytest.raises(ValueError, match=match):
+        PairLabel(p1, a1, p2, a2)
+    with pytest.raises(ValueError, match=match):
+        PairLabel.from_obj({"P1": list(p1), "a1": a1, "P2": list(p2), "a2": a2})
     normalized = PairLabel.from_parts([4, 5, 6], 1, [1, 2, 3], 1)
     assert normalized.p1 == (1, 2, 3)
 

@@ -291,7 +291,7 @@ def test_spanning_family_has_the_full_rank(n, k):
     # the streamed rows are those of the spanning KMRelations, in order and
     # with their terms in order; no row is empty and no two rows are equal
     # up to sign, so the rows need no deduplication before elimination
-    rows = h._relation_rows(n, k)
+    rows = tuple(h._relation_rows(n, k))
     idx = _columns(n, k)
     assert [list(r.items()) for r in rows] == [
         list(rel.row(idx).items()) for rel in spanning_relations(n, k)]

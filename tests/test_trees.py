@@ -376,6 +376,18 @@ def test_json_round_trip():
     )
 
 
+@pytest.mark.parametrize("n", ["7.9", '"7"', "7.0", "true"])
+def test_from_json_refuses_an_n_that_is_not_an_int(n):
+    # n reaches the validator as given: 7.9 is not truncated to a 7-marked tree
+    with pytest.raises(ValueError, match="n must be an int"):
+        MarkedTree.from_json(f'{{"n": {n}, "splits": [[2, 3]]}}')
+
+
+def test_marked_tree_is_slotted():
+    t = MarkedTree.from_sides(5, [(2, 3)])
+    assert not hasattr(t, "__dict__")
+
+
 VALENCE_UNDER_O = """
 import sys
 import strata_lab.trees as tr
