@@ -9,6 +9,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable
 
+from .trees import _json_fields
+
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
@@ -143,11 +145,11 @@ class Character:
 
     @staticmethod
     def from_obj(obj: dict) -> "Character":
-        for key, v in [("n", obj["n"]), *obj["values"].items()]:
+        n, values = _json_fields(obj, "character", "n", "values")
+        for key, v in [("n", n), *values.items()]:
             if type(v) is not int:  # refused, not truncated: 2.9 is no 2
                 raise ValueError(f"{key}: {v!r} is not an int")
-        values = {parse_cycle_type_key(key): v for key, v in obj["values"].items()}
-        return Character(obj["n"], values)
+        return Character(n, {parse_cycle_type_key(key): v for key, v in values.items()})
 
     @staticmethod
     def from_fixed_points(n: int, objects: Iterable, act: Callable) -> "Character":

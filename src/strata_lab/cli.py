@@ -1,9 +1,10 @@
 """Command-line driver: enumeration, tables, characters, verification.
 
 Exit codes: 0 success, 1 verification failure (a failed check, or a
-certification, rewrite, formula or half-integer error raised while
-verifying), 2 domain error, 3 resource bound exceeded.  All output is
-deterministic given --seed and the inputs.
+certification, rewrite, formula or half-integer error: `verify` reports
+it as a JSON record, every other command as one stderr line), 2 domain
+error, 3 resource bound exceeded.  All output is deterministic given
+--seed and the inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .wtilde import (
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_DOMAIN, EXIT_RESOURCE = 0, 1, 2, 3
+CHECK_ERRORS = (RankCertificationError, RewriteError, FormulaError, HalfIntegerError)
 
 
 def _emit(obj) -> None:
@@ -304,7 +306,7 @@ def cmd_verify(args) -> int:
         raise DomainError(f"verify {args.target} does not read {' or '.join(unread)}")
     try:
         report = handler(args)
-    except (RankCertificationError, RewriteError, FormulaError, HalfIntegerError) as exc:
+    except CHECK_ERRORS as exc:
         _emit({
             "target": args.target,
             "n": args.n,
@@ -394,6 +396,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
+    except CHECK_ERRORS as exc:
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

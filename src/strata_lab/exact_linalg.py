@@ -201,10 +201,11 @@ class ModEchelon:
 
 
 def certified_value(compute: Callable[[int], object], seed: int = 0,
-                    what: str = "value", lower_bound: bool = False,
+                    what: str = "value",
                     read: Callable[[object, int], object] = lambda value, p: value):
     """Read values at the primes of prime_stream(seed), in stream order,
-    until one is certified.
+    and return the first value seen twice; RankCertificationError after
+    MAX_PRIMES primes.
 
     The primes are taken two at a time: compute(p*q) is evaluated once and
     read(result, p), then read(result, q), are the values at the two primes
@@ -212,13 +213,9 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
     default the result is the value).  When compute raises _NonUnitLead,
     compute(p) and compute(q) are evaluated one at a time instead (see the
     module docstring for why either way gives the value at each prime).
-
-    With lower_bound=True (ranks) the largest value seen so far is returned
-    once it has been seen twice: reduction mod p can only lower a rank, so
-    no value below the maximum is the rank over Q, and the maximum is wrong
-    only if every prime drawn so far was unlucky.  With lower_bound=False
-    the first value seen twice is returned.  Either way
-    RankCertificationError is raised after MAX_PRIMES primes.
+    A wrong value is returned only if two primes err alike; where a theorem
+    gives the value (a Betti number, by Keel's recursion) the caller checks
+    it as well.
     """
     seen: list = []
     primes = prime_stream(seed)
@@ -229,8 +226,7 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
         except _NonUnitLead:
             results = ((compute(r), r) for r in (p, q))
         for result, r in results:
-            seen.append(read(result, r))
-            v = max(seen) if lower_bound else seen[-1]
+            seen.append(v := read(result, r))
             if seen.count(v) >= 2:
                 return v
             if len(seen) == MAX_PRIMES:

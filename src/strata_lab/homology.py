@@ -46,13 +46,8 @@ finds reduce to those mod p and mod q, and each prime reads the value a
 computation mod that prime alone gives.  Traces are summed mod p*q and
 lifted to the symmetric range at each prime, so the two primes still
 check each other.  When a lead is not a unit the pair is evaluated one
-prime at a time.  The exception is a Betti number whose relation rank
-reaches its known value at the first prime: reduction mod p can only
-lower a rank, and the rank over Q is |S_{k,n}| - b_k with b_k from
-Keel's recursion (a theorem), so a mod-p rank equal to that bound is the
-rank over Q, and that echelon is dropped: nothing else is read mod one
-prime.  A wrong relation matrix misses the bound and is certified at
-two primes as before.  The graded dimensions must sum to that b_k.
+prime at a time.  A Betti number must equal b_k from Keel's recursion (a
+theorem), and the graded dimensions must sum to it.
 
 The argument p of the closures and cached helpers below is the modulus:
 a prime, or a product of two.
@@ -72,7 +67,6 @@ from .exact_linalg import (
     RankCertificationError,
     certified_value,
     lift_symmetric,
-    prime_stream,
     quotient_basis,
     rank_bareiss,
 )
@@ -162,19 +156,17 @@ def _keel_row(n: int) -> tuple[int, ...]:
 
 
 def betti(n: int, k: int, seed: int = 0) -> int:
-    """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank.
-
-    The rank at the first prime, in an echelon of its own, is returned when
-    it reaches |S_{k,n}| - b_k, b_k from Keel's recursion; otherwise the
-    rank is certified at two primes, by `certified_value`."""
+    """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank,
+    certified in an echelon of its own, which nothing keeps.  Raises
+    RankCertificationError unless it equals b_k from Keel's recursion."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
-    size = len(enumerate_strata(n, k))
-    rank = ModEchelon(next(prime_stream(seed))).add_rows(_relation_rows(n, k))
-    if rank != size - _keel_row(n)[k]:
-        rank = certified_value(lambda m: _echelon(n, k, m).rank, seed,
-                               f"relation rank ({n},{k})", lower_bound=True)
-    return size - rank
+    b = len(enumerate_strata(n, k)) - certified_value(
+        lambda m: ModEchelon(m).add_rows(_relation_rows(n, k)), seed,
+        f"relation rank ({n},{k})")
+    if b != (want := _keel_row(n)[k]):
+        raise RankCertificationError(f"Betti number {b} of ({n},{k}) is not b_{k} = {want}")
+    return b
 
 
 def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:

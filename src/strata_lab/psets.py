@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from .characters import Character, act_set
-from .trees import DomainError
+from .trees import DomainError, _json_fields
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +58,7 @@ class PairLabel:
 
     @staticmethod
     def from_obj(obj: dict) -> "PairLabel":
-        return PairLabel.from_parts(obj["P1"], obj["a1"], obj["P2"], obj["a2"])
+        return PairLabel.from_parts(*_json_fields(obj, "pair label", "P1", "a1", "P2", "a2"))
 
 
 def enumerate_p1(n: int, k: int) -> list[frozenset]:

@@ -44,7 +44,17 @@ Side = tuple  # sorted marks on the side of an edge away from mark 1
 
 
 class DomainError(ValueError):
-    """Raised for (n, k) or surgery arguments outside the valid range."""
+    """Raised for (n, k), surgery arguments or JSON input outside the valid range."""
+
+
+def _json_fields(obj, what: str, *names: str) -> list:
+    """The named fields of a JSON object read as a `what`; DomainError if
+    obj is no object or lacks one of them."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if missing := [name for name in names if name not in obj]:
+        raise DomainError(f"{what} has no field {missing[0]}")
+    return [obj[name] for name in names]
 
 
 class TreeStructureError(RuntimeError):
@@ -164,7 +174,8 @@ class MarkedTree:
 
     @staticmethod
     def from_obj(obj: dict) -> "MarkedTree":
-        return MarkedTree(obj["n"], tuple(tuple(s) for s in obj["splits"]))
+        n, splits = _json_fields(obj, "tree", "n", "splits")
+        return MarkedTree(n, tuple(tuple(s) for s in splits))
 
     @staticmethod
     def from_json(text: str) -> "MarkedTree":

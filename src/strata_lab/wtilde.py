@@ -41,6 +41,7 @@ from .trees import (
     _fat_vertices,
     _filtration_keys,
     _full,
+    _json_fields,
     _marks_bits,
     _side_bits,
     _two_vertex_bits,
@@ -281,32 +282,16 @@ class RewriteMove:
 
     @staticmethod
     def from_obj(obj: dict) -> "RewriteMove":
-        kind = obj.get("kind")
+        kind = _json_fields(obj, "move", "kind")[0]
         if kind not in ("rearrange", "km_swap"):
             raise DomainError(f"unknown move kind {kind!r}")
-
-        def field(name):
-            if name not in obj:
-                raise DomainError(f"{kind} move has no field {name}")
-            return obj[name]
-
         if kind == "rearrange":
-            region = tuple(field("region")[:1]) + tuple(
-                frozenset(x) for x in obj["region"][1:]
-            )
+            region, sides = _json_fields(obj, "rearrange move", "region", "sides")
+            region = tuple(region[:1]) + tuple(frozenset(x) for x in region[1:])
             _check_region(region)
-            return RewriteMove(
-                "rearrange", (region, tuple(frozenset(s) for s in field("sides")))
-            )
-        return RewriteMove(
-            "km_swap",
-            (
-                frozenset(field("e")),
-                frozenset(field("a")),
-                field("b"),
-                frozenset(field("c")),
-            ),
-        )
+            return RewriteMove("rearrange", (region, tuple(frozenset(s) for s in sides)))
+        e, a, b, c = _json_fields(obj, "km_swap move", "e", "a", "b", "c")
+        return RewriteMove("km_swap", (frozenset(e), frozenset(a), b, frozenset(c)))
 
 
 def _check_region(region: tuple) -> None:

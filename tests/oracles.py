@@ -331,16 +331,15 @@ def reference_wtilde(n: int, splits) -> dict:
 
 
 def certify_prime_by_prime(compute, seed: int = 0, what: str = "value",
-                           lower_bound: bool = False, read=lambda value, p: value):
-    """Reference for `exact_linalg.certified_value`: the same rules, with
+                           read=lambda value, p: value):
+    """Reference for `exact_linalg.certified_value`: the same rule, with
     read(compute(p), p) evaluated at each prime of the library's prime
     stream on its own, never at a product of primes."""
     import strata_lab.exact_linalg as el
 
     seen: list = []
     for p in el.prime_stream(seed):
-        seen.append(read(compute(p), p))
-        v = max(seen) if lower_bound else seen[-1]
+        seen.append(v := read(compute(p), p))
         if seen.count(v) >= 2:
             return v
         if len(seen) == el.MAX_PRIMES:

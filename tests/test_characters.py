@@ -75,6 +75,16 @@ def test_character_from_obj_refuses_values_that_are_not_ints():
             Character.from_obj(obj)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 3}, "character has no field values"),  # was KeyError
+    ({"values": {"1^3": 1}}, "character has no field n"),
+    ([3], "character must be a JSON object, got list"),
+])
+def test_character_from_obj_names_a_missing_field_or_a_non_object(obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Character.from_obj(obj)
+
+
 def test_conjugacy_class_sizes():
     from strata_lab.characters import conjugacy_class_size
 

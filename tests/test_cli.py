@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -271,6 +272,34 @@ def test_verify_reports_named_errors(tmp_path, monkeypatch, target, name, error)
         "target": target, "n": 6, "status": "fail",
         "error": {"type": error.__name__, "message": "broken on purpose"},
     }
+
+
+def _no_relations(n, k):
+    return iter(())  # the relation rank is 0, so Keel's b_k is missed
+
+
+def _broken_formula(*args, **kwargs):
+    raise FormulaError("broken on purpose")
+
+
+@pytest.mark.parametrize("argv, module, name, fake, err", [
+    (["betti", "--n", "6", "--k", "2"], "strata_lab.homology", "_relation_rows", _no_relations,
+     r"RankCertificationError: Betti number \d+ of \(6,2\) is not b_2 = 16"),
+    (["conjecture", "--n", "6"], "strata_lab.cli", "q_dim_formula", _broken_formula,
+     "FormulaError: broken on purpose"),
+], ids=["betti", "conjecture"])
+def test_failed_checks_outside_verify_exit_1_with_one_stderr_line(
+        tmp_path, monkeypatch, capsys, argv, module, name, fake, err):
+    """A check that fails in a command other than verify ends in exit 1 and
+    one stderr line naming the error, not a traceback: nothing is printed
+    on stdout and no cache entry is written."""
+    monkeypatch.setattr(sys.modules[module], name, fake)
+    cache = tmp_path / "cache"
+    assert main([*argv, "--cache-dir", str(cache)]) == 1
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(err + "\n", stderr), stderr
+    assert list(cache.glob("*")) == []
 
 
 def test_character_generic_graded_space(tmp_path):

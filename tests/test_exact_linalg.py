@@ -40,7 +40,7 @@ def _rank_mod_p(rows, p):
 
 def rank_exact(rows, seed=0):
     """Rank over Q, certified from ranks mod p."""
-    return certified_value(lambda p: _rank_mod_p(rows, p), seed, lower_bound=True)
+    return certified_value(lambda p: _rank_mod_p(rows, p), seed)
 
 
 def _quotient_basis(rows, p):
@@ -90,11 +90,10 @@ def _read_next(values):
 
 
 def test_certifier_rules():
-    # ranks: the largest value seen so far wins once seen twice
+    # the first value seen twice wins, for every quantity
     values = iter([3, 5, 3, 5])
-    assert certified_value(lambda m: None, lower_bound=True, read=_read_next(values)) == 5
-    # other values: the first value seen twice wins
-    values = iter([3, 5, 3, 5])
+    assert certified_value(lambda m: None, read=_read_next(values)) == 3
+    values = iter([5, 3, 3, 5])
     assert certified_value(lambda m: None, read=_read_next(values)) == 3
 
 
@@ -105,13 +104,10 @@ def test_certifier_gives_up():
         read.append(p)
         return p
 
-    for lower_bound in (False, True):
-        moduli.clear()
-        read.clear()
-        with pytest.raises(RankCertificationError):
-            certified_value(moduli.append, lower_bound=lower_bound, read=distinct)
-        assert read == [p for _, p in zip(range(MAX_PRIMES), prime_stream(0))]
-        assert moduli == [p * q for p, q in zip(read[::2], read[1::2])]
+    with pytest.raises(RankCertificationError):
+        certified_value(moduli.append, read=distinct)
+    assert read == [p for _, p in zip(range(MAX_PRIMES), prime_stream(0))]
+    assert moduli == [p * q for p, q in zip(read[::2], read[1::2])]
 
 
 def test_rank_matches_fraction_oracle_on_random_matrices():
@@ -353,18 +349,16 @@ def test_pair_modulus_reads_each_prime_or_falls_back(monkeypatch):
             assert got == _read_at(_eliminate(rows, probe, cut, p), p)
             return got
 
-        def outcome(certify, lower_bound):
+        def outcome(certify):
             try:
-                return certify(compute, trial, lower_bound=lower_bound, read=read)
+                return certify(compute, trial, read=read)
             except RankCertificationError:
                 return RankCertificationError
 
-        for lower_bound in (False, True):
-            moduli.clear()
-            got = outcome(certified_value, lower_bound)
-            paths["pair"] += sum(m not in SMALL_PRIMES for m in moduli)
-            paths["fallback"] += sum(m in SMALL_PRIMES for m in moduli)
-            assert got == outcome(certify_prime_by_prime, lower_bound)
+        got = outcome(certified_value)
+        paths["pair"] += sum(m not in SMALL_PRIMES for m in moduli)
+        paths["fallback"] += sum(m in SMALL_PRIMES for m in moduli)
+        assert got == outcome(certify_prime_by_prime)
     assert paths["pair"] and paths["fallback"], paths
 
 

@@ -305,9 +305,9 @@ def test_pair_certificates_match_prime_by_prime(monkeypatch, n, k, seed):
 
     checked = Counter()
 
-    def both(compute, seed=0, what="value", lower_bound=False, **read):
-        got = el.certified_value(compute, seed, what, lower_bound, **read)
-        assert got == certify_prime_by_prime(compute, seed, what, lower_bound, **read), what
+    def both(compute, seed=0, what="value", **read):
+        got = el.certified_value(compute, seed, what, **read)
+        assert got == certify_prime_by_prime(compute, seed, what, **read), what
         checked[what.split(" (")[0]] += 1
         return got
 
@@ -371,7 +371,7 @@ def _counting_eliminations(monkeypatch):
     return eliminations
 
 
-def test_one_prime_certificate_masks_no_fault(fresh_homology, monkeypatch):
+def test_betti_refuses_a_faulty_relation_matrix(fresh_homology, monkeypatch):
     h = fresh_homology
     n, k = 6, 2
     b, width = h.betti(n, k), len(h._index(n, k))
@@ -379,35 +379,41 @@ def test_one_prime_certificate_masks_no_fault(fresh_homology, monkeypatch):
     assert len(basis) == width - b == width - h._keel_row(n)[k]
     unit = next({c: 1} for c in range(width) if rank_fraction(basis + [{c: 1}], width) > len(basis))
     primes = prime_stream(0)
-    p, q = next(primes), next(primes)
+    pq = next(primes) * next(primes)
     eliminations = _counting_eliminations(monkeypatch)
-    # dropping an independent row lowers the rank over Q, so the bound is
-    # missed at every prime and the two-prime certificate reports b + 1;
-    # an extra unit row outside the row space raises it: b - 1.  Either
-    # way one more elimination, mod p*q, follows the one mod p
-    for rows, want, moduli in [(basis, b, [p]), (basis[1:], b + 1, [p, p * q]),
-                               (basis + [unit], b - 1, [p, p * q])]:
-        h._echelon.cache_clear()
+    # dropping an independent row lowers the rank over Q, so the certified
+    # Betti number is b + 1; an extra unit row outside the row space raises
+    # it: b - 1.  Either way Keel's b_k is missed after one elimination,
+    # mod p*q, and betti raises
+    for rows, want in [(basis, b), (basis[1:], b + 1), (basis + [unit], b - 1)]:
         eliminations.clear()
         monkeypatch.setattr(h, "_relation_rows", lambda n, k, rows=rows: tuple(rows))
-        assert h.betti(n, k) == want
-        assert eliminations == Counter(moduli)
+        if want == b:
+            assert h.betti(n, k) == b
+        else:
+            with pytest.raises(RankCertificationError,
+                               match=rf"^Betti number {want} of \(6,2\) is not b_2 = {b}$"):
+                h.betti(n, k)
+        assert eliminations == Counter([pq])
 
 
 def test_graded_sum_check_catches_a_dropped_relation(fresh_homology, monkeypatch):
     """Without one independent row the relation rank falls by one at every
-    prime, so betti and the graded pieces agree on a wrong total; Keel's
-    b_k does not."""
+    prime, so the graded pieces and the rank agree on a wrong total; Keel's
+    b_k does not, and both betti and graded_dims raise."""
     h = fresh_homology
     n, k = 6, 2
     rows = _independent_relation_rows(n, k)[1:]
     monkeypatch.setattr(h, "_relation_rows", lambda n, k: rows)
-    assert h.betti(n, k) == h._keel_row(n)[k] + 1
+    with pytest.raises(RankCertificationError, match=f"Betti number {h._keel_row(n)[k] + 1} "):
+        h.betti(n, k)
     with pytest.raises(RankCertificationError, match="do not sum"):
         h.graded_dims(n, k)
 
 
-def test_betti_eliminates_at_one_prime(fresh_homology, monkeypatch):
+def test_betti_eliminates_once_at_a_pair_modulus(fresh_homology, monkeypatch):
+    """betti eliminates once, modulo p*q of the first pair of its stream,
+    and leaves the shared echelon cache as it found it."""
     h = fresh_homology
     n, k, seed = 8, 3, 0
     relation = {frozenset(r.items()) for r in h._relation_rows(n, k)}
@@ -422,11 +428,36 @@ def test_betti_eliminates_at_one_prime(fresh_homology, monkeypatch):
 
     monkeypatch.setattr(ModEchelon, "add_rows", counting_add_rows)
     cached = h._echelon.cache_info()
+    primes = prime_stream(seed)
     assert h.betti(n, k, seed) == keel_betti(n)[k]
-    assert list(fed.values()) == [1]
-    assert list(fed) == [next(prime_stream(seed))]
-    # the one-prime echelon is kept by nothing: no modulus reads it again
+    assert fed == Counter([next(primes) * next(primes)])
+    # the echelon is kept by nothing: no other call reads it again
     assert h._echelon.cache_info() == cached
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_every_elimination_is_at_a_pair_modulus(fresh_homology, monkeypatch, seed):
+    """At 62-bit primes no lead is a non-unit mod p*q, so no certified
+    quantity eliminates modulo a single prime."""
+    h = fresh_homology
+    n, k = 7, 2
+    moduli, add_rows = Counter(), ModEchelon.add_rows
+
+    def recording_add_rows(self, rows, presorted=False):
+        moduli[self.p] += 1
+        return add_rows(self, rows, presorted)
+
+    monkeypatch.setattr(ModEchelon, "add_rows", recording_add_rows)
+    h.betti(n, k, seed)
+    h.graded_dims(n, k, seed)
+    h.inner_graded_dims(n, k, seed)
+    h.character_homology(n, k, seed)
+    h.character_graded(n, k, 2, seed)
+    trees = enumerate_strata(n, k)
+    rng = random.Random(seed)
+    for _ in range(5):
+        h.class_equal(*rng.sample(trees, 2), seed)
+    assert moduli and not any(el.is_probable_prime(m) for m in moduli), moduli
 
 
 def test_verify_conjecture_eliminates_once_per_k(fresh_homology, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -123,6 +124,16 @@ def test_pair_label_refuses_marks_and_weights_that_are_not_ints(p1, a1, p2, a2, 
         PairLabel.from_obj({"P1": list(p1), "a1": a1, "P2": list(p2), "a2": a2})
     normalized = PairLabel.from_parts([4, 5, 6], 1, [1, 2, 3], 1)
     assert normalized.p1 == (1, 2, 3)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"P1": [1, 2, 3]}, "pair label has no field a1"),  # was KeyError
+    ({"P1": [1, 2, 3], "a1": 1, "a2": 1}, "pair label has no field P2"),
+    ("P1", "pair label must be a JSON object, got str"),
+])
+def test_pair_label_from_obj_names_a_missing_field_or_a_non_object(obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PairLabel.from_obj(obj)
 
 
 def test_character_identity_is_cardinality():

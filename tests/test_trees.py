@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from oracles import (
@@ -381,6 +382,17 @@ def test_from_json_refuses_an_n_that_is_not_an_int(n):
     # n reaches the validator as given: 7.9 is not truncated to a 7-marked tree
     with pytest.raises(ValueError, match="n must be an int"):
         MarkedTree.from_json(f'{{"n": {n}, "splits": [[2, 3]]}}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 5}', "tree has no field splits"),  # was KeyError
+    ('{"splits": [[2, 3]]}', "tree has no field n"),
+    ("[1]", "tree must be a JSON object, got list"),  # was TypeError
+    ("5", "tree must be a JSON object, got int"),
+])
+def test_from_json_names_a_missing_field_or_a_non_object(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MarkedTree.from_json(text)
 
 
 def test_marked_tree_is_slotted():

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -515,6 +516,15 @@ def test_swap_that_is_not_one_is_refused(fields, message):
 def test_move_object_with_a_field_missing_names_it(obj, field):
     with pytest.raises(DomainError, match=f"{obj['kind']} move has no field {field}$"):
         RewriteMove.from_obj({k: v for k, v in obj.items() if k != field})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"e": [2, 3]}, "move has no field kind"),  # was "unknown move kind None"
+    ([SWAP], "move must be a JSON object, got list"),  # was AttributeError
+])
+def test_move_object_without_a_kind_or_not_an_object_is_refused(obj, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        RewriteMove.from_obj(obj)
 
 
 @pytest.mark.parametrize("region", [
