@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable
 
-from .trees import _json_fields
+from .trees import DomainError, _json_fields
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +146,9 @@ class Character:
     @staticmethod
     def from_obj(obj: dict) -> "Character":
         n, values = _json_fields(obj, "character", "n", "values")
+        if type(values) is not dict or type(n) is int and set(values) != set(
+                map(cycle_type_key, partitions_of(n))):  # an n that is no int is named below
+            raise DomainError(f"character values must be keyed by the cycle types of S_{n}")
         for key, v in [("n", n), *values.items()]:
             if type(v) is not int:  # refused, not truncated: 2.9 is no 2
                 raise ValueError(f"{key}: {v!r} is not an int")

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from .characters import Character, act_set
-from .trees import DomainError, _json_fields
+from .trees import DomainError, _json_fields, _json_list
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +58,9 @@ class PairLabel:
 
     @staticmethod
     def from_obj(obj: dict) -> "PairLabel":
-        return PairLabel.from_parts(*_json_fields(obj, "pair label", "P1", "a1", "P2", "a2"))
+        p1, a1, p2, a2 = _json_fields(obj, "pair label", "P1", "a1", "P2", "a2")
+        return PairLabel.from_parts(_json_list(p1, "pair label", "P1", "numbers"), a1,
+                                    _json_list(p2, "pair label", "P2", "numbers"), a2)
 
 
 def enumerate_p1(n: int, k: int) -> list[frozenset]:

@@ -21,11 +21,11 @@ helpers rather than write the mask or the flip themselves.  Validation
 sets are built only by the public `decompose_two_vertex`.
 
 How the splits hang together is worked out in one place, ``_vertex_pass``:
-one pass over the splits, larger first, gives the parent vertex of each
-split, the valence of each vertex and the vertex each mark sits at.  The
-vertex flags (`_vertex_flag_bits`, as bitmasks), the fat vertices
-(valence >= 4), the two sides of a level-2 tree (`_two_vertex_bits`) and
-the filtration keys are all read off that pass.
+one pass over the splits, larger first, gives each split's parent vertex,
+each vertex's valence, each mark's vertex and the fat vertices.  The
+vertex flags (`_vertex_flag_bits`, as bitmasks), the valence partition,
+the two sides of a level-2 tree (`_two_vertex_bits`) and the filtration
+keys are all read off its one tuple, which a caller reading two passes on.
 
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
@@ -55,6 +55,15 @@ def _json_fields(obj, what: str, *names: str) -> list:
     if missing := [name for name in names if name not in obj]:
         raise DomainError(f"{what} has no field {missing[0]}")
     return [obj[name] for name in names]
+
+
+def _json_list(value, what: str, name: str, of: str = "") -> list:
+    """value, the field `name` of a JSON `what`, if a list (of "lists" or
+    "numbers" as `of` says; float marks are refused later); else DomainError."""
+    entry = {"lists": list, "numbers": (int, float)}.get(of, object)
+    if type(value) is not list or not all(isinstance(x, entry) for x in value):
+        raise DomainError(f"{what} {name} must be a list" + (f" of {of}" if of else ""))
+    return value
 
 
 class TreeStructureError(RuntimeError):
@@ -175,21 +184,24 @@ class MarkedTree:
     @staticmethod
     def from_obj(obj: dict) -> "MarkedTree":
         n, splits = _json_fields(obj, "tree", "n", "splits")
-        return MarkedTree(n, tuple(tuple(s) for s in splits))
+        return MarkedTree(n, tuple(map(tuple, _json_list(splits, "tree", "splits", "lists"))))
 
     @staticmethod
     def from_json(text: str) -> "MarkedTree":
         return MarkedTree.from_obj(json.loads(text))
 
 
-def _vertex_pass(t: MarkedTree) -> tuple[list[int], list[int], list[int]]:
-    """(parent, valence, owner): how the splits of t hang together.
+def _vertex_pass(t: MarkedTree) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """(parent, valence, owner, fat, c): how the splits of t hang together.
 
     One pass over the splits, larger first: owner[m] is the vertex of the
     least split seen so far that holds mark m (vertex 0 when none does), so
     the owner of a split's first mark is the split's parent vertex, and at
     the end owner[m] is the vertex mark m sits at.  The valence of a vertex
     is its child edges, its marks and, except at vertex 0, its parent edge.
+    fat lists the vertices of valence >= 4: at level 2, [u, w] with u's
+    split the larger (vertex 0 counts as size n), so w is never above u; c
+    is the child of u on the path to w, else 0 (u not above w, level != 2).
     """
     n, splits = t.n, t.splits
     owner = [0] * (n + 1)
@@ -202,7 +214,16 @@ def _vertex_pass(t: MarkedTree) -> tuple[list[int], list[int], list[int]]:
             owner[m] = i
     for m in range(1, n + 1):
         valence[owner[m]] += 1
-    return parent, valence, owner
+    fat = [v for v, val in enumerate(valence) if val >= 4]
+    if len(fat) != 2:
+        return parent, valence, owner, fat, 0
+    u, w = fat
+    if u and len(splits[u - 1]) < len(splits[w - 1]):
+        u, w = w, u
+    c = w
+    while c and parent[c] != u:
+        c = parent[c]
+    return parent, valence, owner, [u, w], c
 
 
 def _vertex_flag_bits(t: MarkedTree, passed=None) -> list[list[int]]:
@@ -213,7 +234,7 @@ def _vertex_flag_bits(t: MarkedTree, passed=None) -> list[list[int]]:
     The flag toward mark 1 comes first at every vertex but 0.  The splits
     sort by least mark, so walking the marks in order and each split with
     its least mark appends the other flags in order, with no sort."""
-    parent, _, owner = passed or _vertex_pass(t)
+    parent, _, owner, _, _ = passed or _vertex_pass(t)
     n, splits = t.n, t.splits
     full = _full(n)
     bits = [_side_bits(n, s) for s in splits]
@@ -298,35 +319,12 @@ def contract_edge(t: MarkedTree, side: Iterable[int]) -> MarkedTree:
     return MarkedTree(t.n, tuple(x for x in t.splits if x != s))
 
 
-def _fat_vertices(t: MarkedTree) -> tuple[list[int], list[int], list[int], list[int], int]:
-    """(parent, valence, owner, fat, c): the pass of _vertex_pass, the fat
-    vertices (valence >= 4) and, at level 2, the child c on the path
-    between them.
-
-    At level 2, fat = [u, w] in order of decreasing split size (vertex 0
-    counting as size n), so w is never above u; c is the child of u on the
-    path to w, found by walking up from w, or 0 when u is not above w.
-    """
-    splits = t.splits
-    parent, valence, owner = _vertex_pass(t)
-    fat = [v for v, val in enumerate(valence) if val >= 4]
-    if len(fat) != 2:
-        return parent, valence, owner, fat, 0
-    u, w = fat
-    if u and len(splits[u - 1]) < len(splits[w - 1]):
-        u, w = w, u
-    c = w
-    while c and parent[c] != u:
-        c = parent[c]
-    return parent, valence, owner, [u, w], c
-
-
 def _two_vertex_bits(t: MarkedTree, passed=None) -> tuple[int, int, int, int]:
     """(P1, a1, P2, a2) of a level-2 tree, the sides as mark bitmasks: the
     marks at the two fat vertices once the edges between them are cut, with
     their excess valences a_i = val(v_i) - 3, ordered so min(P1) < min(P2).
-    passed is _fat_vertices(t) when the caller has it."""
-    _, valence, _, fat, c = passed or _fat_vertices(t)
+    passed is _vertex_pass(t) when the caller has it."""
+    _, valence, _, fat, c = passed or _vertex_pass(t)
     if len(fat) != 2:
         raise DomainError(f"expected filtration level 2, got level {len(fat)} tree")
     n, splits = t.n, t.splits
@@ -362,7 +360,7 @@ def _filtration_key(t: MarkedTree) -> int:
     connecting subtree, < n) counted at level 2 only; read off split
     sizes, without building a set."""
     n, splits = t.n, t.splits
-    _, _, _, fat, c = _fat_vertices(t)
+    _, _, _, fat, c = _vertex_pass(t)
     if len(fat) != 2:
         return n * len(fat)
     u, w = fat

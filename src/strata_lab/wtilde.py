@@ -21,7 +21,7 @@ over those keys.  A split is the bitmask of its side away from mark 1,
 and both the rewrite and apply_move change a tree's splits by one
 surgery, `_surgery`.  PairLabels, Fractions, frozensets and MarkedTrees
 are built from the bits only where a public function returns them, where
-the rewrite records a move, and for failure reports.
+the rewrite records a move (it builds no tree), and for failure reports.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ from .trees import (
     MarkedTree,
     _away,
     _bits_side,
-    _fat_vertices,
     _filtration_keys,
     _full,
     _json_fields,
+    _json_list,
     _marks_bits,
     _side_bits,
     _two_vertex_bits,
     _vertex_flag_bits,
+    _vertex_pass,
     enumerate_strata,
     forget_mark,
 )
@@ -75,13 +76,13 @@ def _half_units(t: MarkedTree) -> dict[PairBits, int]:
     tree, (-1)^e at each pair whose sides are unions of the flags at the fat
     vertex (side 1 holding mark 1's flag), e = min(s1 - a1, s2 - a2) for
     s_i flags making up side i; nothing at any other level."""
-    passed = _fat_vertices(t)
+    passed = _vertex_pass(t)
     fat = passed[3]
     if len(fat) == 2:
         return {_two_vertex_bits(t, passed): 2}
     if len(fat) != 1:
         return {}
-    first, *rest = _vertex_flag_bits(t, passed[:3])[fat[0]]
+    first, *rest = _vertex_flag_bits(t, passed)[fat[0]]
     full = _full(t.n)
     k = t.k
     out = {}
@@ -285,13 +286,20 @@ class RewriteMove:
         kind = _json_fields(obj, "move", "kind")[0]
         if kind not in ("rearrange", "km_swap"):
             raise DomainError(f"unknown move kind {kind!r}")
+        what = f"{kind} move"
+
+        def marks(value, name):
+            return frozenset(_json_list(value, what, name, "numbers"))
+
         if kind == "rearrange":
-            region, sides = _json_fields(obj, "rearrange move", "region", "sides")
-            region = tuple(region[:1]) + tuple(frozenset(x) for x in region[1:])
+            region, sides = _json_fields(obj, what, "region", "sides")
+            region = _json_list(region, what, "region")
+            region = (*region[:1], *(marks(x, "region set") for x in region[1:]))
             _check_region(region)
-            return RewriteMove("rearrange", (region, tuple(frozenset(s) for s in sides)))
-        e, a, b, c = _json_fields(obj, "km_swap move", "e", "a", "b", "c")
-        return RewriteMove("km_swap", (frozenset(e), frozenset(a), b, frozenset(c)))
+            sides = tuple(marks(s, "side") for s in _json_list(sides, what, "sides"))
+            return RewriteMove("rearrange", (region, sides))
+        e, a, b, c = _json_fields(obj, what, "e", "a", "b", "c")
+        return RewriteMove("km_swap", (marks(e, "e"), marks(a, "a"), b, marks(c, "c")))
 
 
 def _check_region(region: tuple) -> None:
@@ -330,9 +338,9 @@ def _middle_chain(p1: int, mid: int) -> list[int]:
     return out
 
 
-def _tree(n: int, family) -> MarkedTree:
-    """The (validated) tree whose splits have the given side bitmasks."""
-    return MarkedTree(n, tuple(sorted(map(_bits_side, family))))
+def _splits(family) -> tuple:
+    """The sorted sides of split bitmasks: a tree's splits, if they are valid."""
+    return tuple(sorted(map(_bits_side, family)))
 
 
 def _surgery(family: list[int], full: int, kind: str, where, sides) -> list[int]:
@@ -394,7 +402,7 @@ def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
     else:
         raise DomainError(f"unknown move kind {move.kind!r}")
     try:
-        return _tree(n, after)
+        return MarkedTree(n, _splits(after))
     except ValueError as exc:  # the validator's fault: the moved splits are no tree
         raise DomainError(f"{move.kind} does not fit the tree {t.to_json()}: {exc}") from None
 
@@ -409,7 +417,7 @@ def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     sides = {p1, p2, *_middle_chain(p1, full & ~(p1 | p2))}
     for p, a in ((p1, pair.a1), (p2, pair.a2)):
         sides.update(_comb_bits(p & ~_least_marks(p, a + 1)))
-    return _tree(n, {_away(x, full) for x in sides})
+    return MarkedTree(n, _splits({_away(x, full) for x in sides}))
 
 
 def _component_flags(family: list[int], full: int, p: int) -> list[int]:
@@ -442,9 +450,10 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
 
     Each swap strictly increases the number of required marks incident to
     the fat vertex being processed, so the move list is finite; replaying
-    it from t reproduces the returned tree exactly.  The rewrite works on
-    the splits as bitmasks and builds one tree per recorded move; a
-    rearrange that changes no split is not recorded.
+    it from t (`apply_move` validates each tree) reproduces the returned
+    tree, standard_tree(n, w_map(t)).  The rewrite builds no tree: it works
+    on split bitmasks, records no rearrange that changes no split, and
+    raises RewriteError unless its final sides are the standard tree's.
     """
     n = t.n
     full = _full(n)
@@ -452,16 +461,14 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
     p1, a1, p2, a2 = pair
     family = [_side_bits(n, s) for s in t.splits]
     moves: list[RewriteMove] = []
-    cur = t
 
     def rearrange(where, sides):
-        nonlocal family, cur
+        nonlocal family
         after = _surgery(family, full, "rearrange", where, sides)
-        if sorted(after) == sorted(family):
-            return
-        family, cur = after, _tree(n, after)
-        region = (where[0], *_sets(where[1:]))
-        moves.append(RewriteMove("rearrange", (region, _sets(sides))))
+        if sorted(after) != sorted(family):
+            family = after
+            region = (where[0], *_sets(where[1:]))
+            moves.append(RewriteMove("rearrange", (region, _sets(sides))))
 
     for p, a in ((p1, a1), (p2, a2)):
         required = _least_marks(p, a + 1)
@@ -484,7 +491,6 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
             e_set, a_set, c_set = _sets((e, e ^ m_bit, c))
             moves.append(RewriteMove("km_swap", (e_set, a_set, m_bit.bit_length() - 1, c_set)))
             family = _surgery(family, full, "km_swap", e, [e ^ m_bit | c])
-            cur = _tree(n, family)
         # comb the leftover subtree of this side (its own edge is the boundary)
         leftover = p & ~required
         if leftover.bit_count() >= 3:
@@ -493,6 +499,6 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
     if mid:
         rearrange(("middle", p1, mid), _middle_chain(p1, mid))
     expected = standard_tree(n, _pair_label(pair))
-    if cur != expected:
-        raise RewriteError(f"rewrite ended at {cur} instead of {expected}")
-    return cur, moves
+    if (ended := _splits(family)) != expected.splits:
+        raise RewriteError(f"rewrite ended at splits {ended} instead of {expected}")
+    return expected, moves

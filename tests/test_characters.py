@@ -79,6 +79,10 @@ def test_character_from_obj_refuses_values_that_are_not_ints():
     ({"n": 3}, "character has no field values"),  # was KeyError
     ({"values": {"1^3": 1}}, "character has no field n"),
     ([3], "character must be a JSON object, got list"),
+    ({"n": 3, "values": [1]},  # was AttributeError
+     "character values must be keyed by the cycle types of S_3"),
+    ({"n": 3, "values": {"9": 1}},  # was read, and to_obj raised KeyError
+     "character values must be keyed by the cycle types of S_3"),
 ])
 def test_character_from_obj_names_a_missing_field_or_a_non_object(obj, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

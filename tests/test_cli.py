@@ -192,6 +192,30 @@ def test_verify_rewrite_reads_sample(tmp_path, extra, checked):
     assert json.loads(out)["checked"] == checked  # 10 level-2 trees at (6,2)
 
 
+@pytest.mark.parametrize("name, reason", [("class_equal", "class changed"),
+                                          ("apply_move", "replay mismatch")])
+def test_verify_rewrite_reports_a_changed_class_or_a_replay_mismatch(
+        tmp_path, monkeypatch, name, reason):
+    import strata_lab.cli as cli
+    from strata_lab.trees import MarkedTree
+
+    def class_equal(*args, **kwargs):
+        return name != "class_equal"
+
+    monkeypatch.setattr(cli, "class_equal", class_equal)  # checks rearranges
+    monkeypatch.setattr(cli, "graded_class_equal", lambda *args, **kwargs: True)  # swaps
+    if name == "apply_move":
+        monkeypatch.setattr(cli, "apply_move", lambda t, move: MarkedTree.star(t.n))
+    # 3 trees per k at n = 8, seed 0: moves at 4 of them, one a rearrange
+    code, out = run_cli(["verify", "rewrite", "--n", "8", "--sample", "3"], tmp_path)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail" and obj["checked"] == 9
+    assert obj["failures"] and {f["reason"] for f in obj["failures"]} == {reason}
+    if name == "class_equal":
+        assert [f["move"]["kind"] for f in obj["failures"]] == ["rearrange"]
+
+
 def test_verify_wtilde_all_k(tmp_path):
     code, out = run_cli(["verify", "wtilde", "--n", "7"], tmp_path)
     assert code == 0
@@ -359,6 +383,15 @@ def test_betti_refuses_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys,
     code, out = run_cli(["betti", "--n", "5", "--exact", "--cache-dir", str(blocker)], tmp_path)
     assert code == 0 and out.split() == ["n", "k", "betti", "5", "0", "1", "5", "1", "5", "5",
                                          "2", "1"]
+
+
+@pytest.mark.parametrize("k", ["9", "-1"])
+def test_betti_refuses_a_k_before_making_the_cache_dir(tmp_path, capsys, k):
+    cache = tmp_path / "cache"
+    assert main(["betti", "--n", "6", "--k", k, "--cache-dir", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
+    assert not cache.exists()
 
 
 def test_betti_prints_its_table_when_a_cache_entry_cannot_be_written(tmp_path, capsys):

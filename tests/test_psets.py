@@ -130,6 +130,8 @@ def test_pair_label_refuses_marks_and_weights_that_are_not_ints(p1, a1, p2, a2, 
     ({"P1": [1, 2, 3]}, "pair label has no field a1"),  # was KeyError
     ({"P1": [1, 2, 3], "a1": 1, "a2": 1}, "pair label has no field P2"),
     ("P1", "pair label must be a JSON object, got str"),
+    ({"P1": 3, "a1": 1, "P2": [4, 5, 6], "a2": 1},
+     "pair label P1 must be a list of numbers"),  # was TypeError
 ])
 def test_pair_label_from_obj_names_a_missing_field_or_a_non_object(obj, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -389,6 +389,7 @@ def test_from_json_refuses_an_n_that_is_not_an_int(n):
     ('{"splits": [[2, 3]]}', "tree has no field n"),
     ("[1]", "tree must be a JSON object, got list"),  # was TypeError
     ("5", "tree must be a JSON object, got int"),
+    ('{"n": 5, "splits": 3}', "tree splits must be a list of lists"),  # was TypeError
 ])
 def test_from_json_names_a_missing_field_or_a_non_object(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -426,9 +427,9 @@ real = tr._vertex_pass
 
 
 def wrong(t):
-    parent, valence, owner = real(t)
+    parent, valence, owner, fat, c = real(t)
     # vertex 1, over the three marks 4, 5, 6, cannot carry excess valence 2
-    return parent, [4, 5], owner
+    return parent, [4, 5], owner, [0, 1], 1
 
 
 tr._vertex_pass = wrong

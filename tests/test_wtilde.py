@@ -453,7 +453,7 @@ def test_rewrite_move_lists_are_unchanged(n):
     assert h.hexdigest() == MOVE_DIGESTS[n]
 
 
-def test_rewrite_builds_one_tree_per_recorded_move(monkeypatch):
+def test_rewrite_builds_no_tree(monkeypatch):
     n = 7
     pool = [t for k in range(2, n - 3) for t in enumerate_strata(n, k) if filtration_level(t) == 2]
     for t in pool:
@@ -470,9 +470,9 @@ def test_rewrite_builds_one_tree_per_recorded_move(monkeypatch):
     for t in pool:
         built.clear()
         sigma0, moves = rewrite_to_standard(t)
-        # a no-op rearrange builds nothing, each recorded move one tree
-        assert len(built) == len(moves), t
-        assert (built[-1] if moves else t) is sigma0
+        # the rewrite works on bitmasks and returns the cached standard tree
+        assert built == [], t
+        assert sigma0 is standard_tree(n, w_map(t))
         recorded += len(moves)
     assert recorded > 0
 
@@ -521,6 +521,11 @@ def test_move_object_with_a_field_missing_names_it(obj, field):
 @pytest.mark.parametrize("obj, message", [
     ({"e": [2, 3]}, "move has no field kind"),  # was "unknown move kind None"
     ([SWAP], "move must be a JSON object, got list"),  # was AttributeError
+    ({**SWAP, "e": 3}, "km_swap move e must be a list of numbers"),  # was TypeError
+    ({"kind": "rearrange", "region": 3, "sides": []},  # was TypeError
+     "rearrange move region must be a list"),
+    ({"kind": "rearrange", "region": ["hanging", 3], "sides": []},
+     "rearrange move region set must be a list of numbers"),
 ])
 def test_move_object_without_a_kind_or_not_an_object_is_refused(obj, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
