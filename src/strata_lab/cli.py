@@ -1,10 +1,11 @@
 """Command-line driver: enumeration, tables, characters, verification.
 
 Exit codes: 0 success, 1 verification failure (a failed check, or a
-certification, rewrite, formula or half-integer error: `verify` reports
-it as a JSON record, every other command as one stderr line), 2 domain
-error, 3 resource bound exceeded.  All output is deterministic given
---seed and the inputs.
+certification, rewrite or formula error: `verify` reports it as a JSON
+record, every other command as one stderr line), 2 domain error, 3
+resource bound exceeded.  Every command that sweeps degrees takes them
+from `_ks`, so a --k outside its range, or an empty sweep, exits 2 before
+any work.  All output is deterministic given --seed and the inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .homology import (
 from .psets import character_pset
 from .trees import DomainError, enumerate_strata, filtration_level
 from .wtilde import (
-    HalfIntegerError,
     RewriteError,
     apply_move,
     rewrite_to_standard,
@@ -43,7 +43,19 @@ from .wtilde import (
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_DOMAIN, EXIT_RESOURCE = 0, 1, 2, 3
-CHECK_ERRORS = (RankCertificationError, RewriteError, FormulaError, HalfIntegerError)
+CHECK_ERRORS = (RankCertificationError, RewriteError, FormulaError)
+
+
+def _ks(args, lo: int, hi: int, what: str) -> list[int]:
+    """The degrees a command sweeps: [--k] if given, else lo..hi.  A --k
+    outside lo..hi, or an empty lo..hi, is a DomainError naming `what`."""
+    if args.k is not None:
+        if not lo <= args.k <= hi:
+            raise DomainError(f"no {what} for (n, k) = ({args.n}, {args.k})")
+        return [args.k]
+    if lo > hi:
+        raise DomainError(f"no {what} for n={args.n}")
+    return list(range(lo, hi + 1))
 
 
 def _emit(obj) -> None:
@@ -85,12 +97,8 @@ def cmd_betti(args) -> int:
     from .cache import cached, default_cache_dir
 
     n, seed = args.n, args.seed
-    ks = [args.k] if args.k is not None else list(range(n - 2))
-    if not ks:
-        raise DomainError(f"no homology group for n={n}")
-    if not args.exact:  # before any work: a bad k or a directory that cannot be made is refused
-        if args.k is not None and not 0 <= args.k <= n - 3:
-            raise DomainError(f"no homology group for (n, k) = ({n}, {args.k})")
+    ks = _ks(args, 0, n - 3, "homology group")
+    if not args.exact:  # before any work: a directory that cannot be made is refused
         cache_dir = args.cache_dir or default_cache_dir()
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -138,13 +146,11 @@ def cmd_character(args) -> int:
         ch = character_homology(n, k, seed=args.seed)
     elif space in ("p1", "p2"):
         ch = character_pset(n, k, space)
-    elif space in ("q1", "q2", "q"):
+    else:  # q1, q2 or q: argparse refuses any other --space
         r = {"q1": 1, "q2": 2, "q": args.r}[space]
         if r is None:
             raise DomainError("--space q needs --r")
         ch = character_graded(n, k, r, seed=args.seed)
-    else:
-        raise DomainError(f"unknown space {space!r}")
     if args.format == "json":
         _emit(ch.to_obj(k=k, space=space))
     else:
@@ -157,13 +163,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.k is not None and not 1 <= args.k <= args.n - 3:
-        raise DomainError(f"no graded pieces for (n, k) = ({args.n}, {args.k})")
-    ks = [args.k] if args.k is not None else list(range(1, args.n - 2))
-    if not ks:
-        raise DomainError(f"no graded pieces for n={args.n}")
     rows = []
-    for k in ks:
+    for k in _ks(args, 1, args.n - 3, "graded pieces"):
         for r in range(1, min(k, args.n - 2 - k) + 1):
             rows.append(
                 {"n": args.n, "k": k, "r": r, "value": q_dim_formula(args.n, k, r)}
@@ -192,9 +193,7 @@ def _verify_main_theorem(args) -> dict:
 
 
 def _verify_wtilde(args) -> dict:
-    ks = [args.k] if args.k is not None else list(range(2, args.n - 3))
-    if not ks:
-        raise DomainError(f"no level-2 labels exist for n={args.n}")
+    ks = _ks(args, 2, args.n - 4, "level-2 labels")
     reports = [verify_relations_killed(args.n, k) for k in ks]
     return {
         "n": args.n,
@@ -209,12 +208,9 @@ def _verify_rewrite(args) -> dict:
     n = args.n
     if args.sample is not None and args.sample < 0:
         raise DomainError(f"--sample must be >= 0, got {args.sample}")
-    ks = range(2, n - 3)
-    if not ks:
-        raise DomainError(f"no level-2 labels exist for n={n}")
     failures = []
     checked = 0
-    for k in ks:
+    for k in _ks(args, 2, n - 4, "level-2 labels"):
         level2 = [
             t for t in enumerate_strata(n, k) if filtration_level(t) == 2
         ]
@@ -248,8 +244,9 @@ def _verify_forgetful(args) -> dict:
     if args.k is not None and args.b is not None:
         rep = verify_forgetful_square(args.n, args.k, args.b)
         return rep.to_obj()
-    # --k or --b given alone narrows the sweep to the cases it names
-    cases = [(k, b) for k in range(2, args.n - 3) for b in range(0, args.n - k - 4 + 1)
+    # every (k, b) verify_forgetful_square takes; --k or --b given alone
+    # narrows the sweep to the cases it names
+    cases = [(k, b) for k in range(2, args.n - 2) for b in range(args.n - k - 3)
              if args.k in (None, k) and args.b in (None, b)]
     if not cases:
         raise DomainError(f"no trees to check for n={args.n}, k={args.k}, b={args.b}")
@@ -263,11 +260,8 @@ def _verify_forgetful(args) -> dict:
 
 def _verify_conjecture(args) -> dict:
     n = args.n
-    ks = range(n - 2)
-    if not ks:
-        raise DomainError(f"no homology group for n={n}")
     failures = []
-    for k in ks:
+    for k in _ks(args, 0, n - 3, "homology group"):
         # one elimination per k: at k >= 1 the certified dims sum to b_k
         dims = graded_dims(n, k, seed=args.seed)
         want = sum(dims) if k else betti(n, k, seed=args.seed)

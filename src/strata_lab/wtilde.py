@@ -105,24 +105,12 @@ def wtilde(t: MarkedTree) -> PVector:
     return {_pair_label(key): Fraction(h, 2) for key, h in _half_units(t).items()}
 
 
-class HalfIntegerError(ArithmeticError):
-    """A value of wtilde lies outside (1/2)Z, the lattice the killing check sums in."""
-
-
 def _covering_image(t: MarkedTree, full: int, number: dict[PairBits, int]) -> dict[int, int]:
     """_half_units(t) on the pairs of inner level 0 (P1 | P2 == full), each
     pair given by its number in `number`, where a new pair takes the next
-    one.  A value that is not an integer raises HalfIntegerError."""
-    out = {}
-    for key, h in _half_units(t).items():
-        if key[0] | key[2] == full:
-            if type(h) is not int:
-                if getattr(h, "denominator", None) != 1:
-                    raise HalfIntegerError(
-                        f"wtilde({t}) has coefficient {h}/2 at {_pair_label(key)}")
-                h = int(h)
-            out[number.setdefault(key, len(number))] = h
-    return out
+    one."""
+    return {number.setdefault(key, len(number)): h
+            for key, h in _half_units(t).items() if key[0] | key[2] == full}
 
 
 @dataclass
@@ -156,9 +144,10 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
 
     Restricting to inner level 0 commutes with summing over the terms, so
     each distinct tree's restricted image is taken once, in half-units
-    (every value of wtilde lies in (1/2)Z; HalfIntegerError otherwise),
-    with its pairs numbered in order of appearance, and each relation is
-    summed in integers over the local ids of its site's template splits.
+    (_half_units gives only the ints 2, 1 and -1, so every value of wtilde
+    lies in (1/2)Z), with its pairs numbered in order of appearance, and
+    each relation is summed in integers over the local ids of its site's
+    template splits.
     PairLabels are built only for the residual of a failure.
     """
     if not 2 <= k <= n - 4:

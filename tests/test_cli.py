@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import re
@@ -8,7 +9,7 @@ import pytest
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
 from strata_lab.exact_linalg import RankCertificationError
-from strata_lab.wtilde import HalfIntegerError, RewriteError, verify_forgetful_square
+from strata_lab.wtilde import RewriteError, verify_forgetful_square
 
 
 def run_cli(args, tmp_path):
@@ -154,6 +155,22 @@ def test_nothing_to_compute_is_a_domain_error(tmp_path, args):
     assert run_cli(args, tmp_path) == (2, "")
 
 
+@pytest.mark.parametrize("args, line", [
+    (["conjecture", "--n", "6", "--k", "0"], "no graded pieces for (n, k) = (6, 0)"),
+    (["verify", "wtilde", "--n", "5"], "no level-2 labels for n=5"),
+    (["verify", "wtilde", "--n", "7", "--k", "9"], "no level-2 labels for (n, k) = (7, 9)"),
+    (["verify", "rewrite", "--n", "5"], "no level-2 labels for n=5"),
+    (["verify", "conjecture", "--n", "2"], "no homology group for n=2"),
+])
+def test_every_k_sweep_refuses_by_one_rule(tmp_path, capsys, args, line):
+    """A --k outside a command's range, or an empty sweep, is one
+    domain-error line naming what is missing, before any work."""
+    cache = tmp_path / "cache"
+    assert main([*args, "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr() == ("", f"domain error: {line}\n")
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("target, extra", [
     ("main-theorem", ["--k", "99"]),
     ("rewrite", ["--k", "2"]),
@@ -237,6 +254,74 @@ def test_verify_forgetful_narrows_to_a_lone_k_or_b(tmp_path, flag, value, cases)
     assert code == 2
 
 
+def test_verify_forgetful_reports_one_k_and_b(tmp_path):
+    code, out = run_cli(["verify", "forgetful", "--n", "7", "--k", "2", "--b", "1"], tmp_path)
+    assert code == 0
+    want = verify_forgetful_square(7, 2, 1).to_obj()
+    assert want["checked"] > 0
+    assert json.loads(out) == {**want, "target": "forgetful", "status": "pass"}
+
+
+def _doubled(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + real(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, name, checks", [
+    (6, "character_homology", ["homology"]),
+    (6, "character_graded", ["level-1", "level-2"]),
+    (5, "character_pset", ["homology", "level-2-empty"]),  # no level 2 at (5, 2)
+])
+def test_verify_main_theorem_reports_each_failed_check(tmp_path, monkeypatch, n, name, checks):
+    import strata_lab.cli as cli
+
+    if name == "character_pset":
+        real = cli.character_pset
+        monkeypatch.setattr(cli, name, lambda n, k, which: real(n, k, "p1"))
+    else:
+        monkeypatch.setattr(cli, name, _doubled(getattr(cli, name)))
+    code, out = run_cli(["verify", "main-theorem", "--n", str(n)], tmp_path)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail" and obj["k"] == 2
+    assert [f["check"] for f in obj["failures"]] == checks
+    if name == "character_homology":
+        (failure,) = obj["failures"]
+        have, want = failure["have"]["values"], failure["want"]["values"]
+        assert have == {c: 2 * v for c, v in want.items()}
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("betti_formula", {"k", "formula", "rank"}),
+    ("q_dim_formula", {"k", "r", "formula", "rank"}),
+])
+def test_verify_conjecture_reports_each_formula_that_misses(tmp_path, monkeypatch, name, keys):
+    import strata_lab.cli as cli
+
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: real(*args) + 1)
+    code, out = run_cli(["verify", "conjecture", "--n", "6"], tmp_path)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail" and obj["failures"]
+    for f in obj["failures"]:
+        assert set(f) == keys and f["formula"] == f["rank"] + 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_character_tables(tmp_path, fmt):
+    args = ["character", "--n", "6", "--k", "2", "--space", "p2"]
+    code, out = run_cli([*args, "--format", "json"], tmp_path)
+    assert code == 0
+    values = json.loads(out)["values"]
+    code, out = run_cli([*args, "--format", fmt], tmp_path)
+    assert code == 0
+    lines = out.splitlines()
+    header, *rows = csv.reader(lines) if fmt == "csv" else map(str.split, lines)
+    assert header == ["cycle_type", "value"]
+    assert [c for c, _ in rows][:2] == ["6", "5,1"]  # partitions_of order
+    assert {c: int(v) for c, v in rows} == values
+
+
 def test_verify_resource_bound(tmp_path):
     code, out = run_cli(["verify", "main-theorem", "--n", "9", "--max-n", "8"], tmp_path)
     assert code == 3
@@ -281,7 +366,6 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     ("main-theorem", "character_homology", RankCertificationError),
     ("rewrite", "rewrite_to_standard", RewriteError),
     ("conjecture", "betti_formula", FormulaError),
-    ("wtilde", "verify_relations_killed", HalfIntegerError),
 ])
 def test_verify_reports_named_errors(tmp_path, monkeypatch, target, name, error):
     import strata_lab.cli as cli
@@ -387,11 +471,13 @@ def test_betti_refuses_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("k", ["9", "-1"])
 def test_betti_refuses_a_k_before_making_the_cache_dir(tmp_path, capsys, k):
+    # --exact included: both modes refuse by the same rule, with the same line
     cache = tmp_path / "cache"
-    assert main(["betti", "--n", "6", "--k", k, "--cache-dir", str(cache)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
-    assert not cache.exists()
+    for exact in ([], ["--exact"]):
+        assert main(["betti", "--n", "6", "--k", k, *exact, "--cache-dir", str(cache)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
+        assert not cache.exists()
 
 
 def test_betti_prints_its_table_when_a_cache_entry_cannot_be_written(tmp_path, capsys):

@@ -186,14 +186,6 @@ def test_character_average_counts_orbits():
         assert character_pset(n, k, "p2").average() == len(shapes)
 
 
-def test_odd_pair_count_raises(monkeypatch):
-    import strata_lab.psets as ps
-
-    monkeypatch.setattr(ps, "comb", lambda n, k: 1)  # one ordered pair per size split
-    with pytest.raises(ArithmeticError):
-        cardinality_p2(6, 2)
-
-
 def test_pset_domain_errors():
     with pytest.raises(DomainError):
         enumerate_p2(6, 1)

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 from oracles import brute_force_filtration_key, reference_wtilde
-from test_homology import _succeeds_under_O
 
 from strata_lab.homology import class_equal, graded_class_equal
 from strata_lab.psets import PairLabel, enumerate_p2, inner_level
@@ -16,12 +15,14 @@ from strata_lab.relations import generate_relations
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
+    apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
     vertex_flags,
 )
 from strata_lab.wtilde import (
+    RewriteError,
     RewriteMove,
     apply_move,
     rewrite_to_standard,
@@ -246,37 +247,10 @@ def test_killing_check_builds_no_relation_objects(monkeypatch):
     assert rep.passed and rep.relations > 0
 
 
-THIRD_UNDER_O = """
-import sys
-from fractions import Fraction
-import strata_lab
-from strata_lab.trees import enumerate_strata, filtration_level
-
-module = sys.modules["strata_lab.wtilde"]
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-half_units = module._half_units
-bad = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 1 and half_units(t))
-# 2 * (1/3): a value of wtilde outside (1/2)Z
-module._half_units = lambda t: ({g: Fraction(2, 3) for g in half_units(t)} if t == bad
-                                else half_units(t))
-try:
-    module.verify_relations_killed(6, 2)
-except module.HalfIntegerError:
-    sys.exit(0)
-sys.exit("the half-unit check let 1/3 through")
-"""
-
-
-def test_killing_check_refuses_a_third_under_python_O():
-    _succeeds_under_O(THIRD_UNDER_O)
-
-
-@pytest.mark.parametrize("value, half_units", [
-    (Fraction(1), 2), (Fraction(-1, 2), -1), (3, 6), (-2, -4), (Fraction(1, 4), None)])
+@pytest.mark.parametrize("value, half_units", [(3, 6), (-2, -4)])
 def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
-    # value is a value of wtilde; the core holds it as 2 * value, which the
-    # killing check must take as an int, or refuse when it is no integer
+    # value is a value of wtilde; the core holds it as the int 2 * value,
+    # which the killing check keys by the pair's number
     module = sys.modules["strata_lab.wtilde"]
     n = 6
     full = (1 << n + 1) - 2
@@ -287,13 +261,9 @@ def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
     assert module._pair_label(key) == gamma
     monkeypatch.setattr(module, "_half_units", lambda tree: {key: 2 * value})
     number = {}
-    if half_units is None:
-        with pytest.raises(module.HalfIntegerError):
-            module._covering_image(t, full, number)
-    else:
-        img = module._covering_image(t, full, number)
-        assert img == {0: half_units} and type(img[0]) is int
-        assert number == {key: 0}
+    img = module._covering_image(t, full, number)
+    assert img == {0: half_units} and type(img[0]) is int
+    assert number == {key: 0}
 
 
 def test_wtilde_relation_linearity():
@@ -350,6 +320,23 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
 def test_forgetful_square_bad_range():
     with pytest.raises(DomainError):
         verify_forgetful_square(6, 2, 1)
+
+
+def test_forgetful_square_records_each_mismatch(monkeypatch):
+    # forgetting the last mark, then swapping marks 1 and 2, moves the pair
+    # of every image whose marks 1 and 2 do not sit on the same side
+    w = sys.modules["strata_lab.wtilde"]
+    real = w.forget_mark
+    swap = (2, 1, *range(3, 7))
+    monkeypatch.setattr(w, "forget_mark", lambda t: (apply_permutation(real(t)[0], swap), False))
+    rep = verify_forgetful_square(6, 2, 0)
+    assert rep.checked == 70 and not rep.passed
+    for m in rep.mismatches:
+        assert set(m) == {"sigma", "pair_route", "tree_route"}
+        sigma = MarkedTree.from_obj(m["sigma"])
+        image = apply_permutation(real(sigma)[0], swap)
+        assert m["pair_route"] == w_map(sigma).to_obj() != m["tree_route"]
+        assert m["tree_route"] == w_map(image).to_obj()
 
 
 def test_standard_tree_example():
@@ -560,6 +547,33 @@ def test_move_serialization_round_trip():
         mv2 = RewriteMove.from_obj(mv.to_obj())
         replayed = apply_move(replayed, mv2)
     assert replayed == s0
+
+
+# the moves recorded over every level-2 tree: n = 7 records no rearrange
+@pytest.mark.parametrize("n, kinds", [(7, {"km_swap"}), (8, {"km_swap", "rearrange"})])
+def test_every_move_round_trips_through_json(n, kinds):
+    seen = set()
+    for k in range(2, n - 3):
+        for t in enumerate_strata(n, k):
+            if filtration_level(t) != 2:
+                continue
+            s0, moves = rewrite_to_standard(t)
+            decoded = [RewriteMove.from_obj(json.loads(json.dumps(m.to_obj()))) for m in moves]
+            assert decoded == moves
+            replayed = t
+            for mv in decoded:
+                replayed = apply_move(replayed, mv)
+            assert replayed == s0 == standard_tree(n, w_map(t))
+            seen.update(m.kind for m in moves)
+    assert seen == kinds
+
+
+def test_rewrite_refuses_to_end_off_the_standard_tree(monkeypatch):
+    w = sys.modules["strata_lab.wtilde"]
+    t = MarkedTree.from_sides(8, [(2, 6), (2, 6, 7, 8)])
+    monkeypatch.setattr(w, "standard_tree", lambda n, pair: MarkedTree.star(n))
+    with pytest.raises(RewriteError, match="rewrite ended at splits"):
+        rewrite_to_standard(t)
 
 
 def test_wtilde_conditions_on_samples():
