@@ -15,10 +15,17 @@ This module owns the bitmask encoding of sides that the package works
 on: bit m stands for mark m, the n marks fill `_full(n)`, a mark bitmask
 becomes the side away from mark 1 by `_away`, a set of marks becomes a
 range-checked bitmask by `_marks_bits`, and `_side_bits` / `_bits_side`
-convert between a side's tuple and its bitmask.  Other modules ask these
+convert between a side's tuple and its bitmask (`_bits_splits` a family
+of bitmasks into a tree's splits).  Other modules ask these
 helpers rather than write the mask or the flip themselves.  Validation
 (`_check_splits`), containment and orientation are all done on bitmasks;
 sets are built only by the public `decompose_two_vertex`.
+
+Every split tuple the package builds comes from the lru-cached
+`_bits_side`, so all strata share one tuple object per side (the (9,3)
+strata hold 246 of them).  Equality, hashing and order stay by value: a
+tree read back from JSON, with fresh tuples, is equal to its enumerated
+twin and is found wherever that one is.
 
 How the splits hang together is worked out in one place, ``_vertex_pass``:
 one pass over the splits, larger first, gives each split's parent vertex,
@@ -112,6 +119,11 @@ def _side_bits(n: int, s: Side) -> int:
 def _bits_side(bits: int) -> tuple[int, ...]:
     """The sorted marks m with bit m set in bits."""
     return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
+
+
+def _bits_splits(family: Iterable[int]) -> tuple[Side, ...]:
+    """The sorted sides of split bitmasks: a tree's splits, if they are valid."""
+    return tuple(sorted(map(_bits_side, family)))
 
 
 def _check_splits(n: int, splits) -> None:
@@ -404,22 +416,24 @@ def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     if n_edges > n - 3:
         return ()
     out = []
-    # mark n at vertex 0 (no split changes) or at the far end of edge s:
-    # n joins s and every split containing s
+    # every family is worked out on the split bitmasks of its parent tree
+    # and read back through _bits_splits, so all strata share one tuple per side
+    new = 1 << n
+    # mark n at vertex 0 (no split changes) or at the far end of edge b:
+    # n joins b and every split containing b
     for t in _level(n - 1, n_edges):
         bits = [_side_bits(n - 1, s) for s in t.splits]
         out.append(t.splits)
         for b in bits:
-            out.append(tuple(sorted(x + (n,) if b & u == b else x for x, u in zip(t.splits, bits))))
+            out.append(_bits_splits(u | new if b & u == b else u for u in bits))
     # mark n on a new trivalent vertex inside the leaf edge of mark 1 (new
-    # split {2..n-1}), or inside the edge whose far side s is a leaf {m} or
-    # a split: s stays, s + {n} is new, n joins every split strictly above s
+    # split {2..n-1}), or inside the edge whose far side b is a leaf {m} or
+    # a split: b stays, b + {n} is new, n joins every split strictly above b
     for t in _level(n - 1, n_edges - 1):
         bits = [_side_bits(n - 1, s) for s in t.splits]
-        out.append(tuple(sorted(t.splits + (tuple(range(2, n)),))))
-        for s, b in [((m,), 1 << m) for m in range(2, n)] + list(zip(t.splits, bits)):
-            out.append(tuple(sorted(
-                [s + (n,), *(x + (n,) if b & u == b != u else x for x, u in zip(t.splits, bits))])))
+        out.append(_bits_splits([*bits, _full(n - 1) ^ 2]))
+        for b in [1 << m for m in range(2, n)] + bits:
+            out.append(_bits_splits([b | new, *(u | new if b & u == b != u else u for u in bits)]))
     return tuple(MarkedTree(n, splits) for splits in sorted(out))
 
 

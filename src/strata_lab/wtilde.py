@@ -38,6 +38,7 @@ from .trees import (
     MarkedTree,
     _away,
     _bits_side,
+    _bits_splits,
     _filtration_keys,
     _full,
     _json_fields,
@@ -327,11 +328,6 @@ def _middle_chain(p1: int, mid: int) -> list[int]:
     return out
 
 
-def _splits(family) -> tuple:
-    """The sorted sides of split bitmasks: a tree's splits, if they are valid."""
-    return tuple(sorted(map(_bits_side, family)))
-
-
 def _surgery(family: list[int], full: int, kind: str, where, sides) -> list[int]:
     """The splits of a tree after one move, each the bitmask of its side
     away from mark 1: a "rearrange" drops every split strictly inside the
@@ -391,7 +387,7 @@ def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
     else:
         raise DomainError(f"unknown move kind {move.kind!r}")
     try:
-        return MarkedTree(n, _splits(after))
+        return MarkedTree(n, _bits_splits(after))
     except ValueError as exc:  # the validator's fault: the moved splits are no tree
         raise DomainError(f"{move.kind} does not fit the tree {t.to_json()}: {exc}") from None
 
@@ -406,7 +402,7 @@ def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     sides = {p1, p2, *_middle_chain(p1, full & ~(p1 | p2))}
     for p, a in ((p1, pair.a1), (p2, pair.a2)):
         sides.update(_comb_bits(p & ~_least_marks(p, a + 1)))
-    return MarkedTree(n, _splits({_away(x, full) for x in sides}))
+    return MarkedTree(n, _bits_splits({_away(x, full) for x in sides}))
 
 
 def _component_flags(family: list[int], full: int, p: int) -> list[int]:
@@ -488,6 +484,6 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
     if mid:
         rearrange(("middle", p1, mid), _middle_chain(p1, mid))
     expected = standard_tree(n, _pair_label(pair))
-    if (ended := _splits(family)) != expected.splits:
+    if (ended := _bits_splits(family)) != expected.splits:
         raise RewriteError(f"rewrite ended at splits {ended} instead of {expected}")
     return expected, moves

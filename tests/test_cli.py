@@ -254,6 +254,13 @@ def test_verify_forgetful_narrows_to_a_lone_k_or_b(tmp_path, flag, value, cases)
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--k", "--b"])
+def test_verify_forgetful_names_only_the_options_given(capsys, flag):
+    assert main(["verify", "forgetful", "--n", "7", flag, "9"]) == 2
+    assert capsys.readouterr() == (
+        "", f"domain error: no trees to check for n=7 with {flag[2:]}=9\n")
+
+
 def test_verify_forgetful_reports_one_k_and_b(tmp_path):
     code, out = run_cli(["verify", "forgetful", "--n", "7", "--k", "2", "--b", "1"], tmp_path)
     assert code == 0

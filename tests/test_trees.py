@@ -12,7 +12,8 @@ from oracles import (
 )
 from test_homology import _succeeds_under_O
 
-from strata_lab import trees
+from strata_lab import homology, trees
+from strata_lab.homology import class_equal
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
@@ -49,6 +50,65 @@ def test_enumerate_matches_brute_force_family_search():
 def test_enumerate_n9_row_sizes():
     sizes = [len(enumerate_strata(9, k)) for k in range(7)]
     assert sizes == [135135, 270270, 190575, 56980, 6825, 246, 1]
+
+
+@pytest.mark.slow
+def test_enumerated_sides_are_the_shared_side_tuples():
+    # every side of every stratum is the one _bits_side tuple of its bitmask,
+    # so the (9,3) strata hold one object per distinct side, not 101,626
+    for n in range(3, 10):
+        for k in range(n - 2):
+            for t in enumerate_strata(n, k):
+                for s in t.splits:
+                    assert s is trees._bits_side(trees._side_bits(n, s)), (n, k, t)
+    sides = {id(s) for t in enumerate_strata(9, 3) for s in t.splits}
+    assert len(sides) == 246
+
+
+def test_rebuilt_trees_behave_like_their_enumerated_twins():
+    # from_json builds fresh side tuples: equality, hashing, order, the
+    # column lookup and class_equal go by value, never by the sharing
+    for n, k in [(6, 1), (7, 2)]:
+        strata = enumerate_strata(n, k)
+        twins = [MarkedTree.from_json(t.to_json()) for t in strata]
+        assert all(a.splits[0] is not b.splits[0] for a, b in zip(strata, twins) if a.splits)
+        assert twins == list(strata) and sorted(reversed(twins)) == twins
+        assert [hash(t) for t in twins] == [hash(t) for t in strata]
+        assert set(twins) == set(strata)
+        index = homology._index(n, k)
+        assert [index[t.splits] for t in twins] == [index[t.splits] for t in strata]
+        pairs = [(0, j) for j in (12, 13, 31)] + [random.Random(n).sample(range(len(strata)), 2)]
+        verdicts = [class_equal(strata[i], strata[j]) for i, j in pairs]
+        assert verdicts == [class_equal(twins[i], twins[j]) for i, j in pairs]
+        assert verdicts == [class_equal(strata[i], twins[j]) for i, j in pairs]
+        assert True in verdicts and False in verdicts
+
+
+VALIDATED_ENUMERATION = """
+import strata_lab.trees as tr
+
+seen = set()
+real = tr._check_splits
+
+
+def check(n, splits):
+    seen.add((n, splits))
+    real(n, splits)
+
+
+tr._check_splits = check
+families = [(8, t.splits) for k in range(6) for t in tr.enumerate_strata(8, k)]
+if missed := [f for f in families if f not in seen]:
+    raise SystemExit(f"{len(missed)} enumerated families not validated, e.g. {missed[0]}")
+print(len(families))
+"""
+
+
+def test_enumeration_validates_every_tree_it_builds():
+    # in a fresh interpreter, so the lru_caches of this one keep their
+    # trees, and under python -O, so the check is no assert
+    out = _succeeds_under_O(VALIDATED_ENUMERATION)
+    assert int(out) == sum(len(enumerate_strata(8, k)) for k in range(6))
 
 
 def test_enumerate_examples():
