@@ -117,9 +117,7 @@ def _relation_rows(n: int, k: int) -> Iterator[dict[int, int]]:
     reduced; a caller that reads them twice takes a tuple."""
     if k == n - 3:
         return
-    idx = _index(n, k)
-    for _, _, _, trees, site_rows in _sites(n, k, _site_basis):
-        cols = [idx[t.splits] for t in trees]
+    for _, _, _, cols, site_rows in _sites(n, k, _site_basis, _index(n, k)):
         yield from ({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
 
 

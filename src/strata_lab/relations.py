@@ -32,12 +32,11 @@ first use and keyed by the flag positions on the side away from fl[0],
 and its relations as rows {local id: coeff} over those numbers.  The
 basis is a subsequence of the same rows over the same splits
 (`_site_basis`).
-`_sites` maps each split of the template onto a site's flags and looks
-the resulting split family up among enumerate_strata(n, k), so every
-term is an enumerated stratum and no tree is built or validated per
-site.  `KMRelation`s are built from the rows only where a caller asks for
-relation objects, while `homology` maps local ids to column ids and the
-killing check sums images over them directly.
+`_sites` maps each split of the template onto a site's flags, as mark
+bitmasks, and looks the split family up once in its caller's index:
+`homology`'s column index, so each term is a column id, or, where
+relation objects are asked for and in the killing check, the enumerated
+strata by split family.  No tree is built or validated per site.
 """
 
 from __future__ import annotations
@@ -156,23 +155,23 @@ def _site(m: int, quads: Iterable[tuple]) -> tuple[list[int], list[tuple]]:
     return list(ids), rows
 
 
-def _sites(n: int, k: int, template: Callable[[int], tuple]
-           ) -> Iterator[tuple[MarkedTree, int, tuple, list[MarkedTree], tuple]]:
-    """(sigma, v, fl, trees, rows) for every site of the relations of
-    S_{k,n}: a vertex v with flags fl of valence m >= 4 of a stratum sigma
-    of dimension k+1, in enumeration order.
+def _sites(n: int, k: int, template: Callable[[int], tuple], index: dict
+           ) -> Iterator[tuple[MarkedTree, int, list[int], list, tuple]]:
+    """(sigma, v, marks, terms, rows) for every site of the relations of
+    S_{k,n}: a vertex v with flags of valence m >= 4 of a stratum sigma of
+    dimension k+1, in enumeration order.
 
     (keys, rows) = template(m), shared, the rows' quads given as positions
-    in fl; trees[i] is the stratum of S_{k,n} that splits v along the
-    template's split keys[i], the object enumerate_strata(n, k) holds.  The
-    flags partition the marks and sort as tuples, so fl[0] holds mark 1 and
-    the side of a split away from fl[0] is its new edge's side as
-    MarkedTree records it.  The flags are read as mark bitmasks
-    (`trees._vertex_flag_bits`); fl is built only for the sites yielded.
+    among the flags; terms[i] = index[family], where family is the split
+    family of the stratum of S_{k,n} that splits v along the template's
+    split keys[i], and TreeStructureError is raised when index lacks it.
+    marks are the flags as mark bitmasks (`trees._vertex_flag_bits`): they
+    partition the marks and are listed by least mark, the order of their
+    tuples, so marks[0] holds mark 1 and the side of a split away from it
+    is its new edge's side as MarkedTree records it.
     """
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
-    strata = {t.splits: t for t in enumerate_strata(n, k)}
     for sigma in enumerate_strata(n, k + 1):
         splits = sigma.splits
         for v, marks in enumerate(_vertex_flag_bits(sigma)):
@@ -180,7 +179,7 @@ def _sites(n: int, k: int, template: Callable[[int], tuple]
             if m < 4:
                 continue
             keys, rows = template(m)
-            trees = []
+            terms = []
             for key in keys:
                 bits = 0
                 for i in range(1, m):
@@ -188,20 +187,21 @@ def _sites(n: int, k: int, template: Callable[[int], tuple]
                         bits |= marks[i]
                 side = _bits_side(bits)
                 at = bisect_left(splits, side)
-                t = strata.get(splits[:at] + (side,) + splits[at:])
-                if t is None:
+                term = index.get(splits[:at] + (side,) + splits[at:])
+                if term is None:
                     raise TreeStructureError(
                         f"splitting vertex {v} of {sigma} along {side} gives no stratum of "
                         f"dimension {k}")
-                trees.append(t)
-            yield sigma, v, tuple(map(_bits_side, marks)), trees, rows
+                terms.append(term)
+            yield sigma, v, marks, terms, rows
 
 
 def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelation]:
     """The KMRelations of the rows of _sites(n, k, template), in order."""
-    return [KMRelation(sigma, v, tuple(fl[i] for i in quad), pairing,
+    strata = {t.splits: t for t in enumerate_strata(n, k)}
+    return [KMRelation(sigma, v, tuple(_bits_side(marks[i]) for i in quad), pairing,
                        {trees[i]: c for i, c in row.items()})
-            for sigma, v, fl, trees, rows in _sites(n, k, template)
+            for sigma, v, marks, trees, rows in _sites(n, k, template, strata)
             for quad, pairing, row in rows]
 
 

@@ -290,8 +290,8 @@ def valence_partition(t: MarkedTree) -> tuple[int, ...]:
 
 
 def filtration_level(t: MarkedTree) -> int:
-    """Number of parts of the valence partition (0 for trivalent trees)."""
-    return _filtration_key(t) // t.n
+    """Number of fat vertices: the parts of the valence partition (0 if trivalent)."""
+    return len(_vertex_pass(t)[3])
 
 
 def apply_permutation(t: MarkedTree, g: Sequence[int]) -> MarkedTree:

@@ -157,7 +157,8 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     full = _full(n)
     number: dict[PairBits, int] = {}  # pair -> its position in the dict
     images: dict[MarkedTree, dict[int, int]] = {}
-    for sigma, v, fl, trees, rows in _sites(n, k, _every_template):
+    strata = {t.splits: t for t in enumerate_strata(n, k)}
+    for sigma, v, marks, trees, rows in _sites(n, k, _every_template, strata):
         local = []
         for t in trees:
             img = images.get(t)
@@ -184,7 +185,7 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
                     {
                         "sigma": sigma.to_obj(),
                         "vertex": v,
-                        "flags": [list(fl[i]) for i in quad],
+                        "flags": [list(_bits_side(marks[i])) for i in quad],
                         "pairing": pairing,
                         "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
                     }

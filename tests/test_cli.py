@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -499,3 +500,52 @@ def test_betti_prints_its_table_when_a_cache_entry_cannot_be_written(tmp_path, c
     assert out.split() == ["n", "k", "betti", "6", "1", "16"]
     assert err == f"cache: cannot write {entry}: Is a directory\n"
     assert entry.is_dir() and list(cache.iterdir()) == [entry]
+
+
+# sha256 of stdout and the exit code of whole commands.  A seed fixes the
+# primes drawn, and every number printed is certified, so both seeds print
+# the same bytes
+PINNED_STDOUT = {
+    "enumerate --n 8 --k 0":
+        (0, "babef1f3611d1621ab3f78855f92bfa839efdf1361f90c99c2d3e502f788e080"),
+    "enumerate --n 7 --k 2 --min-r 2":
+        (0, "fa74afab174ac847230ea6986fa1026c2598710ed6dcbd61cb692491ec4ede86"),
+    "betti --n 7":
+        (0, "8793dd2b83cef6cb8789fb8dfa58cfc5a9041209a985f9d852c8302f7cba8c35"),
+    "betti --n 8 --k 3":
+        (0, "46d0f14a5d1c8976f21067cb1de73728d2bae07dcbb3cc22550b809ca85d18bb"),
+    "betti --n 6 --exact":
+        (0, "f6d07bbd1537b516f0159d7c6209955e676aaac836df4f2aec6ffa8da527d904"),
+    "graded --n 8 --k 3":
+        (0, "a30292c69586e874b58ecc64f05de72ea2911475171598c3366b6f1b29013291"),
+    "inner --n 8 --k 2":
+        (0, "e46125deffb533626a61a19d727a8e7e576f09d70954c06f94e3651b8b5f76bf"),
+    "character --n 8 --k 3 --space homology":
+        (0, "699c96222d1a5249f8c6f729b2965d4ff93b6b57235280f7a01e746d0102f3e1"),
+    "character --n 7 --k 2 --space q --r 2":
+        (0, "4a9662969d96b8ccd05cc65a64375c02613f5e52ca3ead32e499731ec0f6dcac"),
+    "character --n 7 --k 2 --space p2 --format json":
+        (0, "a4055c5f0c7ea68e0196c67dc97f29234ef3fb6e8f8b972ac9630e2891ed3e37"),
+    "conjecture --n 8":
+        (0, "0196b77d81b60f97669d076f7d856eb2690cac8bdb855d797a88f9347a762090"),
+    "verify main-theorem --n 7":
+        (0, "d0aa9b2fc8f9de7c5f8a2dc7449c684ba91fb38ca10e6c4d950bf423e8f3f376"),
+    "verify wtilde --n 7":
+        (0, "e560e386bb5470e2f519a7774b0c199f3c1238183f970c7c19382b0ec98bd4c8"),
+    "verify rewrite --n 7":
+        (0, "de594c7110738b76306e0604c9cf945bfda95cbcc0049f6fc9342c8b59b61786"),
+    "verify forgetful --n 7":
+        (0, "99db195e27a29400bf8c3f9b68727868d7531f33ffef50fa701c7833af834525"),
+    "verify conjecture --n 7":
+        (0, "52e6dc726b4251508484cecf58af8d056f782b671c272132da5d1c839772358e"),
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_cli_stdout_is_pinned(tmp_path, seed):
+    got = {}
+    for i, command in enumerate(PINNED_STDOUT):
+        code, out = run_cli([*command.split(), "--seed", seed,
+                             "--cache-dir", str(tmp_path / f"cache-{i}")], tmp_path)
+        got[command] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == PINNED_STDOUT

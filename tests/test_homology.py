@@ -33,6 +33,7 @@ from strata_lab.trees import (
     MarkedTree,
     TreeStructureError,
     _filtration_key,
+    _vertex_flag_bits,
     apply_permutation,
     decompose_two_vertex,
     enumerate_strata,
@@ -801,12 +802,47 @@ def test_relation_matrix_work_counts():
     from strata_lab.relations import _site_basis, _sites
 
     for (n, k), want in {(7, 2): 434, (8, 3): 1358}.items():
-        sites = [len(fl) for _, _, fl, _, _ in _sites(n, k, _site_basis)]
+        sites = [len(fl) for _, _, fl, _, _ in _sites(n, k, _site_basis, h._index(n, k))]
         assert len(tuple(h._relation_rows(n, k))) == want == sum(m * (m - 3) // 2 for m in sites)
     primes = prime_stream(0)
     echelon = h._echelon(8, 3, next(primes) * next(primes))
     assert echelon.rank == len(enumerate_strata(8, 3)) - keel_betti(8)[3]
     assert sum(map(len, echelon.pivots.values())) < 10884
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
+def test_relation_rows_look_each_term_up_once(monkeypatch, n, k):
+    """The row stream resolves each term with one lookup in the column
+    index, one per template split per site, and enumerates no strata of
+    (n, k) besides the index's own."""
+    import strata_lab.homology as h
+    import strata_lab.relations as r
+
+    lookups = []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+    index, indexed, read = Counted(h._index(n, k)), [], []
+    monkeypatch.setattr(h, "_index", lambda *nk: indexed.append(nk) or index)
+    monkeypatch.setattr(r, "enumerate_strata",
+                        lambda *nk: read.append(nk) or enumerate_strata(*nk))
+    rows = list(h._relation_rows(n, k))
+    assert indexed == [(n, k)] and read == [(n, k + 1)]
+    sites = [len(f) for t in enumerate_strata(n, k + 1) for f in _vertex_flag_bits(t)
+             if len(f) >= 4]
+    assert len(lookups) == sum(2 ** (m - 1) - m - 1 for m in sites)
+    assert len(rows) == sum(m * (m - 3) // 2 for m in sites)
 
 
 def test_character_values_independent_of_seed():

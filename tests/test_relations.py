@@ -20,6 +20,7 @@ from strata_lab.relations import (
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
+    _bits_side,
     apply_permutation,
     enumerate_strata,
     split_vertex,
@@ -387,7 +388,9 @@ def test_site_trees_are_the_strata_split_along_the_template(family):
     for n in (4, 5, 6, 7):
         for k in range(n - 3):
             enumerated = {id(t) for t in enumerate_strata(n, k)}
-            for sigma, v, fl, trees, rows in rel_mod._sites(n, k, template):
+            strata = {t.splits: t for t in enumerate_strata(n, k)}
+            for sigma, v, marks, trees, rows in rel_mod._sites(n, k, template, strata):
+                fl = tuple(map(_bits_side, marks))
                 m = len(fl)
                 keys, template_rows = template(m)
                 assert rows is template_rows
@@ -407,9 +410,9 @@ from strata_lab.trees import TreeStructureError, enumerate_strata
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-r.enumerate_strata = lambda n, k: enumerate_strata(n, k)[1:] if k == 2 else enumerate_strata(n, k)
+index = {t.splits: t for t in enumerate_strata(7, 2)[1:]}
 try:
-    list(r._sites(7, 2, r._site_basis))
+    list(r._sites(7, 2, r._site_basis, index))
 except TreeStructureError:
     sys.exit(0)
 sys.exit("a split with no stratum got through")

@@ -278,10 +278,10 @@ def test_filtration_level_examples():
         assert valence_partition(t) == ()
 
 
-def test_filtration_keys_build_no_vertex_structure(monkeypatch):
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 9) for k in range(n - 2)])
+def test_filtration_keys_build_no_vertex_structure(monkeypatch, n, k):
     import strata_lab.trees as tr
 
-    n, k = 8, 3
     want = tr._filtration_keys(n, k)
 
     def no_flags(t):
