@@ -34,7 +34,8 @@ basis is a subsequence of the same rows over the same splits
 (`_site_basis`).
 `_sites` maps each split of the template onto a site's flags, as mark
 bitmasks, and looks the split family up once in its caller's index:
-`homology`'s column index, so each term is a column id, or, where
+`homology`'s column index, so each term is a column id, the
+enumeration-order ids of the JSON lines (`relations_jsonl`), or, where
 relation objects are asked for and in the killing check, the enumerated
 strata by split family.  No tree is built or validated per site.
 """
@@ -80,15 +81,6 @@ class KMRelation:
 
     def row(self, index: dict[MarkedTree, int]) -> dict[int, int]:
         return {index[t]: c for t, c in self.terms.items()}
-
-    def to_obj(self, index: dict[MarkedTree, int]) -> dict:
-        return {
-            "sigma": self.sigma.to_obj(),
-            "vertex": self.vertex,
-            "flags": [list(f) for f in self.flags],
-            "pairing": self.pairing,
-            "terms": sorted([index[t], c] for t, c in self.terms.items()),
-        }
 
 
 def expand_relation(
@@ -274,7 +266,16 @@ def spanning_relations(n: int, k: int) -> list[KMRelation]:
 
 
 def relations_jsonl(n: int, k: int) -> Iterable[str]:
-    """One relation per line, terms referring to enumeration-order tree ids."""
-    index = {t: i for i, t in enumerate(enumerate_strata(n, k))}
-    for rel in generate_relations(n, k):
-        yield json.dumps(rel.to_obj(index), separators=(",", ":"), sort_keys=True)
+    """One relation of generate_relations(n, k) per line, in its order:
+    sigma, vertex, flags, pairing and terms, each term [id, coeff] with id
+    the tree's position in enumerate_strata(n, k), sorted.  Each term is
+    looked up once, as its id, by `_sites`; no relation object is built."""
+    ids = {t.splits: i for i, t in enumerate(enumerate_strata(n, k))}
+    for sigma, v, marks, terms, rows in _sites(n, k, _every_template, ids):
+        sigma_obj = sigma.to_obj()
+        for quad, pairing, row in rows:
+            yield json.dumps({"sigma": sigma_obj, "vertex": v,
+                              "flags": [list(_bits_side(marks[i])) for i in quad],
+                              "pairing": pairing,
+                              "terms": sorted([terms[i], c] for i, c in row.items())},
+                             separators=(",", ":"), sort_keys=True)

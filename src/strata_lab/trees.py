@@ -37,7 +37,11 @@ keys are all read off its one tuple, which a caller reading two passes on.
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
 on, so re-attaching mark n at every place of every (n-1)-marked tree
-yields each n-marked tree exactly once.
+yields each n-marked tree exactly once.  `_families` generates those
+split families, unsorted and unvalidated, from the cached (n-1)-marked
+level; `_level` sorts them, validates each as a MarkedTree and caches
+the level.  A caller that keeps only some of the strata
+(`wtilde._square_trees`) streams `_families` and caches no level.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Side = tuple  # sorted marks on the side of an edge away from mark 1
 
@@ -409,13 +413,15 @@ def forget_mark(t: MarkedTree) -> tuple[MarkedTree, bool]:
     return out, len(kept) < len(t.splits)
 
 
-@lru_cache(maxsize=None)
-def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
+def _families(n: int, n_edges: int) -> Iterator[tuple[Side, ...]]:
+    """Every split family of a stable n-marked tree with n_edges internal
+    edges, each once, unsorted and not validated: the forget-map recursion
+    on the cached (n-1)-marked levels."""
     if n_edges == 0:
-        return (MarkedTree.star(n),)
+        yield ()
+        return
     if n_edges > n - 3:
-        return ()
-    out = []
+        return
     # every family is worked out on the split bitmasks of its parent tree
     # and read back through _bits_splits, so all strata share one tuple per side
     new = 1 << n
@@ -423,18 +429,24 @@ def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
     # n joins b and every split containing b
     for t in _level(n - 1, n_edges):
         bits = [_side_bits(n - 1, s) for s in t.splits]
-        out.append(t.splits)
+        yield t.splits
         for b in bits:
-            out.append(_bits_splits(u | new if b & u == b else u for u in bits))
+            yield _bits_splits(u | new if b & u == b else u for u in bits)
     # mark n on a new trivalent vertex inside the leaf edge of mark 1 (new
     # split {2..n-1}), or inside the edge whose far side b is a leaf {m} or
     # a split: b stays, b + {n} is new, n joins every split strictly above b
     for t in _level(n - 1, n_edges - 1):
         bits = [_side_bits(n - 1, s) for s in t.splits]
-        out.append(_bits_splits([*bits, _full(n - 1) ^ 2]))
+        yield _bits_splits([*bits, _full(n - 1) ^ 2])
         for b in [1 << m for m in range(2, n)] + bits:
-            out.append(_bits_splits([b | new, *(u | new if b & u == b != u else u for u in bits)]))
-    return tuple(MarkedTree(n, splits) for splits in sorted(out))
+            yield _bits_splits([b | new, *(u | new if b & u == b != u else u for u in bits)])
+
+
+@lru_cache(maxsize=None)
+def _level(n: int, n_edges: int) -> tuple[MarkedTree, ...]:
+    """The strata with n_edges internal edges: _families(n, n_edges) sorted,
+    each validated as a MarkedTree."""
+    return tuple(MarkedTree(n, splits) for splits in sorted(_families(n, n_edges)))
 
 
 def enumerate_strata(n: int, k: int) -> tuple[MarkedTree, ...]:

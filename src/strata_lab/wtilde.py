@@ -39,7 +39,8 @@ from .trees import (
     _away,
     _bits_side,
     _bits_splits,
-    _filtration_keys,
+    _families,
+    _filtration_key,
     _full,
     _json_fields,
     _json_list,
@@ -217,18 +218,38 @@ class SquareReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
+    """The level-2 strata of S_{k,n+1} of inner level b+1 at index b, for
+    0 <= b < n-k-3, each group in enumeration order.  One pass over the
+    split families of S_{k,n+1} (`trees._families`), each validated as a
+    MarkedTree and keyed by `trees._filtration_key`; no other stratum is
+    kept, and no level on n+1 marks is cached."""
+    base = 2 * (n + 1) + 1  # the key of level 2, inner level 1, on n+1 marks
+    groups: list[list[MarkedTree]] = [[] for _ in range(n - k - 3)]
+    for splits in _families(n + 1, n - 2 - k):
+        t = MarkedTree(n + 1, splits)
+        # lower levels key below base, level >= 3 at or above 3(n+1), past every group
+        b = _filtration_key(t) - base
+        if 0 <= b < len(groups):
+            groups[b].append(t)
+    return tuple(tuple(sorted(g)) for g in groups)
+
+
 def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
     """For every level-2 tree on n+1 marks with inner level b+1, forgetting
     the last mark commutes with the cut map (both sides zero when the last
-    mark sits on a fat-vertex component)."""
+    mark sits on a fat-vertex component).
+
+    The trees come from `_square_trees(n, k)`, which keeps only the
+    level-2 strata of S_{k,n+1} that some b checks, so S_{k,n+1} is never
+    enumerated whole; the checks themselves run afresh on every call, in
+    enumeration order."""
     if not 2 <= k <= (n + 1) - 4 or b < 0 or b + 1 > (n + 1) - k - 4:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
     report = SquareReport(n, k, b, 0)
-    key = 2 * (n + 1) + b + 1  # level 2, inner level b+1, on n+1 marks
     last = 1 << n + 1
-    for sigma, sigma_key in zip(enumerate_strata(n + 1, k), _filtration_keys(n + 1, k)):
-        if sigma_key != key:
-            continue
+    for sigma in _square_trees(n, k)[b]:
         pair = _two_vertex_bits(sigma)
         report.checked += 1
         if (pair[0] | pair[2]) & last:

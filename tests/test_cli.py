@@ -536,6 +536,8 @@ PINNED_STDOUT = {
         (0, "de594c7110738b76306e0604c9cf945bfda95cbcc0049f6fc9342c8b59b61786"),
     "verify forgetful --n 7":
         (0, "99db195e27a29400bf8c3f9b68727868d7531f33ffef50fa701c7833af834525"),
+    "verify forgetful --n 8 --k 3":
+        (0, "348301a100286b730de65a0459a33d92ac12e7120f82fae42e8c9ccae7a808ec"),
     "verify conjecture --n 7":
         (0, "52e6dc726b4251508484cecf58af8d056f782b671c272132da5d1c839772358e"),
 }

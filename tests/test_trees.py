@@ -46,6 +46,18 @@ def test_enumerate_matches_brute_force_family_search():
             assert [t.splits for t in enumerate_strata(n, k)] == want, (n, k)
 
 
+
+def test_families_are_each_level_once():
+    # E = 0 is the star alone and E > n - 3 nothing; in between every
+    # family comes once, so sorting them is all _level adds to the order
+    for n in range(3, 9):
+        assert list(trees._families(n, 0)) == [()]
+        for n_edges in range(n):
+            families = list(trees._families(n, n_edges))
+            assert len(set(families)) == len(families), (n, n_edges)
+            assert sorted(families) == [t.splits for t in trees._level(n, n_edges)], (n, n_edges)
+        assert list(trees._families(n, n - 2)) == []
+
 @pytest.mark.slow
 def test_enumerate_n9_row_sizes():
     sizes = [len(enumerate_strata(9, k)) for k in range(7)]

@@ -317,6 +317,50 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
         assert rep.passed and len(selected) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
 
 
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(5, 8) for k in range(2, n - 3)])
+def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
+    # every valid (n, k, b) with n <= 7
+    import strata_lab.trees as tr
+    from strata_lab.trees import _filtration_keys
+
+    w = sys.modules["strata_lab.wtilde"]
+    # the check streams the families on n+1 marks and asks for no level of them
+    asked = []
+    real_level = tr._level
+
+    def spy(m, n_edges):
+        asked.append(m)
+        return real_level(m, n_edges)
+
+    monkeypatch.setattr(tr, "_level", spy)
+    w._square_trees.cache_clear()
+    reports = [verify_forgetful_square(n, k, b) for b in range(n - k - 3)]
+    assert asked and n + 1 not in asked
+    monkeypatch.undo()
+    groups = w._square_trees(n, k)
+    strata, keys = enumerate_strata(n + 1, k), _filtration_keys(n + 1, k)
+    assert len(groups) == len(reports) == n - k - 3
+    for b, (group, rep) in enumerate(zip(groups, reports)):
+        assert list(group) == [t for t, key in zip(strata, keys) if key == 2 * (n + 1) + b + 1]
+        assert rep.passed and rep.checked == len(group) > 0
+    # under a forget_mark that moves pairs, the mismatches come in enumeration order
+    real_forget = w.forget_mark
+    swap = (2, 1, *range(3, n + 1))
+
+    def swapped(t):
+        return apply_permutation(real_forget(t)[0], swap), False
+
+    monkeypatch.setattr(w, "forget_mark", swapped)
+    for b, group in enumerate(groups):
+        want = []
+        for t in group:
+            p1, _, p2, _, _ = decompose_two_vertex(t)
+            if n + 1 not in p1 | p2 and w_map(t) != w_map(swapped(t)[0]):
+                want.append(t.to_obj())
+        rep = verify_forgetful_square(n, k, b)
+        assert want and [m["sigma"] for m in rep.mismatches] == want, b
+
 def test_forgetful_square_bad_range():
     with pytest.raises(DomainError):
         verify_forgetful_square(6, 2, 1)
