@@ -22,24 +22,16 @@ from .psets import (  # noqa: F401
     enumerate_p2,
     inner_level,
 )
-from .relations import (  # noqa: F401
-    KMRelation,
-    expand_relation,
-    generate_relations,
-    relations_jsonl,
-)
+from .relations import relations_jsonl  # noqa: F401
 from .trees import (  # noqa: F401
     DomainError,
     MarkedTree,
     apply_permutation,
     canonical_form,
-    contract_edge,
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
     forget_mark,
-    split_vertex,
-    valence_partition,
 )
 from .wtilde import (  # noqa: F401
     RewriteMove,

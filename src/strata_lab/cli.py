@@ -86,8 +86,15 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    for t in enumerate_strata(args.n, args.k):
-        if args.min_r and filtration_level(t) < args.min_r:
+    n, k, min_r = args.n, args.k, args.min_r
+    if min_r < 0:
+        raise DomainError(f"--min-r must be >= 0, got {min_r}")
+    # each fat vertex carries excess valence >= 1 of the k, and a tree with
+    # n-3-k edges has n-2-k vertices, so no level passes min(k, n-2-k)
+    if 0 <= k <= n - 3 and min_r > min(k, n - 2 - k):
+        raise DomainError(f"no strata of level >= {min_r} for (n, k) = ({n}, {k})")
+    for t in enumerate_strata(n, k):
+        if min_r and filtration_level(t) < min_r:
             continue
         sys.stdout.write(t.to_json() + "\n")
     return EXIT_OK

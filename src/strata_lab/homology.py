@@ -1,9 +1,9 @@
 """Betti numbers, graded dimensions, class tests and S_n-characters.
 
 Everything is read off one natural-order echelon of the relation matrix
-per modulus, whose rows are the site basis
-`relations.spanning_relations` (m(m-3)/2 rows per site of valence m,
-with the row space of all the relations modulo every modulus).
+per modulus, whose rows are the site basis `relations._site_basis`
+(m(m-3)/2 rows per site of valence m, with the row space of all the
+relations modulo every modulus; the proof is in its docstring).
 
 The columns are the strata in filtration order (`_columns`): by
 filtration key (`trees._filtration_key`: n * level, plus the inner level
@@ -111,7 +111,7 @@ def _cut(n: int, k: int, key_min: int) -> int:
 
 def _relation_rows(n: int, k: int) -> Iterator[dict[int, int]]:
     """Sparse rows of the relation matrix for (n, k), from the site basis
-    (`relations.spanning_relations`): the row space, hence every rank and
+    (`relations._site_basis`): the row space, hence every rank and
     reduced form computed from it, is that of all the relations modulo
     every modulus.  Generated, so an elimination frees each row once
     reduced; a caller that reads them twice takes a tuple."""

@@ -6,45 +6,36 @@ for the remaining flags at v, the relation is
 
     sum_{U1 + U2 = T} (AB U1 | CD U2)  -  sum_{U1 + U2 = T} (AX U1 | BY U2)
 
-with (X, Y) = (C, D) for pairing 1 and (D, C) for pairing 2; every term
-is produced by splitting v.  Only two of the three flag pairings are
-emitted per 4-subset since the third is their difference.
+with (X, Y) = (C, D) for pairing 1 and (D, C) for pairing 2; each term
+is the stratum that splits v into a new edge with the two groups of
+flags at its ends.  Only two of the three flag pairings are emitted per
+4-subset since the third is their difference.
 
-Two families are generated, both site by site in the same order:
+Every relation comes from one stream, `_sites`, site by site in
+enumeration order.  A site of valence m is a copy of the m-pointed star
+M_{0,m}: the relations at a site (sigma, v) with flags fl are the image
+of one relation system on M_{0,m} under D_S -> the stratum splitting v
+into S | fl - S (see `_site_basis`).  So that system is computed once per
+valence (`_every_template`): its 2^(m-1) - m - 1 splits, numbered in
+order of first use and keyed by the flag positions on the side away from
+fl[0], and its relations, both pairings of every 4-subset, as rows
+{local id: coeff} over those numbers.  `_site_basis` keeps a basis of
+them, m(m-3)/2 rows per site, which `homology` eliminates; every row is
+checked by `wtilde.verify_relations_killed` and serialized by
+`relations_jsonl`.
 
-* `generate_relations`: every 4-subset of the flags at every site.  It is
-  the family that is serialized and that `wtilde.verify_relations_killed`
-  checks relation by relation.
-* `spanning_relations`: a basis of the relations at each site, m(m-3)/2
-  of them at valence m, picked by a fixed rule from the 4-subsets through
-  the two least flags fl[0], fl[1] (pairing 1 of each, pairing 2 only of
-  those that also hold fl[2]).  Every relation of the site is an integer
-  combination of them, so at every valence they span the row space of
-  all the relations modulo every modulus (see its docstring).  It is the
-  family that `homology` eliminates.
-
-A site of valence m is a copy of the m-pointed star M_{0,m}: the
-relations at a site (sigma, v) with flags fl are the image of one
-relation system on M_{0,m} under D_S -> split_vertex(sigma, v, S, fl - S)
-(see spanning_relations).  So that system is computed once per valence
-(`_every_template`): its 2^(m-1) - m - 1 splits, numbered in order of
-first use and keyed by the flag positions on the side away from fl[0],
-and its relations as rows {local id: coeff} over those numbers.  The
-basis is a subsequence of the same rows over the same splits
-(`_site_basis`).
 `_sites` maps each split of the template onto a site's flags, as mark
-bitmasks, and looks the split family up once in its caller's index:
-`homology`'s column index, so each term is a column id, the
-enumeration-order ids of the JSON lines (`relations_jsonl`), or, where
-relation objects are asked for and in the killing check, the enumerated
-strata by split family.  No tree is built or validated per site.
+bitmasks, and looks the split family up once in its caller's index,
+which maps split families to ints: `homology`'s column index, so each
+term is a column id, or the enumeration-order ids of the strata
+(`relations_jsonl` and the killing check).  No tree is built or
+validated per site.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,13 +45,9 @@ from .trees import (
     MarkedTree,
     TreeStructureError,
     _bits_side,
-    _flags_at,
     _vertex_flag_bits,
     enumerate_strata,
-    split_vertex,
 )
-
-Side = tuple
 
 
 def _subsets(items: Sequence) -> Iterable[tuple]:
@@ -69,98 +56,21 @@ def _subsets(items: Sequence) -> Iterable[tuple]:
     )
 
 
-@dataclass(eq=False)
-class KMRelation:
-    """One relation, kept with its provenance for reporting and replay."""
-
-    sigma: MarkedTree
-    vertex: int
-    flags: tuple[Side, Side, Side, Side]
-    pairing: int
-    terms: dict[MarkedTree, int]
-
-    def row(self, index: dict[MarkedTree, int]) -> dict[int, int]:
-        return {index[t]: c for t, c in self.terms.items()}
-
-
-def expand_relation(
-    sigma: MarkedTree, vertex: int, a, b, c, d, pairing: int
-) -> KMRelation:
-    """Expand one relation over all bipartitions of the leftover flags."""
-    a, b, c, d = (tuple(sorted(f)) for f in (a, b, c, d))
-    here = _flags_at(sigma, vertex)
-    quad = (a, b, c, d)
-    if len(set(quad)) != 4:
-        raise DomainError("flags A, B, C, D must be distinct")
-    if any(f not in here for f in quad):
-        raise DomainError(f"flags must all be incident to vertex {vertex}")
-    if pairing not in (1, 2):
-        raise DomainError(f"pairing must be 1 or 2, got {pairing}")
-    keys, rows = _site(len(here), [tuple(here.index(f) for f in quad)])
-    trees = [split_vertex(sigma, vertex, *_bipartition(here, key)) for key in keys]
-    _, _, row = rows[pairing - 1]
-    return KMRelation(sigma, vertex, quad, pairing, {trees[i]: c for i, c in row.items()})
-
-
-def _bipartition(here: tuple, key: int) -> tuple[list, list]:
-    """(flags of here outside key, flags in key): the two sides of a split."""
-    return ([f for i, f in enumerate(here) if not key >> i & 1],
-            [f for i, f in enumerate(here) if key >> i & 1])
-
-
-def _site(m: int, quads: Iterable[tuple]) -> tuple[list[int], list[tuple]]:
-    """(keys, rows) of both pairings of each 4-subset in quads of the flag
-    positions 0..m-1 of a site of valence m: the relations on the star
-    M_{0,m}, over its splits.
-
-    keys numbers the splits in first-use order: the local id of a split is
-    its position, and a split is the bitmask (bit i for position i) of its
-    side away from position 0.  Each row is (quad, pairing, {local id:
-    coeff}), terms in the order the expansion first meets them, zeros
-    dropped.
-    """
-    full = (1 << m) - 1
-    ids: dict[int, int] = {}
-    rows: list[tuple] = []
-
-    def expand(x1, x2, masks: list[int]) -> list[int]:
-        """Local ids of the splits (x1 x2 U1 | rest), U1 in masks."""
-        base = 1 << x1 | 1 << x2
-        out = []
-        for mask in masks:
-            side = base | mask
-            key = full ^ side if side & 1 else side
-            out.append(ids.setdefault(key, len(ids)))
-        return out
-
-    for quad in quads:
-        a, b, c, d = quad
-        rest = [1 << i for i in range(m) if i not in quad]
-        masks = [sum(u) for u in _subsets(rest)]
-        plus = expand(a, b, masks)
-        for pairing, minus in ((1, expand(a, c, masks)), (2, expand(a, d, masks))):
-            row: dict[int, int] = {}
-            for terms, sign in ((plus, 1), (minus, -1)):
-                for i in terms:
-                    row[i] = row.get(i, 0) + sign
-            rows.append((quad, pairing, {i: v for i, v in row.items() if v}))
-    return list(ids), rows
-
-
-def _sites(n: int, k: int, template: Callable[[int], tuple], index: dict
-           ) -> Iterator[tuple[MarkedTree, int, list[int], list, tuple]]:
+def _sites(n: int, k: int, template: Callable[[int], tuple], index: dict[tuple, int]
+           ) -> Iterator[tuple[MarkedTree, int, list[int], list[int], tuple]]:
     """(sigma, v, marks, terms, rows) for every site of the relations of
     S_{k,n}: a vertex v with flags of valence m >= 4 of a stratum sigma of
     dimension k+1, in enumeration order.
 
     (keys, rows) = template(m), shared, the rows' quads given as positions
-    among the flags; terms[i] = index[family], where family is the split
-    family of the stratum of S_{k,n} that splits v along the template's
-    split keys[i], and TreeStructureError is raised when index lacks it.
-    marks are the flags as mark bitmasks (`trees._vertex_flag_bits`): they
-    partition the marks and are listed by least mark, the order of their
-    tuples, so marks[0] holds mark 1 and the side of a split away from it
-    is its new edge's side as MarkedTree records it.
+    among the flags; terms[i] = index[family], the int the caller gives
+    the split family of the stratum of S_{k,n} that splits v along the
+    template's split keys[i], and TreeStructureError is raised when index
+    lacks it.  marks are the flags as mark bitmasks
+    (`trees._vertex_flag_bits`): they partition the marks and are listed
+    by least mark, the order of their tuples, so marks[0] holds mark 1 and
+    the side of a split away from it is its new edge's side as MarkedTree
+    records it.
     """
     if not 0 <= k <= n - 4:
         raise DomainError(f"relations require 0 <= k <= n-4, got n={n}, k={k}")
@@ -188,50 +98,54 @@ def _sites(n: int, k: int, template: Callable[[int], tuple], index: dict
             yield sigma, v, marks, terms, rows
 
 
-def _relations(n: int, k: int, template: Callable[[int], tuple]) -> list[KMRelation]:
-    """The KMRelations of the rows of _sites(n, k, template), in order."""
-    strata = {t.splits: t for t in enumerate_strata(n, k)}
-    return [KMRelation(sigma, v, tuple(_bits_side(marks[i]) for i in quad), pairing,
-                       {trees[i]: c for i, c in row.items()})
-            for sigma, v, marks, trees, rows in _sites(n, k, template, strata)
-            for quad, pairing, row in rows]
-
-
 @lru_cache(maxsize=None)
 def _every_template(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """_site(m, every 4-subset): both pairings of every 4-subset on the
-    star of m marks, computed once per valence.  Shared by every site of
-    valence m: never mutate a row."""
-    keys, rows = _site(m, combinations(range(m), 4))
-    return tuple(keys), tuple(rows)
+    """(keys, rows): both pairings of every 4-subset of the flag positions
+    0..m-1 of a site of valence m, the relations on the star M_{0,m} over
+    its splits, computed once per valence.
+
+    keys numbers the splits in first-use order: the local id of a split is
+    its position, and a split is the bitmask (bit i for position i) of its
+    side away from position 0.  Each row is (quad, pairing, {local id:
+    coeff}), terms in the order the expansion first meets them, zeros
+    dropped.  Shared by every site of valence m: never mutate a row.
+    """
+    full = (1 << m) - 1
+    ids: dict[int, int] = {}
+    rows: list[tuple] = []
+
+    def expand(x1, x2, masks: list[int]) -> list[int]:
+        """Local ids of the splits (x1 x2 U1 | rest), U1 in masks."""
+        base = 1 << x1 | 1 << x2
+        out = []
+        for mask in masks:
+            side = base | mask
+            key = full ^ side if side & 1 else side
+            out.append(ids.setdefault(key, len(ids)))
+        return out
+
+    for quad in combinations(range(m), 4):
+        a, b, c, d = quad
+        rest = [1 << i for i in range(m) if i not in quad]
+        masks = [sum(u) for u in _subsets(rest)]
+        plus = expand(a, b, masks)
+        for pairing, minus in ((1, expand(a, c, masks)), (2, expand(a, d, masks))):
+            row: dict[int, int] = {}
+            for terms, sign in ((plus, 1), (minus, -1)):
+                for i in terms:
+                    row[i] = row.get(i, 0) + sign
+            rows.append((quad, pairing, {i: v for i, v in row.items() if v}))
+    return tuple(ids), tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _site_basis(m: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """The splits of _every_template(m) and the rows of it that the rule
     keeps, in template order: pairing 1 of each 4-subset through positions
-    0 and 1, pairing 2 of those that also hold position 2.  They generate
-    the Z-lattice of all the rows (see spanning_relations).  Shared by
-    every site of valence m: never mutate a row."""
-    keys, rows = _every_template(m)
-    # a quad lists its positions in order, so it holds 0 and 1 when quad[1] == 1
-    return keys, tuple((quad, pairing, row) for quad, pairing, row in rows
-                       if quad[1] == 1 and (pairing == 1 or quad[2] == 2))
+    0 and 1, pairing 2 of those that also hold position 2.  Shared by
+    every site of valence m: never mutate a row.
 
-
-def generate_relations(n: int, k: int) -> list[KMRelation]:
-    """All emitted relations for S_{k,n}, in deterministic order."""
-    return _relations(n, k, _every_template)
-
-
-def spanning_relations(n: int, k: int) -> list[KMRelation]:
-    """A basis of the relations at each site, as a subsequence of
-    generate_relations(n, k) (same provenance, terms and order): the rule
-    rows, pairing 1 of each 4-subset through the two least flags fl[0],
-    fl[1] of its site and pairing 2 of those that also hold fl[2]
-    (`_site_basis`).
-
-    A site of valence m emits C(m-2, 2) + (m-3) = m(m-3)/2 of its
+    A site of valence m keeps C(m-2, 2) + (m-3) = m(m-3)/2 of its
     2*C(m,4) relations, the rank of the relations among the boundary
     divisors of M_{0,m} (Keel, Trans. AMS 330, 1992).  At every valence
     every relation of the site is an integer combination of the rule
@@ -242,10 +156,11 @@ def spanning_relations(n: int, k: int) -> list[KMRelation]:
     * Per-site linearity.  The relations at (sigma, v) with flag set F
       are the image of the 4-point relations of the F-pointed space
       M_{0,F} (sum of D_S over S containing A, B and missing C, D, minus
-      the same with B and X exchanged) under the linear map
-      D_S -> split_vertex(sigma, v, S, F - S), and so is every integer
-      combination of them.  So it is enough to prove the claim on
-      M_{0,F}, as formal combinations of the D_S.
+      the same with B and X exchanged) under the linear map sending D_S
+      to the stratum that splits v with S at one end of the new edge and
+      F - S at the other, and so is every integer combination of them.
+      So it is enough to prove the claim on M_{0,F}, as formal
+      combinations of the D_S.
     * Pullback.  Take a 4-subset Q of F and let G be Q together with the
       three least flags of F, so 4 <= |G| <= 7.  Forgetting the flags of
       F outside G, D_S -> sum of D_{S+T} over the subsets T of F - G,
@@ -262,14 +177,17 @@ def spanning_relations(n: int, k: int) -> list[KMRelation]:
 
     The rule rows number the rank, so they are also independent over Q.
     """
-    return _relations(n, k, _site_basis)
+    keys, rows = _every_template(m)
+    # a quad lists its positions in order, so it holds 0 and 1 when quad[1] == 1
+    return keys, tuple((quad, pairing, row) for quad, pairing, row in rows
+                       if quad[1] == 1 and (pairing == 1 or quad[2] == 2))
 
 
 def relations_jsonl(n: int, k: int) -> Iterable[str]:
-    """One relation of generate_relations(n, k) per line, in its order:
-    sigma, vertex, flags, pairing and terms, each term [id, coeff] with id
-    the tree's position in enumerate_strata(n, k), sorted.  Each term is
-    looked up once, as its id, by `_sites`; no relation object is built."""
+    """One relation of _sites(n, k, _every_template) per line, in its
+    order: sigma, vertex, flags, pairing and terms, each term [id, coeff]
+    with id the tree's position in enumerate_strata(n, k), sorted.  Each
+    term is looked up once, as its id, by `_sites`."""
     ids = {t.splits: i for i, t in enumerate(enumerate_strata(n, k))}
     for sigma, v, marks, terms, rows in _sites(n, k, _every_template, ids):
         sigma_obj = sigma.to_obj()

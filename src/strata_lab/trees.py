@@ -7,8 +7,8 @@ pairwise compatible sides (any two nested or disjoint) determines the
 tree uniquely, so isomorphism testing, hashing and a total order come
 for free from tuple comparison.
 
-Vertex numbering convention used by all surgery operations: vertex 0 is
-the internal vertex incident to mark 1, and vertex i >= 1 is the far
+Vertex numbering convention of the vertex flags: vertex 0 is the
+internal vertex incident to mark 1, and vertex i >= 1 is the far
 endpoint of the edge recorded by ``t.splits[i-1]``.
 
 This module owns the bitmask encoding of sides that the package works
@@ -30,9 +30,9 @@ twin and is found wherever that one is.
 How the splits hang together is worked out in one place, ``_vertex_pass``:
 one pass over the splits, larger first, gives each split's parent vertex,
 each vertex's valence, each mark's vertex and the fat vertices.  The
-vertex flags (`_vertex_flag_bits`, as bitmasks), the valence partition,
-the two sides of a level-2 tree (`_two_vertex_bits`) and the filtration
-keys are all read off its one tuple, which a caller reading two passes on.
+vertex flags (`_vertex_flag_bits`, as bitmasks), the two sides of a
+level-2 tree (`_two_vertex_bits`) and the filtration keys are all read
+off its one tuple, which a caller reading two passes on.
 
 Strata are enumerated by the forget-map recursion: forgetting mark n
 sends a tree to an (n-1)-marked tree and the vertex or edge mark n sat
@@ -55,7 +55,7 @@ Side = tuple  # sorted marks on the side of an edge away from mark 1
 
 
 class DomainError(ValueError):
-    """Raised for (n, k), surgery arguments or JSON input outside the valid range."""
+    """Raised for (n, k), marks, moves or JSON input outside the valid range."""
 
 
 def _json_fields(obj, what: str, *names: str) -> list:
@@ -264,37 +264,13 @@ def _vertex_flag_bits(t: MarkedTree, passed=None) -> list[list[int]]:
     return flags
 
 
-def vertex_flags(t: MarkedTree) -> tuple[tuple[Side, ...], ...]:
-    """Flags at each internal vertex, identified by the mark set behind them.
-
-    The behind-sets of the flags at any one vertex partition {1..n}.
-    """
-    return tuple(tuple(map(_bits_side, f)) for f in _vertex_flag_bits(t))
-
-
-def _flags_at(t: MarkedTree, v: int) -> tuple[Side, ...]:
-    """vertex_flags(t)[v]; DomainError for a vertex index outside the tree."""
-    flags = _vertex_flag_bits(t)
-    if not 0 <= v < len(flags):
-        raise DomainError(f"no vertex {v} in a tree with {len(flags)} internal vertices")
-    return tuple(map(_bits_side, flags[v]))
-
-
 def canonical_form(t: MarkedTree) -> str:
     """Canonical string form; equal iff the marked trees are isomorphic."""
     return json.dumps([list(s) for s in t.splits], separators=(",", ":"))
 
 
-def valence_partition(t: MarkedTree) -> tuple[int, ...]:
-    """Weakly decreasing partition of k built from val(v) - 3 over vertices."""
-    parts = sorted((val - 3 for val in _vertex_pass(t)[1] if val > 3), reverse=True)
-    if sum(parts) != t.k:
-        raise TreeStructureError(f"valence partition {parts} does not sum to k={t.k}")
-    return tuple(parts)
-
-
 def filtration_level(t: MarkedTree) -> int:
-    """Number of fat vertices: the parts of the valence partition (0 if trivalent)."""
+    """Number of fat vertices, those of valence >= 4 (0 if trivalent)."""
     return len(_vertex_pass(t)[3])
 
 
@@ -303,36 +279,6 @@ def apply_permutation(t: MarkedTree, g: Sequence[int]) -> MarkedTree:
     if sorted(g) != list(range(1, t.n + 1)):
         raise DomainError(f"not a permutation of 1..{t.n}: {g!r}")
     return MarkedTree.from_sides(t.n, ((g[m - 1] for m in s) for s in t.splits))
-
-
-def split_vertex(
-    t: MarkedTree,
-    v: int,
-    flags_a: Iterable[Iterable[int]],
-    flags_b: Iterable[Iterable[int]],
-) -> MarkedTree:
-    """Replace vertex v by an edge, flags_a on one end and flags_b on the other.
-
-    Both flag groups must have at least two members, otherwise the result
-    would be unstable.  Contracting the new edge recovers t.
-    """
-    here = _flags_at(t, v)
-    fa = [tuple(sorted(f)) for f in flags_a]
-    fb = [tuple(sorted(f)) for f in flags_b]
-    if len(fa) < 2 or len(fb) < 2:
-        raise DomainError("each side of a vertex split needs at least 2 flags")
-    if sorted(fa + fb) != list(here):
-        raise DomainError(f"flag groups do not partition the flags at vertex {v}")
-    side = [m for f in fb for m in f]
-    return MarkedTree.from_sides(t.n, t.splits + (tuple(side),))
-
-
-def contract_edge(t: MarkedTree, side: Iterable[int]) -> MarkedTree:
-    """Contract the internal edge with the given side; inverse of split_vertex."""
-    s = _side(side, t.n)
-    if s not in t.splits:
-        raise DomainError(f"no edge with side {s} in {canonical_form(t)}")
-    return MarkedTree(t.n, tuple(x for x in t.splits if x != s))
 
 
 def _two_vertex_bits(t: MarkedTree, passed=None) -> tuple[int, int, int, int]:

@@ -141,15 +141,17 @@ class KilledReport:
 
 def verify_relations_killed(n: int, k: int) -> KilledReport:
     """Check the covering-pair component of wtilde(R) vanishes for every
-    relation R of generate_relations(n, k); residuals are exact rationals,
-    zero means zero.
+    relation R of S_{k,n}, both pairings of every 4-subset at every site
+    (`relations._every_template`); residuals are exact rationals, zero
+    means zero.
 
     Restricting to inner level 0 commutes with summing over the terms, so
     each distinct tree's restricted image is taken once, in half-units
     (_half_units gives only the ints 2, 1 and -1, so every value of wtilde
     lies in (1/2)Z), with its pairs numbered in order of appearance, and
     each relation is summed in integers over the local ids of its site's
-    template splits.
+    template splits.  `_sites` gives each term as its enumeration id, so
+    the images are kept in a list by id and each term is looked up once.
     PairLabels are built only for the residual of a failure.
     """
     if not 2 <= k <= n - 4:
@@ -157,14 +159,15 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     report = KilledReport(n, k, 0)
     full = _full(n)
     number: dict[PairBits, int] = {}  # pair -> its position in the dict
-    images: dict[MarkedTree, dict[int, int]] = {}
-    strata = {t.splits: t for t in enumerate_strata(n, k)}
-    for sigma, v, marks, trees, rows in _sites(n, k, _every_template, strata):
+    strata = enumerate_strata(n, k)
+    images: list[dict[int, int] | None] = [None] * len(strata)  # by enumeration id
+    ids = {t.splits: i for i, t in enumerate(strata)}
+    for sigma, v, marks, terms, rows in _sites(n, k, _every_template, ids):
         local = []
-        for t in trees:
-            img = images.get(t)
+        for i in terms:
+            img = images[i]
             if img is None:
-                img = images[t] = _covering_image(t, full, number)
+                img = images[i] = _covering_image(strata[i], full, number)
             local.append(img)
         report.relations += len(rows)
         for quad, pairing, row in rows:

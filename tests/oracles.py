@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's modular elimination and
 enumeration strategies: ranks are fraction Gaussian elimination, strata
-come from brute-force search over compatible split families,
-characters are fixed-point counts, and Betti numbers come from Keel's
-recursion, which is a theorem.  The one modular piece, the certification
+come from brute-force search over compatible split families, relations
+are expanded term by term from their definition, characters are
+fixed-point counts, and Betti numbers come from Keel's recursion, which
+is a theorem.  The one modular piece, the certification
 loop, is kept here evaluating one prime at a time.
 """
 
@@ -344,3 +345,43 @@ def certify_prime_by_prime(compute, seed: int = 0, what: str = "value",
             return v
         if len(seen) == el.MAX_PRIMES:
             raise el.RankCertificationError(f"no value of {what} certified: {seen}")
+
+
+def brute_force_expansion(n: int, splits, here, quad, pairing: int) -> dict:
+    """The Kontsevich-Manin relation of the flags quad = (A, B, C, D) at a
+    vertex whose flags are `here` (each a tuple of the marks behind it) of
+    the tree with these splits: sum over the subsets U1 of the leftover
+    flags of (A B U1 | rest) minus (A X U1 | rest), X = C for pairing 1
+    and D for pairing 2, each term the tree with the side of A B U1 (or
+    A X U1) added as a split.  {tree: coeff}, terms in the order they are
+    first met, zeros dropped."""
+    from strata_lab.trees import MarkedTree
+
+    a, b, c, d = quad
+    x = c if pairing == 1 else d
+    rest = [f for f in here if f not in quad]
+    subsets = [u for r in range(len(rest) + 1) for u in combinations(rest, r)]
+    terms: dict = {}
+    for pair, sign in (((a, b), 1), ((a, x), -1)):
+        for u in subsets:
+            side = [m for f in (*pair, *u) for m in f]
+            t = MarkedTree.from_sides(n, tuple(splits) + (side,))
+            terms[t] = terms.get(t, 0) + sign
+    return {t: v for t, v in terms.items() if v}
+
+
+def brute_force_relations(n: int, k: int):
+    """Every Kontsevich-Manin relation of the strata of dimension k, as
+    (sigma, v, flags, pairing, terms): for each stratum sigma of dimension
+    k+1 in enumeration order, each vertex v in the order of
+    brute_force_vertex_flags with at least four flags, each 4-subset of
+    its flags in lexicographic order and pairings 1 then 2, the expansion
+    of brute_force_expansion.  Uses no relation code of the library."""
+    from strata_lab.trees import enumerate_strata
+
+    for sigma in enumerate_strata(n, k + 1):
+        for v, here in enumerate(brute_force_vertex_flags(n, sigma.splits)):
+            for quad in combinations(here, 4):
+                for pairing in (1, 2):
+                    yield (sigma, v, quad, pairing,
+                           brute_force_expansion(n, sigma.splits, here, quad, pairing))

@@ -10,6 +10,7 @@ import pytest
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
 from strata_lab.exact_linalg import RankCertificationError
+from strata_lab.trees import enumerate_strata, filtration_level
 from strata_lab.wtilde import RewriteError, verify_forgetful_square
 
 
@@ -47,6 +48,40 @@ def test_enumerate_min_r(tmp_path):
 def test_enumerate_domain_error(tmp_path):
     code, _ = run_cli(["enumerate", "--n", "3", "--k", "1"], tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("min_r, line", [
+    ("-1", "--min-r must be >= 0, got -1"),
+    ("9", "no strata of level >= 9 for (n, k) = (6, 2)"),
+    ("3", "no strata of level >= 3 for (n, k) = (6, 2)"),
+])
+def test_enumerate_refuses_a_min_r_that_selects_nothing(monkeypatch, capsys, min_r, line):
+    """A --min-r below 0 or above every level at (n, k) is one domain-error
+    line, before any enumeration."""
+    import strata_lab.cli as cli
+
+    def no_enumeration(*args):
+        raise AssertionError("strata enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_strata", no_enumeration)
+    assert main(["enumerate", "--n", "6", "--k", "2", "--min-r", min_r]) == 2
+    assert capsys.readouterr() == ("", f"domain error: {line}\n")
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_enumerate_takes_every_min_r_up_to_the_largest_level(tmp_path, n):
+    # the largest level is min(k, n-2-k): each level up to it selects some
+    # strata, the lines of the strata of that level or more, in order
+    for k in range(n - 2):
+        levels = [filtration_level(t) for t in enumerate_strata(n, k)]
+        top = max(levels)
+        assert top == min(k, n - 2 - k)
+        for r in range(top + 2):
+            code, out = run_cli(["enumerate", "--n", str(n), "--k", str(k),
+                                 "--min-r", str(r)], tmp_path)
+            want = [t.to_json() for t, level in zip(enumerate_strata(n, k), levels)
+                    if level >= r]
+            assert (code, out.splitlines()) == ((0, want) if r <= top else (2, []))
 
 
 def test_betti_table(tmp_path):

@@ -5,7 +5,13 @@ from collections import Counter
 import pytest
 
 import strata_lab.exact_linalg as el
-from oracles import ReferenceEchelon, certify_prime_by_prime, rank_fraction, reference_row_order_key
+from oracles import (
+    ReferenceEchelon,
+    brute_force_relations,
+    certify_prime_by_prime,
+    rank_fraction,
+    reference_row_order_key,
+)
 
 from strata_lab.exact_linalg import (
     MAX_PRIMES,
@@ -21,15 +27,16 @@ from strata_lab.exact_linalg import (
     rank_bareiss,
 )
 from strata_lab.homology import _echelon, _relation_rows
-from strata_lab.relations import generate_relations
 from strata_lab.trees import enumerate_strata
 
 
 def _relation_matrix(n, k):
-    """(rows, n_cols) of all the relations of (n, k)."""
+    """(rows, n_cols) of all the relations of (n, k), from the brute-force
+    expansion, over the enumeration ids of the strata."""
     trees = enumerate_strata(n, k)
     idx = {t: i for i, t in enumerate(trees)}
-    return [r.row(idx) for r in generate_relations(n, k)], len(trees)
+    rows = [{idx[t]: c for t, c in terms.items()} for *_, terms in brute_force_relations(n, k)]
+    return rows, len(trees)
 
 
 def _rank_mod_p(rows, p):

@@ -5,27 +5,60 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from oracles import in_lattice, rank_fraction, solve_fraction
+from oracles import (
+    brute_force_expansion,
+    brute_force_relations,
+    brute_force_vertex_flags,
+    in_lattice,
+    rank_fraction,
+    solve_fraction,
+)
 from test_homology import _succeeds_under_O
 
 import strata_lab.homology as h
 import strata_lab.relations as rel_mod
 from strata_lab.exact_linalg import ModEchelon, prime_stream, quotient_basis
-from strata_lab.relations import (
-    expand_relation,
-    generate_relations,
-    relations_jsonl,
-    spanning_relations,
-)
+from strata_lab.relations import relations_jsonl
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
     _bits_side,
     apply_permutation,
     enumerate_strata,
-    split_vertex,
-    vertex_flags,
 )
+
+
+def _site_relations(n, k, template=rel_mod._every_template):
+    """The relations of the library's one stream, `_sites(n, k, template)`,
+    as the oracle gives them: (sigma, v, flags, pairing, {tree: coeff}),
+    the terms in the order of their row."""
+    strata = enumerate_strata(n, k)
+    ids = {t.splits: i for i, t in enumerate(strata)}
+    for sigma, v, marks, terms, rows in rel_mod._sites(n, k, template, ids):
+        for quad, pairing, row in rows:
+            yield (sigma, v, tuple(_bits_side(marks[i]) for i in quad), pairing,
+                   {strata[terms[i]]: c for i, c in row.items()})
+
+
+def _listed(rels):
+    """Relations with their terms as lists, so comparing them compares the
+    order of the terms too."""
+    return [(*rel[:4], list(rel[4].items())) for rel in rels]
+
+
+def _same_as_the_oracle(n, k):
+    """The library's relations of (n, k), checked against the brute-force
+    expansion: same provenance, terms and order."""
+    rels = list(_site_relations(n, k))
+    assert _listed(rels) == _listed(brute_force_relations(n, k))
+    return rels
+
+
+@lru_cache(maxsize=None)
+def _by_provenance(n, k):
+    """(sigma, v, flags, pairing) -> terms of every relation of (n, k) that
+    the library streams."""
+    return {rel[:4]: rel[4] for rel in _site_relations(n, k)}
 
 
 def _index(n, k):
@@ -33,27 +66,27 @@ def _index(n, k):
 
 
 def test_4_0_relations_exact():
-    rels = generate_relations(4, 0)
+    rels = _same_as_the_oracle(4, 0)
     assert len(rels) == 2
     t_1234 = MarkedTree.from_sides(4, [(3, 4)])
     t_1324 = MarkedTree.from_sides(4, [(2, 4)])
     t_1423 = MarkedTree.from_sides(4, [(2, 3)])
-    assert rels[0].terms == {t_1234: 1, t_1324: -1}
-    assert rels[1].terms == {t_1234: 1, t_1423: -1}
+    assert rels[0][4] == {t_1234: 1, t_1324: -1}
+    assert rels[1][4] == {t_1234: 1, t_1423: -1}
 
 
 def test_5_0_count_and_rank():
-    rels = generate_relations(5, 0)
+    rels = _same_as_the_oracle(5, 0)
     assert len(rels) == 20
     idx = _index(5, 0)
-    rows = [r.row(idx) for r in rels]
+    rows = [{idx[t]: c for t, c in terms.items()} for *_, terms in rels]
     # oracle rank over Q, frozen: 14
     assert rank_fraction(rows, 15) == 14
 
 
 def test_star5_expansion_example():
     star = MarkedTree.star(5)
-    rel = expand_relation(star, 0, (1,), (2,), (3,), (4,), 1)
+    flags = ((1,), (2,), (3,), (4,))
     # (12|345) + (125|34) - (13|245) - (135|24)
     want = {
         MarkedTree.from_sides(5, [(3, 4, 5)]): 1,
@@ -61,74 +94,37 @@ def test_star5_expansion_example():
         MarkedTree.from_sides(5, [(2, 4, 5)]): -1,
         MarkedTree.from_sides(5, [(2, 4)]): -1,
     }
-    assert rel.terms == want
+    assert _by_provenance(5, 1)[star, 0, flags, 1] == want
+    assert brute_force_expansion(5, (), (*flags, (5,)), flags, 1) == want
 
 
 def test_term_counts():
-    star = MarkedTree.star(4)
-    assert len(expand_relation(star, 0, (1,), (2,), (3,), (4,), 1).terms) == 2
+    quad = ((1,), (2,), (3,), (4,))
+    star4 = MarkedTree.star(4)
+    assert len(_by_provenance(4, 0)[star4, 0, quad, 1]) == 2
     star6 = MarkedTree.star(6)
-    rel = expand_relation(star6, 0, (1,), (2,), (3,), (4,), 2)
-    assert len(rel.terms) == 8
+    terms = _by_provenance(6, 2)[star6, 0, quad, 2]
+    assert terms == brute_force_expansion(6, (), tuple((m,) for m in range(1, 7)), quad, 2)
+    assert len(terms) == 8
     for n in (5, 6, 7):
         for sigma in random.Random(n).sample(list(enumerate_strata(n, 1)), 5):
-            for v, fl in enumerate(vertex_flags(sigma)):
+            for v, fl in enumerate(brute_force_vertex_flags(n, sigma.splits)):
                 if len(fl) < 4:
                     continue
                 quad = fl[:4]
                 rest = len(fl) - 4
-                rel = expand_relation(sigma, v, *quad, 1)
-                assert len(rel.terms) == 2 * 2**rest
-                assert sorted(rel.terms.values()).count(-1) == 2**rest
-
-
-def test_repeated_flags_rejected():
-    star = MarkedTree.star(5)
-    with pytest.raises(DomainError):
-        expand_relation(star, 0, (1,), (1,), (3,), (4,), 1)
-
-
-VERTEX_OUTSIDE_UNDER_O = """
-import sys
-from strata_lab.relations import expand_relation
-from strata_lab.trees import DomainError, MarkedTree, split_vertex, vertex_flags
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-t = MarkedTree.from_sides(6, [(5, 6)])
-here = vertex_flags(t)[0]
-for v in (-2, 2):
-    for call in (lambda: split_vertex(t, v, here[:2], here[2:]),
-                 lambda: expand_relation(t, v, *here[:4], 1)):
-        try:
-            call()
-        except DomainError:
-            continue
-        sys.exit(f"vertex {v} got through")
-"""
-
-
-@pytest.mark.parametrize("v", [-2, -1, 2, 9])
-def test_vertex_outside_the_tree_is_refused(v):
-    # with two vertices, -2 used to split vertex 0 and 2 to raise IndexError
-    t = MarkedTree.from_sides(6, [(5, 6)])
-    here = vertex_flags(t)[0]
-    assert len(vertex_flags(t)) == 2 and len(here) == 5
-    with pytest.raises(DomainError, match=f"no vertex {v} in a tree with 2"):
-        split_vertex(t, v, here[:2], here[2:])
-    with pytest.raises(DomainError, match=f"no vertex {v} in a tree with 2"):
-        expand_relation(t, v, *here[:4], 1)
-
-
-def test_vertex_outside_the_tree_is_refused_under_python_O():
-    _succeeds_under_O(VERTEX_OUTSIDE_UNDER_O)
+                terms = _by_provenance(n, 0)[sigma, v, quad, 1]
+                assert terms == brute_force_expansion(n, sigma.splits, fl, quad, 1)
+                assert len(terms) == 2 * 2**rest
+                assert sorted(terms.values()).count(-1) == 2**rest
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        generate_relations(5, 2)  # k = n-3: no relations
-    with pytest.raises(DomainError):
-        generate_relations(5, -1)
+    for k in (2, -1):  # k = n-3 has no relations, nor has k < 0
+        with pytest.raises(DomainError):
+            list(relations_jsonl(5, k))
+        with pytest.raises(DomainError):
+            list(rel_mod._sites(5, k, rel_mod._every_template, {}))
 
 
 def test_third_pairing_in_row_span():
@@ -137,57 +133,56 @@ def test_third_pairing_in_row_span():
     for n, k in [(5, 0), (6, 1), (6, 0), (7, 1)]:
         sigmas = enumerate_strata(n, k + 1)
         for sigma in rng.sample(list(sigmas), min(5, len(sigmas))):
-            for v, fl in enumerate(vertex_flags(sigma)):
+            for v, fl in enumerate(brute_force_vertex_flags(n, sigma.splits)):
                 if len(fl) < 4:
                     continue
                 a, b, c, d = fl[:4]
-                r1 = expand_relation(sigma, v, a, b, c, d, 1)
-                r2 = expand_relation(sigma, v, a, b, c, d, 2)
+                r1 = _by_provenance(n, k)[sigma, v, (a, b, c, d), 1]
+                r2 = _by_provenance(n, k)[sigma, v, (a, b, c, d), 2]
                 third = {}
-                for t, coeff in r2.terms.items():
+                for t, coeff in r2.items():
                     third[t] = third.get(t, 0) + coeff
-                for t, coeff in r1.terms.items():
+                for t, coeff in r1.items():
                     third[t] = third.get(t, 0) - coeff
                 third = {t: v2 for t, v2 in third.items() if v2}
                 # expand (AC|BD) - (AD|BC) directly
-                direct = {}
-                for t, coeff in expand_relation(sigma, v, a, c, b, d, 2).terms.items():
-                    direct[t] = direct.get(t, 0) + coeff
-                direct = {t: v2 for t, v2 in direct.items() if v2}
+                direct = brute_force_expansion(n, sigma.splits, fl, (a, c, b, d), 2)
                 assert third == direct
 
 
 def test_relations_are_equivariant():
-    # permuting the provenance and regenerating = permuting the terms
+    # permuting the provenance and expanding = permuting the terms
     rng = random.Random(9)
     for n, k in [(5, 0), (6, 1)]:
-        rels = generate_relations(n, k)
-        for rel in rng.sample(rels, 10):
+        rels = _same_as_the_oracle(n, k)
+        for sigma, v, flags, pairing, terms in rng.sample(rels, 10):
             g = list(range(1, n + 1))
             rng.shuffle(g)
             g = tuple(g)
-            sigma_g = apply_permutation(rel.sigma, g)
-            flags_g = [tuple(sorted(g[m - 1] for m in f)) for f in rel.flags]
-            moved = {f: tuple(sorted(fs)) for f, fs in zip(rel.flags, flags_g)}
-            fl_new = vertex_flags(sigma_g)
+            sigma_g = apply_permutation(sigma, g)
+            flags_g = [tuple(sorted(g[m - 1] for m in f)) for f in flags]
+            moved = {f: tuple(sorted(fs)) for f, fs in zip(flags, flags_g)}
+            fl_new = brute_force_vertex_flags(n, sigma_g.splits)
             v_new = next(
                 v for v, fl in enumerate(fl_new)
-                if all(moved[f] in fl for f in rel.flags)
+                if all(moved[f] in fl for f in flags)
             )
-            rel_g = expand_relation(sigma_g, v_new, *flags_g, rel.pairing)
-            want = {apply_permutation(t, g): c for t, c in rel.terms.items()}
-            assert rel_g.terms == want
+            terms_g = brute_force_expansion(n, sigma_g.splits, fl_new[v_new], flags_g, pairing)
+            want = {apply_permutation(t, g): c for t, c in terms.items()}
+            assert terms_g == want
 
 
 def test_jsonl_round_trip():
     lines = list(relations_jsonl(5, 0))
     assert len(lines) == 20
     idx = _index(5, 0)
-    rels = generate_relations(5, 0)
-    for line, rel in zip(lines, rels):
+    rels = list(brute_force_relations(5, 0))
+    assert len(rels) == len(lines)
+    for line, (sigma, v, flags, pairing, terms) in zip(lines, rels):
         obj = json.loads(line)
-        assert obj["terms"] == sorted([idx[t], c] for t, c in rel.terms.items())
-        assert MarkedTree.from_obj(obj["sigma"]) == rel.sigma
+        assert obj["terms"] == sorted([idx[t], c] for t, c in terms.items())
+        assert MarkedTree.from_obj(obj["sigma"]) == sigma
+        assert (obj["vertex"], obj["flags"], obj["pairing"]) == (v, list(map(list, flags)), pairing)
 
 
 # sha256 of the relation rows that `homology` eliminates, each row's items
@@ -241,9 +236,31 @@ def _columns(n, k):
     return {t: h._index(n, k)[t.splits] for t in enumerate_strata(n, k)}
 
 
-def _full_rows(n, k):
+def _through(rel):
+    """Whether a relation's four flags hold the two least flags of its site."""
+    sigma, v, flags = rel[:3]
+    return set(brute_force_vertex_flags(sigma.n, sigma.splits)[v][:2]) <= set(flags)
+
+
+def _kept(rel):
+    """Whether the site basis of the relation's valence keeps it."""
+    sigma, v, flags, pairing = rel[:4]
+    fl = brute_force_vertex_flags(sigma.n, sigma.splits)[v]
+    quad = tuple(fl.index(f) for f in flags)
+    return any((quad, pairing) == (q, p) for q, p, _ in rel_mod._site_basis(len(fl))[1])
+
+
+def _oracle_rows(n, k, keep=lambda rel: True):
+    """The rows, over the columns of `homology`, of the brute-force
+    relations of (n, k) that keep(rel) holds for, terms in order."""
     idx = _columns(n, k)
-    return [r.row(idx) for r in generate_relations(n, k)]
+    return [{idx[t]: c for t, c in rel[4].items()} for rel in brute_force_relations(n, k)
+            if keep(rel)]
+
+
+def _stream_rows(n, k, template):
+    idx = _columns(n, k)
+    return [{idx[t]: c for t, c in rel[4].items()} for rel in _site_relations(n, k, template)]
 
 
 @pytest.mark.parametrize("n, rows, rank", [(5, 6, 5), (6, 12, 9), (7, 20, 14)])
@@ -251,56 +268,46 @@ def test_spanning_family_on_stars(n, rows, rank):
     # at k = n-4 the only site is the star: the subfamily through the two
     # least flags, the site basis (rank = n(n-3)/2 of its rows) and all
     # the relations have the same rank over Q
-    idx = _index(n, n - 4)
-    through = [r.row(idx) for r in rel_mod._relations(n, n - 4, _through_two_least_flags)]
+    width = len(enumerate_strata(n, n - 4))
+    through = _stream_rows(n, n - 4, _through_two_least_flags)
+    assert through == _oracle_rows(n, n - 4, _through)
     assert len(through) == rows
-    assert rank_fraction(through, len(idx)) == rank
-    sub = [r.row(idx) for r in spanning_relations(n, n - 4)]
+    assert rank_fraction(through, width) == rank
+    sub = _stream_rows(n, n - 4, rel_mod._site_basis)
     assert len(sub) == rank == n * (n - 3) // 2
-    assert rank_fraction(sub, len(idx)) == rank
-    assert rank_fraction(_full_rows(n, n - 4), len(idx)) == rank
+    assert rank_fraction(sub, width) == rank
+    assert rank_fraction(_oracle_rows(n, n - 4), width) == rank
 
 
 def test_spanning_family_is_the_subfamily_through_the_two_least_flags():
-    # the template rows through the two least flags are the relations of
-    # generate_relations through them, and spanning_relations is the
-    # subsequence of those that the site basis of each valence keeps
-    def key(rel):
-        return rel.sigma, rel.vertex, rel.flags, rel.pairing, rel.terms
-
-    def kept(rel):
-        fl = vertex_flags(rel.sigma)[rel.vertex]
-        quad = tuple(fl.index(f) for f in rel.flags)
-        return any((quad, rel.pairing) == (q, pairing)
-                   for q, pairing, _ in rel_mod._site_basis(len(fl))[1])
-
+    # the template rows through the two least flags are the brute-force
+    # relations through them, and the site basis streams the subsequence
+    # of those that it keeps at each valence
     for n in (4, 5, 6, 7):
         for k in range(n - 3):
-            want = [
-                r for r in generate_relations(n, k)
-                if set(vertex_flags(r.sigma)[r.vertex][:2]) <= set(r.flags)
-            ]
-            through = rel_mod._relations(n, k, _through_two_least_flags)
-            assert [key(r) for r in through] == [key(r) for r in want]
-            assert [key(r) for r in spanning_relations(n, k)] == [
-                key(r) for r in want if kept(r)]
+            want = [r for r in brute_force_relations(n, k) if _through(r)]
+            through = _site_relations(n, k, _through_two_least_flags)
+            assert _listed(through) == _listed(want)
+            assert _listed(_site_relations(n, k, rel_mod._site_basis)) == _listed(
+                r for r in want if _kept(r))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5, 6, 7) for k in range(n - 3)]
                          + [(8, 3), (8, 4)])
 def test_spanning_family_has_the_full_rank(n, k):
-    # the streamed rows are those of the spanning KMRelations, in order and
-    # with their terms in order; no row is empty and no two rows are equal
-    # up to sign, so the rows need no deduplication before elimination
+    # the streamed rows are those of the brute-force relations the site
+    # basis keeps, in order and with their terms in order; no row is empty
+    # and no two rows are equal up to sign, so the rows need no
+    # deduplication before elimination
     rows = tuple(h._relation_rows(n, k))
-    idx = _columns(n, k)
     assert [list(r.items()) for r in rows] == [
-        list(rel.row(idx).items()) for rel in spanning_relations(n, k)]
+        list(r.items()) for r in _oracle_rows(n, k, _kept)]
     signed = {frozenset((c, s * v) for c, v in r.items()) for r in rows for s in (1, -1)}
     assert all(rows) and len(signed) == 2 * len(rows)
+    every = _oracle_rows(n, k)
     for p in [p for _, p in zip(range(2), prime_stream(31))]:
         full = ModEchelon(p)
-        full.add_rows(_full_rows(n, k))
+        full.add_rows(every)
         assert h._echelon(n, k, p).rank == full.rank
 
 
@@ -308,7 +315,7 @@ def test_spanning_family_gives_the_same_quotient_basis():
     n, k = 7, 2
     p = next(iter(prime_stream(5)))
     full = ModEchelon(p)
-    full.add_rows(_full_rows(n, k))
+    full.add_rows(_oracle_rows(n, k))
     assert h._quotient_basis(n, k, p) == quotient_basis(full)
 
 
@@ -319,7 +326,7 @@ def test_site_basis_is_an_integer_basis(m):
     rows it keeps before it, solved here over Q and checked term by term:
     the kept rows generate the same Z-lattice as the template.  So does
     every relation of the star, through the two least flags or not: at
-    m = 4..7 this is the base case of the proof in spanning_relations."""
+    m = 4..7 this is the base case of the proof in `_site_basis`."""
     keys, rows = _through_two_least_flags(m)
     basis_keys, basis = rel_mod._site_basis(m)
     assert basis_keys is keys is rel_mod._every_template(m)[0]
@@ -350,11 +357,10 @@ def test_site_basis_is_an_integer_basis(m):
 def test_site_basis_gives_the_same_quotient_basis_mod_a_pair(n, k):
     # the reduced quotient basis mod p*q from the relation rows, row for
     # row, is the one from every row through the two least flags
-    idx = _columns(n, k)
     primes = prime_stream(5)
     m = next(primes) * next(primes)
     full = ModEchelon(m)
-    full.add_rows([r.row(idx) for r in rel_mod._relations(n, k, _through_two_least_flags)])
+    full.add_rows(_oracle_rows(n, k, _through))
     assert h._quotient_basis(n, k, m) == quotient_basis(full)
 
 
@@ -381,26 +387,27 @@ TEMPLATES = {
 
 @pytest.mark.parametrize("family", list(TEMPLATES))
 def test_site_trees_are_the_strata_split_along_the_template(family):
-    """Every site tree is the enumerated stratum that splits the site along
-    its template split; a template of valence m has every split of the
-    m-pointed star once and the rows of its family."""
+    """Every site term is the id of the enumerated stratum that splits the
+    site along its template split: sigma with the side of the split's
+    flags added; a template of valence m has every split of the m-pointed
+    star once and the rows of its family."""
     template, count = TEMPLATES[family]
     for n in (4, 5, 6, 7):
         for k in range(n - 3):
-            enumerated = {id(t) for t in enumerate_strata(n, k)}
-            strata = {t.splits: t for t in enumerate_strata(n, k)}
-            for sigma, v, marks, trees, rows in rel_mod._sites(n, k, template, strata):
-                fl = tuple(map(_bits_side, marks))
+            strata = enumerate_strata(n, k)
+            ids = {t.splits: i for i, t in enumerate(strata)}
+            for sigma, v, marks, terms, rows in rel_mod._sites(n, k, template, ids):
+                fl = brute_force_vertex_flags(n, sigma.splits)[v]
+                assert tuple(map(_bits_side, marks)) == fl
                 m = len(fl)
                 keys, template_rows = template(m)
                 assert rows is template_rows
-                assert len(keys) == len(set(keys)) == len(trees) == 2 ** (m - 1) - m - 1
+                assert len(keys) == len(set(keys)) == len(terms) == 2 ** (m - 1) - m - 1
                 assert len(rows) == count(m)
-                for key, t in zip(keys, trees):
-                    assert id(t) in enumerated
-                    side = [f for i, f in enumerate(fl) if key >> i & 1]
-                    rest = [f for i, f in enumerate(fl) if not key >> i & 1]
-                    assert t == split_vertex(sigma, v, side, rest)
+                for key, i in zip(keys, terms):
+                    side = [mark for j, f in enumerate(fl) if key >> j & 1 for mark in f]
+                    assert len(side) > 1 and 1 not in side
+                    assert strata[i] == MarkedTree.from_sides(n, sigma.splits + (side,))
 
 
 MISSING_STRATUM_UNDER_O = """
@@ -410,7 +417,7 @@ from strata_lab.trees import TreeStructureError, enumerate_strata
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-index = {t.splits: t for t in enumerate_strata(7, 2)[1:]}
+index = {t.splits: i for i, t in enumerate(enumerate_strata(7, 2)) if i}
 try:
     list(r._sites(7, 2, r._site_basis, index))
 except TreeStructureError:

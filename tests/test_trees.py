@@ -17,16 +17,14 @@ from strata_lab.homology import class_equal
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
+    _bits_side,
+    _vertex_flag_bits,
     apply_permutation,
     canonical_form,
-    contract_edge,
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
     forget_mark,
-    split_vertex,
-    valence_partition,
-    vertex_flags,
 )
 
 
@@ -146,7 +144,7 @@ def test_tree_edge_vertex_counts():
     for n in range(4, 8):
         for k in range(n - 2):
             for t in enumerate_strata(n, k):
-                flags = vertex_flags(t)
+                flags = _vertex_flag_bits(t)
                 assert len(t.splits) == n - 3 - k
                 assert len(flags) == n - 2 - k
                 assert sum(len(f) - 3 for f in flags) == k
@@ -158,7 +156,7 @@ def test_vertex_flags_match_the_least_superset_definition():
     for n in range(3, 9):
         for k in range(n - 2):
             for t in enumerate_strata(n, k):
-                flags = vertex_flags(t)
+                flags = tuple(tuple(map(_bits_side, f)) for f in _vertex_flag_bits(t))
                 assert flags == brute_force_vertex_flags(n, t.splits), t
                 for fl in flags:  # the behind-sets at a vertex partition {1..n}
                     assert sorted(m for f in fl for m in f) == list(range(1, n + 1)), t
@@ -274,20 +272,12 @@ def test_from_sides_refuses_marks_outside_the_tree():
             MarkedTree.from_sides(5, sides)
 
 
-def test_valence_partition_examples():
-    assert valence_partition(MarkedTree.star(6)) == (3,)
-    t = MarkedTree.from_sides(6, [(4, 5, 6), (5, 6)])  # valences 4,3,3
-    assert valence_partition(t) == (1,)
-    t2 = MarkedTree.from_sides(6, [(4, 5, 6)])  # two 4-valent vertices
-    assert valence_partition(t2) == (1, 1)
-
-
 def test_filtration_level_examples():
     assert filtration_level(MarkedTree.star(6)) == 1
     assert filtration_level(MarkedTree.from_sides(6, [(4, 5, 6)])) == 2
     for t in enumerate_strata(6, 0):
         assert filtration_level(t) == 0
-        assert valence_partition(t) == ()
+        assert all(len(f) == 3 for f in brute_force_vertex_flags(6, t.splits))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 9) for k in range(n - 2)])
@@ -296,10 +286,10 @@ def test_filtration_keys_build_no_vertex_structure(monkeypatch, n, k):
 
     want = tr._filtration_keys(n, k)
 
-    def no_flags(t):
+    def no_flags(*args):
         raise AssertionError("vertex flags built for a filtration key")
 
-    monkeypatch.setattr(tr, "vertex_flags", no_flags)
+    monkeypatch.setattr(tr, "_vertex_flag_bits", no_flags)
     assert tr._filtration_keys.__wrapped__(n, k) == want
     assert [filtration_level(t) for t in enumerate_strata(n, k)] == [x // n for x in want]
 
@@ -339,38 +329,6 @@ def test_strata_closed_under_transpositions():
             g = list(range(1, n + 1))
             g[i - 1], g[i] = g[i], g[i - 1]
             assert {apply_permutation(t, tuple(g)) for t in trees} == trees
-
-
-def test_split_vertex_examples():
-    star4 = MarkedTree.star(4)
-    t = split_vertex(star4, 0, [(1,), (2,)], [(3,), (4,)])
-    assert canonical_form(t) == "[[3,4]]"
-    star5 = MarkedTree.star(5)
-    t5 = split_vertex(star5, 0, [(1,), (2,)], [(3,), (4,), (5,)])
-    assert canonical_form(t5) == "[[3,4,5]]"
-
-
-def test_split_vertex_rejects_unstable():
-    star4 = MarkedTree.star(4)
-    with pytest.raises(DomainError):
-        split_vertex(star4, 0, [(1,)], [(2,), (3,), (4,)])
-    with pytest.raises(DomainError):
-        split_vertex(star4, 0, [(1,), (2,)], [(3,)])
-
-
-def test_split_contract_round_trip():
-    rng = random.Random(3)
-    for t in rng.sample(list(enumerate_strata(7, 2)), 40):
-        flags = vertex_flags(t)
-        for v, fl in enumerate(flags):
-            if len(fl) < 4:
-                continue
-            a, b = fl[:2], fl[2:]
-            t2 = split_vertex(t, v, a, b)
-            new = set(t2.splits) - set(t.splits)
-            assert len(new) == 1
-            assert contract_edge(t2, new.pop()) == t
-            break
 
 
 def test_decompose_two_vertex_examples():
@@ -473,21 +431,6 @@ def test_marked_tree_is_slotted():
     assert not hasattr(t, "__dict__")
 
 
-VALENCE_UNDER_O = """
-import sys
-import strata_lab.trees as tr
-
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
-real = tr._vertex_pass
-tr._vertex_pass = lambda t: real(tr.MarkedTree.star(6))  # one part of 3, not k = 2
-try:
-    tr.valence_partition(tr.MarkedTree.star(5))
-except tr.TreeStructureError:
-    sys.exit(0)
-sys.exit("the valence partition check let a wrong sum through")
-"""
-
 DECOMPOSE_UNDER_O = """
 import sys
 import strata_lab.trees as tr
@@ -513,7 +456,6 @@ sys.exit("the decomposition check let an unstable vertex through")
 """
 
 
-@pytest.mark.parametrize("script", [VALENCE_UNDER_O, DECOMPOSE_UNDER_O],
-                         ids=["valence-partition", "decompose"])
+@pytest.mark.parametrize("script", [DECOMPOSE_UNDER_O], ids=["decompose"])
 def test_tree_invariants_survive_python_O(script):
     _succeeds_under_O(script)

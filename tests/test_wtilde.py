@@ -5,13 +5,18 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from oracles import brute_force_filtration_key, reference_wtilde
+from oracles import (
+    brute_force_filtration_key,
+    brute_force_relations,
+    brute_force_vertex_flags,
+    reference_wtilde,
+)
 
 from strata_lab.homology import class_equal, graded_class_equal
 from strata_lab.psets import PairLabel, enumerate_p2, inner_level
-from strata_lab.relations import generate_relations
 from strata_lab.trees import (
     DomainError,
     MarkedTree,
@@ -19,7 +24,6 @@ from strata_lab.trees import (
     decompose_two_vertex,
     enumerate_strata,
     filtration_level,
-    vertex_flags,
 )
 from strata_lab.wtilde import (
     RewriteError,
@@ -34,11 +38,11 @@ from strata_lab.wtilde import (
 )
 
 
-def _wtilde_relation(rel):
-    """wtilde of a relation by linearity over its terms, in Fractions, zeros
-    dropped as the sum goes."""
+def _wtilde_relation(terms):
+    """wtilde of a relation, given by its terms {tree: coeff}, by linearity
+    over them, in Fractions, zeros dropped as the sum goes."""
     acc = {}
-    for tree, coeff in rel.terms.items():
+    for tree, coeff in terms.items():
         for gamma, q in wtilde(tree).items():
             val = acc.get(gamma, 0) + coeff * q
             if val:
@@ -61,7 +65,7 @@ def _exponent(parts, gamma):
 
 def _fat_parts(t):
     """The flags at the one fat vertex of a level-1 tree, as mark sets."""
-    (fat,) = [f for f in vertex_flags(t) if len(f) >= 4]
+    (fat,) = [f for f in brute_force_vertex_flags(t.n, t.splits) if len(f) >= 4]
     return [set(f) for f in fat]
 
 
@@ -134,8 +138,8 @@ def test_wtilde_level1_coefficients_from_e_pi():
 
 def test_wtilde_denominators_are_powers_of_two():
     for n, k in [(6, 2), (7, 3)]:
-        for rel in generate_relations(n, k)[:20]:
-            for q in _wtilde_relation(rel).values():
+        for *_, terms in islice(brute_force_relations(n, k), 20):
+            for q in _wtilde_relation(terms).values():
                 assert q.denominator & (q.denominator - 1) == 0
 
 
@@ -164,7 +168,7 @@ def test_relations_killed_examples():
         rep = verify_relations_killed(n, k)
         assert rep.passed
         assert rep.max_residual == 0
-        assert rep.relations == len(generate_relations(n, k))
+        assert rep.relations == sum(1 for _ in brute_force_relations(n, k))
 
 
 def test_relations_killed_rejects_bad_range():
@@ -189,10 +193,10 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
     # the image of a level-1 tree lies in inner level 0, so every relation
     # through it, and no other, is left with a residual: the covering part
     # of its image summed in Fractions
-    failing = [r for r in generate_relations(n, k) if bad in r.terms]
+    failing = [terms for *_, terms in brute_force_relations(n, k) if bad in terms]
     assert len(rep.failures) == len(failing) > 0
-    for f, rel in zip(rep.failures, failing):
-        want = {g: q for g, q in _wtilde_relation(rel).items() if inner_level(g, n) == 0}
+    for f, terms in zip(rep.failures, failing):
+        want = {g: q for g, q in _wtilde_relation(terms).items() if inner_level(g, n) == 0}
         assert f["residual"] == {str(g.to_obj()): str(q) for g, q in want.items()}
     residuals = [Fraction(q) for f in rep.failures for q in f["residual"].values()]
     assert all(q != 0 and (2 * q).denominator == 1 for q in residuals)
@@ -201,50 +205,74 @@ def test_killing_check_reports_a_flipped_image(monkeypatch):
 
 def _killed_reference(n, k):
     """verify_relations_killed(n, k).to_obj(), relation by relation from
-    generate_relations and wtilde by linearity in Fractions."""
-    rels = generate_relations(n, k)
-    failures, top = [], Fraction(0)
-    for rel in rels:
-        residual = {g: q for g, q in _wtilde_relation(rel).items() if inner_level(g, n) == 0}
+    the brute-force relations and wtilde by linearity in Fractions."""
+    count, failures, top = 0, [], Fraction(0)
+    for sigma, v, flags, pairing, terms in brute_force_relations(n, k):
+        count += 1
+        residual = {g: q for g, q in _wtilde_relation(terms).items() if inner_level(g, n) == 0}
         if residual:
             top = max(top, *(abs(q) for q in residual.values()))
             failures.append({
-                "sigma": rel.sigma.to_obj(),
-                "vertex": rel.vertex,
-                "flags": [list(f) for f in rel.flags],
-                "pairing": rel.pairing,
+                "sigma": sigma.to_obj(),
+                "vertex": v,
+                "flags": [list(f) for f in flags],
+                "pairing": pairing,
                 "residual": {str(g.to_obj()): str(q) for g, q in residual.items()},
             })
-    return {"n": n, "k": k, "relations": len(rels), "failures": failures,
+    return {"n": n, "k": k, "relations": count, "failures": failures,
             "max_residual": str(top)}
+
+
+def _flip_some_level1_images(monkeypatch, n, k):
+    """Negate the image of every 7th level-1 tree of (n, k) with a nonzero
+    image, in enumeration order, so the killing check fails on some of its
+    relations."""
+    module = sys.modules["strata_lab.wtilde"]
+    real = module._half_units
+    bad = {t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and real(t)}
+    bad = set(sorted(bad)[::7])
+    monkeypatch.setattr(
+        module, "_half_units",
+        lambda t: {g: -h for g, h in real(t).items()} if t in bad else real(t))
 
 
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (7, 3)])
 def test_killing_report_matches_the_relation_by_relation_reference(monkeypatch, n, k, flip):
-    module = sys.modules["strata_lab.wtilde"]
     if flip:
-        real = module._half_units
-        bad = {t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and real(t)}
-        bad = set(sorted(bad)[::7])
-        monkeypatch.setattr(
-            module, "_half_units",
-            lambda t: {g: -h for g, h in real(t).items()} if t in bad else real(t))
+        _flip_some_level1_images(monkeypatch, n, k)
     have = verify_relations_killed(n, k).to_obj()
     assert bool(have["failures"]) == flip
     # json.dumps keeps dict order: failures and residuals in the same order
     assert json.dumps(have) == json.dumps(_killed_reference(n, k))
 
 
-def test_killing_check_builds_no_relation_objects(monkeypatch):
-    import strata_lab.relations as rel_mod
+# sha256 of json.dumps(verify_relations_killed(n, k).to_obj()) per (n, k),
+# as (plain, flipped): flipped under _flip_some_level1_images, so the
+# order of the failures and of each residual's pairs is pinned too
+KILLED_DIGESTS = {
+    (6, 2): ("2b1ce037e8f6a4898c3cd3df6af3a9605530087d284c43228cf8bcaa326a7dac",
+             "d28dda00608a713c8e80c05813bcfb527ceec13a488b09984c066b83eac6b74d"),
+    (7, 2): ("42876b074dcacb54ac2591cbe405cd5ae38f45f11321fe409ecb0c8a937c26c3",
+             "6d60331974f718e562d076e0eafb17ea7ebbd2d62bf75209d2d3b0d6ba602b46"),
+    (7, 3): ("4abec16e093644d77d5c116d45fff932700b547d3ba10f3745e5421b26b2d2ad",
+             "a3c184a4e47048da868cfac7007923e5c5be08dd2cded94420189b705809df9a"),
+    (8, 2): ("0267734cc6604a16802373837029f31221ea452ed89ce639e05e5e90c98152b0",
+             "b00859326a220fc4cf97f73987f47445e8ec599c43f4e3c3a22adc44a9867e7b"),
+    (8, 3): ("fe411b7097fde83c1e94d0995e7af67276f4077cb96aba6f79911b8170ef7ab5",
+             "c0a08c7db7a0adc7658039fecaed38b29c7f3855faddfc65d780f1a9a2b4eade"),
+    (8, 4): ("1f3e02c420364492af0135bdb0a2c8193ca9e4d525a31337bddf764e955554dd",
+             "8bdeb72a19a193eab66dd8af8238bfc695930df762d8be4ad3f7aa9f7ea128cb"),
+}
 
-    def no_relation(*args, **kwargs):
-        raise AssertionError("KMRelation built by the killing check")
 
-    monkeypatch.setattr(rel_mod, "KMRelation", no_relation)
-    rep = verify_relations_killed(7, 2)
-    assert rep.passed and rep.relations > 0
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("n, k", sorted(KILLED_DIGESTS))
+def test_killing_report_is_pinned(monkeypatch, n, k, flip):
+    if flip:
+        _flip_some_level1_images(monkeypatch, n, k)
+    have = json.dumps(verify_relations_killed(n, k).to_obj())
+    assert hashlib.sha256(have.encode()).hexdigest() == KILLED_DIGESTS[n, k][flip]
 
 
 @pytest.mark.parametrize("value, half_units", [(3, 6), (-2, -4)])
@@ -269,13 +297,13 @@ def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
 def test_wtilde_relation_linearity():
     # wtilde of a relation by linearity is the same combination of the
     # reference images, pair by pair
-    for rel in generate_relations(6, 2)[:40]:
+    for *_, terms in islice(brute_force_relations(6, 2), 40):
         direct = {}
-        for t, c in rel.terms.items():
+        for t, c in terms.items():
             for g, q in reference_wtilde(t.n, t.splits).items():
                 direct[g] = direct.get(g, Fraction(0)) + c * q
         direct = {g: q for g, q in direct.items() if q}
-        assert _wtilde_relation(rel) == direct
+        assert _wtilde_relation(terms) == direct
 
 
 def test_forgetful_square_example():
