@@ -41,5 +41,4 @@ from .wtilde import (  # noqa: F401
     verify_forgetful_square,
     verify_relations_killed,
     w_map,
-    wtilde,
 )

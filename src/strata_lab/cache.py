@@ -1,11 +1,12 @@
 """Content-addressed on-disk cache of computed results.
 
-`cached(kind, params, compute)` stores the JSON value of compute() under
-a hash of (package version, kind, params), so version bumps invalidate
-old files automatically.  Each file echoes its header and carries the
-sha256 of its value's canonical JSON; a file whose header differs or
-whose hash is missing or does not match is recomputed and rewritten, so
-an edited or truncated value is never returned.  Writes go through a
+`cached(kind, params, compute, cache_dir)` stores the JSON value of
+compute() in cache_dir under a hash of (package version, kind, params),
+so version bumps invalidate old files automatically.  Each file echoes
+its header and carries the sha256 of its value's canonical JSON; a file
+whose header differs or whose hash is missing or does not match is
+recomputed and rewritten, so an edited or truncated value is never
+returned.  Writes go through a
 temp file and an atomic rename; a failed write is named on stderr and
 the value returned all the same.  The CLI stores certified Betti numbers
 only, keyed by (n, k, seed): they are the results that cost eliminations,
@@ -66,14 +67,14 @@ def _store(path: Path, header: dict, value) -> None:
             os.unlink(tmp)
 
 
-def cached(kind: str, params: dict, compute: Callable[[], object],
-           cache_dir: Path | None = None):
+def cached(kind: str, params: dict, compute: Callable[[], object], cache_dir: Path):
     """compute(), or the value a previous call with the same kind and
-    params stored.  The value must survive a JSON round trip unchanged."""
+    params stored in cache_dir.  The value must survive a JSON round trip
+    unchanged."""
     header = {"version": __version__, "kind": kind, **params}
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()[:16]
     name = "-".join([kind, *(f"{key}{val}" for key, val in params.items()), digest])
-    path = (cache_dir or default_cache_dir()) / f"{name}.json"
+    path = cache_dir / f"{name}.json"
     obj = _load(path, header)
     if obj is not None:
         return obj["value"]

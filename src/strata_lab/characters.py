@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 from typing import Callable, Iterable
 
@@ -27,18 +28,14 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n))
 
 
+def _runs(parts: Iterable[int]) -> list[tuple[int, int]]:
+    """Each run of equal consecutive parts as (part, length), in order."""
+    return [(part, len(list(run))) for part, run in groupby(parts)]
+
+
 def cycle_type_key(parts: Iterable[int]) -> str:
     """Compact cycle-type label, e.g. (2,1,1,1,1) -> "2,1^4"."""
-    out = []
-    parts = list(parts)
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        out.append(f"{parts[i]}^{j - i}" if j - i > 1 else f"{parts[i]}")
-        i = j
-    return ",".join(out)
+    return ",".join(f"{part}^{m}" if m > 1 else f"{part}" for part, m in _runs(parts))
 
 
 def parse_cycle_type_key(key: str) -> tuple[int, ...]:
@@ -54,17 +51,10 @@ def parse_cycle_type_key(key: str) -> tuple[int, ...]:
 
 def conjugacy_class_size(parts: tuple[int, ...]) -> int:
     """Number of permutations with the given cycle type."""
-    n = sum(parts)
     centralizer = 1
-    i = 0
-    parts = tuple(parts)
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        centralizer *= parts[i] ** (j - i) * factorial(j - i)
-        i = j
-    return factorial(n) // centralizer
+    for part, m in _runs(parts):
+        centralizer *= part ** m * factorial(m)
+    return factorial(sum(parts)) // centralizer
 
 
 def representative(parts: tuple[int, ...]) -> tuple[int, ...]:

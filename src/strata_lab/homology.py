@@ -75,12 +75,9 @@ from .trees import (
     DomainError,
     MarkedTree,
     TreeStructureError,
-    _away,
-    _bits_side,
     _filtration_key,
     _filtration_keys,
-    _full,
-    _marks_bits,
+    _side,
     enumerate_strata,
 )
 
@@ -121,11 +118,14 @@ def _relation_rows(n: int, k: int) -> Iterator[dict[int, int]]:
         yield from ({cols[i]: c for i, c in row.items()} for _, _, row in site_rows)
 
 
-@lru_cache(maxsize=None)
-def _echelon(n: int, k: int, p: int) -> ModEchelon:
+def _eliminate(n: int, k: int, p: int) -> ModEchelon:
+    """The natural-order echelon of the relation matrix of (n, k) mod p."""
     ech = ModEchelon(p)
     ech.add_rows(_relation_rows(n, k))
     return ech
+
+
+_echelon = lru_cache(maxsize=None)(_eliminate)
 
 
 @lru_cache(maxsize=None)
@@ -153,18 +153,23 @@ def _keel_row(n: int) -> tuple[int, ...]:
     return tuple(c + (pairs[i - 1] // 2 if i else 0) for i, c in enumerate(row))
 
 
+def _keel_checked(n: int, k: int, rank: int) -> int:
+    """|S_{k,n}| minus a relation rank of (n, k); RankCertificationError
+    unless it equals b_k from Keel's recursion."""
+    b = len(enumerate_strata(n, k)) - rank
+    if b != (want := _keel_row(n)[k]):
+        raise RankCertificationError(f"Betti number {b} of ({n},{k}) is not b_{k} = {want}")
+    return b
+
+
 def betti(n: int, k: int, seed: int = 0) -> int:
     """dim H_{2k} of the n-marked space: |S_{k,n}| minus the relation rank,
     certified in an echelon of its own, which nothing keeps.  Raises
     RankCertificationError unless it equals b_k from Keel's recursion."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
-    b = len(enumerate_strata(n, k)) - certified_value(
-        lambda m: ModEchelon(m).add_rows(_relation_rows(n, k)), seed,
-        f"relation rank ({n},{k})")
-    if b != (want := _keel_row(n)[k]):
-        raise RankCertificationError(f"Betti number {b} of ({n},{k}) is not b_{k} = {want}")
-    return b
+    rank = certified_value(lambda m: _eliminate(n, k, m).rank, seed, f"relation rank ({n},{k})")
+    return _keel_checked(n, k, rank)
 
 
 def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:
@@ -240,10 +245,14 @@ def _member(n: int, k: int, diff: dict[int, int], cut: int, seed: int, what: str
 def exact_rank(n: int, k: int) -> int:
     """Rank over Q of the relation matrix, by fraction-free elimination:
     the audit behind `betti --exact` and the base rank of every exact
-    class_equal audit at (n, k).  Refused before any work for n > 6."""
+    class_equal audit at (n, k).  Refused before any work for n > 6;
+    RankCertificationError unless |S_{k,n}| minus it is b_k from Keel's
+    recursion, as for `betti`."""
     if n > 6:
         raise DomainError("exact audit elimination is limited to n <= 6")
-    return rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k)))
+    rank = rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k)))
+    _keel_checked(n, k, rank)
+    return rank
 
 
 def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
@@ -294,13 +303,8 @@ def _side_images(n: int, g: tuple[int, ...]) -> dict[tuple, tuple]:
     """The image under g (g[m-1] the image of mark m) of every side of n
     marks: its marks moved by g, as the side away from mark 1.  One table
     per (n, g), shared by every k and every modulus."""
-    full = _full(n)
-    images = {}
-    for size in range(2, n - 1):
-        for side in combinations(range(2, n + 1), size):
-            bits = _marks_bits((g[m - 1] for m in side), n)
-            images[side] = _bits_side(_away(bits, full))
-    return images
+    return {side: _side((g[m - 1] for m in side), n)
+            for size in range(2, n - 1) for side in combinations(range(2, n + 1), size)}
 
 
 def _image_column(n: int, k: int, c: int, images: dict[tuple, tuple]) -> int:

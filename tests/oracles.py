@@ -42,6 +42,17 @@ def rank_fraction(rows: list[dict[int, int]], n_cols: int) -> int:
     return len(rref_fraction(rows, n_cols))
 
 
+def independent_rows(rows, n_cols: int) -> tuple[dict[int, int], ...]:
+    """The rows, in order, that raise the rank over Q of those before them:
+    a subfamily independent over Q with the same span, so dropping any one
+    of its rows lowers the rank."""
+    basis: list[dict[int, int]] = []
+    for r in rows:
+        if rank_fraction(basis + [dict(r)], n_cols) > len(basis):
+            basis.append(dict(r))
+    return tuple(basis)
+
+
 def reference_row_order_key(row: dict[int, int]):
     """A reference row order for `ModEchelon.add_rows`, fewest entries
     first, ties by the sorted entries: the reduced form of a natural-order

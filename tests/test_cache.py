@@ -70,7 +70,7 @@ def test_edited_value_recomputed(tmp_path):
 def test_env_var_controls_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("STRATA_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == tmp_path / "envcache"
-    assert cached("betti", {"n": 4, "k": 0, "seed": 0}, lambda: 1) == 1
+    assert cached("betti", {"n": 4, "k": 0, "seed": 0}, lambda: 1, default_cache_dir()) == 1
     assert len(list((tmp_path / "envcache").glob("betti-n4-k0-seed0-*.json"))) == 1
 
 

@@ -4,8 +4,10 @@ import io
 import json
 import re
 import sys
+from functools import lru_cache
 
 import pytest
+from oracles import independent_rows
 
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
@@ -451,6 +453,24 @@ def test_failed_checks_outside_verify_exit_1_with_one_stderr_line(
     assert out == ""
     assert re.fullmatch(err + "\n", stderr), stderr
     assert list(cache.glob("*")) == []
+
+
+def test_betti_exact_is_checked_against_keel(monkeypatch, capsys):
+    """`betti --exact` meets the same Keel check as every Betti number:
+    with one relation row of an independent family dropped at (6,2), the
+    exact rank falls by one and the command exits 1 with one stderr line
+    and nothing on stdout."""
+    import strata_lab.cli as cli
+    import strata_lab.homology as h
+
+    real = h._relation_rows
+    rows = independent_rows(real(6, 2), len(h._index(6, 2)))[1:]
+    monkeypatch.setattr(h, "_relation_rows",
+                        lambda n, k: rows if (n, k) == (6, 2) else real(n, k))
+    monkeypatch.setattr(cli, "exact_rank", lru_cache(maxsize=None)(h.exact_rank.__wrapped__))
+    assert main(["betti", "--n", "6", "--exact"]) == 1
+    assert capsys.readouterr() == (
+        "", "RankCertificationError: Betti number 17 of (6,2) is not b_2 = 16\n")
 
 
 def test_character_generic_graded_space(tmp_path):

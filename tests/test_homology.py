@@ -9,7 +9,14 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from oracles import certify_prime_by_prime, in_row_space, keel_betti, rank_fraction, rref_fraction
+from oracles import (
+    certify_prime_by_prime,
+    in_row_space,
+    independent_rows,
+    keel_betti,
+    rank_fraction,
+    rref_fraction,
+)
 
 import strata_lab
 import strata_lab.exact_linalg as el
@@ -74,6 +81,14 @@ def test_betti_poincare_palindrome():
     for n in range(4, 8):
         vals = [betti(n, k) for k in range(n - 2)]
         assert vals == vals[::-1]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_character_poincare_duality(n):
+    """Poincare duality pairs H_{2k} with H_{2(n-3-k)} S_n-equivariantly,
+    so the two carry the same character."""
+    for k in range((n - 3) // 2 + 1):
+        assert character_homology(n, k) == character_homology(n, n - 3 - k), (n, k)
 
 
 def test_betti_euler_totals():
@@ -351,11 +366,7 @@ def _independent_relation_rows(n, k):
     """A subfamily of _relation_rows(n, k), independent over Q, with the same
     span: every relation row lies in the span of the others, so no single
     row of the whole family can be dropped to lower the rank."""
-    width, basis = len(_index(n, k)), []
-    for r in _relation_rows(n, k):
-        if rank_fraction(basis + [dict(r)], width) > len(basis):
-            basis.append(dict(r))
-    return tuple(basis)
+    return independent_rows(_relation_rows(n, k), len(_index(n, k)))
 
 
 def _counting_eliminations(monkeypatch):
@@ -508,13 +519,12 @@ sys.exit("the audit let a disagreement through")
 
 
 REWRITE_UNDER_O = """
-import importlib
 import sys
+import strata_lab.wtilde as w
 from strata_lab.trees import MarkedTree, enumerate_strata, filtration_level
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
 t = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 2)
 w.standard_tree = lambda n, pair: MarkedTree.star(n)  # a form no rewrite reaches
 try:
@@ -718,18 +728,18 @@ def test_character_relabels_each_stratum_once_per_permutation(monkeypatch):
     import strata_lab.homology as h
 
     tables, relabelled = Counter(), Counter()
-    build, bits_side = h._side_images.__wrapped__, h._bits_side
+    build, side = h._side_images.__wrapped__, h._side
 
     def counting_side_images(n, g):
         tables[n, g] += 1
         return build(n, g)
 
-    def counting_bits_side(bits):
-        relabelled[bits] += 1
-        return bits_side(bits)
+    def counting_side(marks, n):
+        relabelled[n] += 1
+        return side(marks, n)
 
     monkeypatch.setattr(h, "_side_images", lru_cache(maxsize=None)(counting_side_images))
-    monkeypatch.setattr(h, "_bits_side", counting_bits_side)
+    monkeypatch.setattr(h, "_side", counting_side)
     character_homology(7, 2)
     character_graded(7, 2, 1)
     character_homology(7, 3)
@@ -854,23 +864,7 @@ def test_character_values_independent_of_seed():
 @lru_cache(maxsize=None)
 def _fraction_rref(n, k):
     """Pivot rows of the RREF of the relation matrix over Q, by pivot column."""
-    n_cols = len(_index(n, k))
-    rows = [[Fraction(r_.get(c, 0)) for c in range(n_cols)] for r_ in _relation_rows(n, k)]
-    rank = 0
-    pivots = []
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return dict(zip(pivots, rows))
+    return dict(rref_fraction(list(_relation_rows(n, k)), len(_index(n, k))))
 
 
 def _fraction_level_traces(n, k, r):

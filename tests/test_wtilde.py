@@ -1,11 +1,10 @@
 import hashlib
-import importlib
 import json
 import random
 import re
-import sys
 from fractions import Fraction
 from itertools import islice
+from types import ModuleType
 
 import pytest
 from oracles import (
@@ -177,8 +176,8 @@ def test_relations_killed_rejects_bad_range():
 
 
 def test_killing_check_reports_a_flipped_image(monkeypatch):
-    # the package attribute strata_lab.wtilde is the function, not the module
-    module = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as module
+
     n, k = 7, 2
     bad = next(t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and wtilde(t))
     real = module._half_units
@@ -227,7 +226,8 @@ def _flip_some_level1_images(monkeypatch, n, k):
     """Negate the image of every 7th level-1 tree of (n, k) with a nonzero
     image, in enumeration order, so the killing check fails on some of its
     relations."""
-    module = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as module
+
     real = module._half_units
     bad = {t for t in enumerate_strata(n, k) if filtration_level(t) == 1 and real(t)}
     bad = set(sorted(bad)[::7])
@@ -279,7 +279,8 @@ def test_killing_report_is_pinned(monkeypatch, n, k, flip):
 def test_covering_half_units_edge_cases(monkeypatch, value, half_units):
     # value is a value of wtilde; the core holds it as the int 2 * value,
     # which the killing check keys by the pair's number
-    module = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as module
+
     n = 6
     full = (1 << n + 1) - 2
     t = MarkedTree.from_sides(n, [(4, 5, 6)])
@@ -321,7 +322,8 @@ def test_forgetful_square_more_cases():
 def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
     from strata_lab.trees import _filtration_keys
 
-    w = importlib.import_module("strata_lab.wtilde")  # the package exports a function wtilde
+    import strata_lab.wtilde as w
+
     # the keys against an independent oracle built on least-superset flags
     for m in range(3, 9):
         for j in range(m - 2):
@@ -352,7 +354,8 @@ def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
     import strata_lab.trees as tr
     from strata_lab.trees import _filtration_keys
 
-    w = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as w
+
     # the check streams the families on n+1 marks and asks for no level of them
     asked = []
     real_level = tr._level
@@ -397,7 +400,8 @@ def test_forgetful_square_bad_range():
 def test_forgetful_square_records_each_mismatch(monkeypatch):
     # forgetting the last mark, then swapping marks 1 and 2, moves the pair
     # of every image whose marks 1 and 2 do not sit on the same side
-    w = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as w
+
     real = w.forget_mark
     swap = (2, 1, *range(3, 7))
     monkeypatch.setattr(w, "forget_mark", lambda t: (apply_permutation(real(t)[0], swap), False))
@@ -641,11 +645,19 @@ def test_every_move_round_trips_through_json(n, kinds):
 
 
 def test_rewrite_refuses_to_end_off_the_standard_tree(monkeypatch):
-    w = sys.modules["strata_lab.wtilde"]
+    import strata_lab.wtilde as w
+
     t = MarkedTree.from_sides(8, [(2, 6), (2, 6, 7, 8)])
     monkeypatch.setattr(w, "standard_tree", lambda n, pair: MarkedTree.star(n))
     with pytest.raises(RewriteError, match="rewrite ended at splits"):
         rewrite_to_standard(t)
+
+
+def test_the_package_attribute_wtilde_is_the_module():
+    import strata_lab.wtilde as w
+
+    assert isinstance(w, ModuleType)
+    assert w.wtilde is wtilde
 
 
 def test_wtilde_conditions_on_samples():
