@@ -256,8 +256,8 @@ def _verify_forgetful(args) -> dict:
     cases = [(k, b) for k in range(2, args.n - 2) for b in range(args.n - k - 3)
              if args.k in (None, k) and args.b in (None, b)]
     if not cases:
-        given = [f"{o}={v}" for o, v in (("k", args.k), ("b", args.b)) if v is not None]
-        raise DomainError(f"no trees to check for n={args.n} with {' and '.join(given)}")
+        given = " and ".join(f"{o}={v}" for o, v in (("k", args.k), ("b", args.b)) if v is not None)
+        raise DomainError(f"no trees to check for n={args.n}" + (given and f" with {given}"))
     checked, mismatches = 0, []
     for k, b in cases:
         rep = verify_forgetful_square(args.n, k, b)

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over Q via modular arithmetic.
 
 Matrices are sequences of sparse rows {column: coefficient}.  Ranks,
-pivot columns and reduced vectors (`ModEchelon.reduce`, the one
-membership test) come from one natural-order row echelon modulo m,
-`ModEchelon`; `quotient_basis` reads its reduced row echelon form, for
-traces.  Values are certified by `certified_value`, the one loop that
-repeats across random 62-bit primes.  `rank_bareiss`, a fraction-free integer elimination, is
-the exact audit for small matrices.
+pivot columns and normal forms come from one natural-order row echelon
+modulo m, `ModEchelon`.  The normal form of a vector (`ModEchelon.reduce`)
+is the one vector congruent to it modulo the row space whose support has
+no pivot column; it is the one reduction that membership tests and
+character traces read.  Values are certified by `certified_value`, the
+one loop that repeats across random 62-bit primes.  `rank_bareiss`, a
+fraction-free integer elimination, is the exact audit for small matrices.
 
 `certified_value` takes the primes two at a time and eliminates once,
 modulo their product m = p*q, which costs well under two eliminations
@@ -16,10 +17,12 @@ Chinese remainder theorem a unit mod m is nonzero mod p and mod q, and a
 residue that is zero mod m is zero mod both.  So each reduction step mod
 m reduces to the same step mod p (a step whose factor vanishes mod p
 changes nothing there), the pivot columns mod m are those mod p and mod
-q, and the reduced row echelon form mod m reduces to the one mod p and
-the one mod q.  A value read off it at p is the value an elimination mod
-p alone gives.  When a lead is not a unit, the pair's two primes are
-evaluated one at a time.
+q, the pivot rows mod m reduce to pivot rows mod p, and the normal form
+of a vector mod m reduces to its normal form mod p and mod q: its support
+has no pivot column there either, and the normal form is unique.  A
+value read off them at p is the value an elimination mod p alone gives.
+When a lead is not a unit, the pair's two primes are evaluated one at a
+time.
 """
 
 from __future__ import annotations
@@ -93,9 +96,11 @@ class ModEchelon:
     raises `_NonUnitLead`, in `add_row` and in `reduce` alike, and leaves
     the echelon as it was.  A prime modulus never raises it.
 
-    Stored pivot rows are never mutated after insertion.  The pivot of a
-    reduced row is its least column, so every stored row is supported on
-    its pivot column and the columns after it.
+    `add_row` folds a row against the pivot rows only up to its lead, its
+    first column that is no pivot, and stores it with that pivot; `reduce`
+    folds it against every pivot row, up to and past its lead.  Stored
+    pivot rows are never mutated after insertion, and every stored row is
+    supported on its pivot column and the columns after it.
 
     A row is reduced in a sparse accumulator (Gilbert, Moler & Schreiber,
     SIAM J. Matrix Anal. Appl. 13, 1992): one dense scratch row of values
@@ -111,9 +116,8 @@ class ModEchelon:
     as it came, so the pivot rows stay about as sparse as the input: at
     (8,3) the relation echelon holds 10,222 entries, against 21,211 when
     the same rows go in by fewest entries first.  The order cannot change
-    a result: the pivot columns and the reduced row echelon form depend on
-    the row space alone, and so do ranks, quotient bases and membership
-    verdicts.
+    a result: the pivot columns and the normal forms depend on the row
+    space alone, and so do ranks, traces and membership verdicts.
     """
 
     key = None  # perfbench/tracing.py reads it to name each traced elimination
@@ -129,23 +133,25 @@ class ModEchelon:
         return len(self.pivots)
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """Fold row against the current pivots; the result has no pivot column
-        as its leading column (it may still touch later pivot columns).
+        """The normal form of row: the one vector congruent to it modulo the
+        row space with no pivot column in its support, in column order.
         Raises ValueError on a negative column and _NonUnitLead on a
         nonzero result whose leading value is not a unit."""
-        return self._reduce(row)[1]
+        return self._reduce(row, full=True)[1]
 
     def add_row(self, row: dict[int, int]) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
-        lead, r = self._reduce(row)
+        lead, r = self._reduce(row, full=False)
         if lead is None:
             return None
         inv = pow(r[lead], -1, self.p)
         self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
         return lead
 
-    def _reduce(self, row: dict[int, int]) -> tuple[int | None, dict[int, int]]:
-        """(leading column or None, reduced row, in column order)."""
+    def _reduce(self, row: dict[int, int], full: bool) -> tuple[int | None, dict[int, int]]:
+        """(leading column or None, reduced row, in column order).  The row
+        is folded against the pivot rows up to its lead, its first column
+        that is no pivot; if full, against those past the lead too."""
         if not row:
             return None, {}
         lo = min(row)
@@ -162,16 +168,20 @@ class ModEchelon:
                 if vp := v % p:
                     values[c] = vp
                     nonzero[c] = 1
-            lead = nonzero.find(1, lo)
-            while lead >= 0:
-                pr = pivots.get(lead)
-                if pr is None:
-                    break
-                f = values[lead]
-                for c, v in pr.items():
-                    nv = values[c] = (values[c] - f * v) % p
-                    nonzero[c] = nv != 0
-                lead = nonzero.find(1, lead + 1)
+            lead = -1
+            c = nonzero.find(1, lo)
+            while c >= 0:
+                pr = pivots.get(c)
+                if pr is not None:
+                    f = values[c]
+                    for cc, v in pr.items():
+                        nv = values[cc] = (values[cc] - f * v) % p
+                        nonzero[cc] = nv != 0
+                elif lead < 0:
+                    lead = c
+                    if not full:
+                        break
+                c = nonzero.find(1, c + 1)
             r = {}
             c = lead
             while c >= 0:
@@ -264,31 +274,6 @@ def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
         if r == n_rows:
             break
     return r
-
-
-def quotient_basis(echelon: ModEchelon) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form of the row space of an echelon, as
-    {pivot column c: {free column f: coeff}}: the relation
-    e_c + sum_f rows[c][f] e_f is in the row space, so the class of e_c in
-    the quotient by it is -sum_f rows[c][f] [e_f], the free columns (those
-    that are no key) being a basis of the quotient.  Every f in rows[c] is
-    after c.  The echelon is not modified."""
-    p = echelon.p
-    pivots = echelon.pivots
-    reduced: dict[int, dict[int, int]] = {}
-    for c in sorted(pivots, reverse=True):
-        row = dict(pivots[c])
-        row.pop(c)
-        for cc in [x for x in row if x in pivots]:
-            f = row.pop(cc)
-            for fc, fv in reduced[cc].items():
-                nv = (row.get(fc, 0) - f * fv) % p
-                if nv:
-                    row[fc] = nv
-                else:
-                    row.pop(fc, None)
-        reduced[c] = row
-    return reduced
 
 
 def lift_symmetric(x: int, p: int) -> int:

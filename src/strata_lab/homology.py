@@ -17,21 +17,25 @@ enumeration order).  The strata of key >= m, which span a step of the
 filtration by level (m = n*r) or of the inner filtration of level 2
 (m = 2n + b), are then the columns from a cut c_m on (`_cut`).
 
-A vector lies in the span of the relations and the columns >= a cut iff
-the echelon reduces it to zero or to a row leading at or past the cut
-(`_member`, which states why); with the cut at the width this is
-homology equality (`class_equal`), with a filtration cut it is equality
-in an inner graded piece (`graded_class_equal`).  The free columns
-(those that are no pivot) are a basis of the quotient, and a reduced
-row echelon row with its pivot c >= c_m has all its free columns after
-c, past the cut.  Hence the span of the classes of the columns >= c_m
-is spanned by the free columns >= c_m:
+Every reading of the echelon goes through one normal form,
+`ModEchelon.reduce`: the vector congruent to a given one modulo the row
+space whose support has no pivot column.  A vector lies in the span of
+the relations and the columns >= a cut iff its normal form is zero or
+leads at or past the cut (`_member`, which states why); with the cut at
+the width this is homology equality (`class_equal`), with a filtration
+cut it is equality in an inner graded piece (`graded_class_equal`).  The
+free columns (those that are no pivot) are a basis of the quotient: the
+class of e_c is the sum over the free columns f of the entry at f of the
+normal form of e_c, times [e_f].  A pivot row's entries lie at or after
+its pivot, so for c >= c_m that normal form is supported past the cut.
+Hence the span of the classes of the columns >= c_m is spanned by the
+free columns >= c_m:
 
 - its dimension is the number of columns >= c_m that are no pivot;
 - the trace of a permutation g on it (or on a quotient of two such
   spans) is the sum over its free columns f of the coefficient of [e_f]
-  in [e_{g f}]: 1 if g f = f, minus the reduced row of g f at f if g f
-  is a pivot column (`exact_linalg.quotient_basis`), else 0.
+  in [e_{g f}], the entry at f of the normal form of e_{g f} (1 when
+  g f = f).
 
 The image of a column under a permutation g is its sides' images,
 sorted, looked up as a split family (`_image_column`); the sides' images
@@ -67,7 +71,6 @@ from .exact_linalg import (
     RankCertificationError,
     certified_value,
     lift_symmetric,
-    quotient_basis,
     rank_bareiss,
 )
 from .relations import _site_basis, _sites
@@ -126,11 +129,6 @@ def _eliminate(n: int, k: int, p: int) -> ModEchelon:
 
 
 _echelon = lru_cache(maxsize=None)(_eliminate)
-
-
-@lru_cache(maxsize=None)
-def _quotient_basis(n: int, k: int, p: int) -> dict[int, dict[int, int]]:
-    return quotient_basis(_echelon(n, k, p))
 
 
 @lru_cache(maxsize=None)
@@ -224,17 +222,17 @@ def _member(n: int, k: int, diff: dict[int, int], cut: int, seed: int, what: str
     """Certified: whether diff lies in the span of the relation rows of
     (n, k) and the unit vectors of the columns >= cut.
 
-    It does iff the echelon reduces it to zero or to a row leading at or
-    past the cut.  A reduced row r differs from diff by a vector of the
-    row space, and leads at a column that is no pivot.  Every nonzero
-    vector of the row space leads at a pivot column, since each echelon
-    row is 1 at its own pivot and 0 before it.  If r leads at c >= cut, r
-    itself is supported on the columns >= cut.  If r leads at c < cut and
-    r - u were in the row space for some u supported on the columns
-    >= cut, r - u would lead at c, which is no pivot: impossible.  Modulo
-    p*q the lead of r is a unit or `_NonUnitLead` is raised, so r reduces
-    to the reduced row modulo each prime, with the same lead, and the
-    verdict is the one each prime alone gives."""
+    It does iff its normal form r (`ModEchelon.reduce`) is zero or leads
+    at or past the cut.  If r leads at or past the cut, diff is r, which
+    is supported on the columns >= cut, plus a vector of the row space.
+    If diff = v + u with v in the row space and u supported on the
+    columns >= cut, r is also the normal form of u, since normal forms
+    are unique; reducing u subtracts only pivot rows whose pivot is in
+    its support, and a pivot row's entries lie at or after its pivot, so
+    r is supported on the columns >= cut.  Modulo p*q the lead of r is a
+    unit or `_NonUnitLead` is raised, so r reduces to the normal form
+    modulo each prime, with the same lead, and the verdict is the one
+    each prime alone gives."""
     def compute(p: int) -> bool:
         return min(_echelon(n, k, p).reduce(diff), default=cut) >= cut
 
@@ -320,20 +318,21 @@ def _image_column(n: int, k: int, c: int, images: dict[tuple, tuple]) -> int:
 def _character(n: int, k: int, lo: int, hi: int, seed: int, what: str) -> Character:
     """Certified character of the span of the classes of the columns >= lo
     modulo that of the columns >= hi, lo and hi cuts: one trace per cycle
-    type, summed over the free columns in [lo, hi), the columns there that
-    are no pivot of the reduced rows."""
+    type, the sum over the free columns f in [lo, hi) (those that are no
+    pivot) of the entry at f of the normal form of e_{g f}.  The normal
+    forms are kept for one modulus only."""
     def compute(p: int) -> tuple[int, ...]:
-        rows = _quotient_basis(n, k, p)
-        free = [c for c in range(lo, hi) if c not in rows]
+        ech = _echelon(n, k, p)
+        free = [c for c in range(lo, hi) if c not in ech.pivots]
+        forms: dict[int, dict[int, int]] = {}
         traces = []
         for t in partitions_of(n):
             images, total = _side_images(n, representative(t)), 0
             for f in free:
                 u = _image_column(n, k, f, images)
-                if u == f:
-                    total += 1
-                elif u in rows:
-                    total -= rows[u].get(f, 0)
+                if (form := forms.get(u)) is None:
+                    form = forms[u] = ech.reduce({u: 1})
+                total += form.get(f, 0)
             traces.append(total % p)
         return tuple(traces)
 

@@ -64,17 +64,32 @@ class ReferenceEchelon:
     """Natural-order echelon mod p with the dict-and-`min` kernel: the working
     row is a dict and each pivot step takes `min` over all of it.  The
     reference for `ModEchelon`'s sparse-accumulator kernel, which must give
-    the same pivots and the same reduced rows."""
+    the same pivots and the same normal forms."""
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """The normal form: row folded against every pivot row it meets."""
+        return self._reduce(row, full=True)
+
+    def add_row(self, row: dict[int, int]) -> int | None:
+        r = self._reduce(row, full=False)
+        if not r:
+            return None
+        lead = min(r)
+        inv = pow(r[lead], -1, self.p)
+        self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
+        return lead
+
+    def _reduce(self, row: dict[int, int], full: bool) -> dict[int, int]:
+        """Row folded against the least pivot column in it, again and again;
+        unless full, only while its least column is a pivot column."""
         p = self.p
         r = {c: vp for c, v in row.items() if (vp := v % p)}
         while r:
-            lead = min(r)
+            lead = min((c for c in r if c in self.pivots), default=None) if full else min(r)
             pr = self.pivots.get(lead)
             if pr is None:
                 return r
@@ -87,14 +102,12 @@ class ReferenceEchelon:
                     r.pop(c, None)
         return r
 
-    def add_row(self, row: dict[int, int]) -> int | None:
-        r = self.reduce(row)
-        if not r:
-            return None
-        lead = min(r)
-        inv = pow(r[lead], -1, self.p)
-        self.pivots[lead] = {c: v * inv % self.p for c, v in r.items()}
-        return lead
+
+def pivot_normal_forms(ech) -> dict[int, dict[int, int]]:
+    """The normal form (`reduce`) of the unit vector of each pivot column of
+    an echelon: minus the reduced row echelon row of that pivot, off the
+    pivot, so it holds the same row-space information as that form."""
+    return {c: ech.reduce({c: 1}) for c in ech.pivots}
 
 
 def solve_fraction(rows: list[dict[int, int]], targets: list[dict[int, int]],

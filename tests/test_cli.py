@@ -297,6 +297,9 @@ def test_verify_forgetful_names_only_the_options_given(capsys, flag):
     assert main(["verify", "forgetful", "--n", "7", flag, "9"]) == 2
     assert capsys.readouterr() == (
         "", f"domain error: no trees to check for n=7 with {flag[2:]}=9\n")
+    for n in (4, 5):  # no (k, b) at all: no option to name
+        assert main(["verify", "forgetful", "--n", str(n)]) == 2
+        assert capsys.readouterr() == ("", f"domain error: no trees to check for n={n}\n")
 
 
 def test_verify_forgetful_reports_one_k_and_b(tmp_path):

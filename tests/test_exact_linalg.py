@@ -9,6 +9,7 @@ from oracles import (
     ReferenceEchelon,
     brute_force_relations,
     certify_prime_by_prime,
+    pivot_normal_forms,
     rank_fraction,
     reference_row_order_key,
 )
@@ -23,7 +24,6 @@ from strata_lab.exact_linalg import (
     is_probable_prime,
     lift_symmetric,
     prime_stream,
-    quotient_basis,
     rank_bareiss,
 )
 from strata_lab.homology import _echelon, _relation_rows
@@ -50,10 +50,10 @@ def rank_exact(rows, seed=0):
     return certified_value(lambda p: _rank_mod_p(rows, p), seed)
 
 
-def _quotient_basis(rows, p):
+def _normal_forms(rows, p):
     ech = ModEchelon(p)
     ech.add_rows(rows)
-    return quotient_basis(ech)
+    return pivot_normal_forms(ech)
 
 
 def _random_sparse(rng, n_rows, n_cols, density=0.3, lo=-4, hi=4):
@@ -152,13 +152,14 @@ def test_quotient_basis_and_reduce():
     rows, n_cols = _relation_matrix(4, 0)
     ech = ModEchelon(p)
     ech.add_rows(rows)
-    reduced = quotient_basis(ech)
-    assert ech.rank == len(reduced) == 2
-    [f] = [c for c in range(n_cols) if c not in reduced]
-    # each reduced row is e_c plus free columns after c, in the row space
-    for c, row in reduced.items():
-        assert all(x == f and x > c for x in row)
-        assert ech.reduce({c: 1, **row}) == {}
+    forms = pivot_normal_forms(ech)
+    assert ech.rank == len(forms) == 2
+    [f] = [c for c in range(n_cols) if c not in forms]
+    # the normal form of a pivot column c is on free columns after c, and
+    # e_c minus it is in the row space
+    for c, form in forms.items():
+        assert all(x == f and x > c for x in form)
+        assert ech.reduce({c: 1, **{x: -v for x, v in form.items()}}) == {}
     # a relation row reduces to zero
     assert ech.reduce(rows[0]) == {}
     # a free-column unit vector is no member: it reduces to itself
@@ -185,13 +186,13 @@ def test_lift_symmetric():
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 3)] + [(8, 3)])
 def test_row_order_leaves_the_reduced_form_unchanged(n, k):
     """Leading column, largest first, against the reference order: the
-    pivots and the RREF depend on the row space alone."""
+    pivots and the normal forms depend on the row space alone."""
     rows = tuple(_relation_rows(n, k))
     for seed in (0, 7):
         p = next(prime_stream(seed))
         ref = ModEchelon(p)
         ref.add_rows(sorted(rows, key=reference_row_order_key), presorted=True)
-        assert _quotient_basis(rows, p) == quotient_basis(ref)
+        assert _normal_forms(rows, p) == pivot_normal_forms(ref)
 
 
 def test_row_order_keeps_the_n8k3_echelon_sparse():
@@ -253,7 +254,7 @@ def _assert_reduces_alike(ech, ref, row):
 
 @pytest.mark.parametrize("p", [101, next(prime_stream(0))])
 def test_scratch_row_kernel_matches_the_reference_kernel(p):
-    """Pivots and reduced probe rows equal those of the dict-and-min kernel,
+    """Pivots and probe normal forms equal those of the dict-and-min kernel,
     with reduce calls between add_row calls and the width growing."""
     rng = random.Random(5)
     for _ in range(60):
@@ -314,18 +315,18 @@ SMALL_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 
 
 def _eliminate(rows, probe, cut, m):
-    """An elimination mod m: rank, reduced rows, the probe's verdict and its
-    graded verdict at cut (whether it lies in the row space plus the span
-    of the columns >= cut)."""
+    """An elimination mod m: rank, pivot normal forms, the probe's verdict
+    and its graded verdict at cut (whether it lies in the row space plus
+    the span of the columns >= cut)."""
     ech = ModEchelon(m)
     ech.add_rows(rows)
     reduced = ech.reduce(probe)
-    return ech.rank, quotient_basis(ech), not reduced, min(reduced, default=cut) >= cut
+    return ech.rank, pivot_normal_forms(ech), not reduced, min(reduced, default=cut) >= cut
 
 
 def _read_at(result, p):
     """What an elimination shows at the prime p dividing its modulus: rank,
-    pivot columns, reduced pivot rows mod p and both verdicts."""
+    pivot columns, pivot normal forms mod p and both verdicts."""
     rank, reduced, member, graded = result
     rows = tuple((c, tuple((f, v % p) for f, v in sorted(reduced[c].items()) if v % p))
                  for c in sorted(reduced))

@@ -14,6 +14,7 @@ from oracles import (
     in_row_space,
     independent_rows,
     keel_betti,
+    pivot_normal_forms,
     rank_fraction,
     rref_fraction,
 )
@@ -351,13 +352,12 @@ def test_keel_row_matches_the_test_oracle():
 
 @pytest.fixture
 def fresh_homology(monkeypatch):
-    """The homology module with its per-modulus helpers on caches of their
-    own, so patched relation rows leave nothing behind in the shared ones
-    (betti keeps nothing)."""
+    """The homology module with its echelons on a cache of their own, so
+    patched relation rows leave nothing behind in the shared one (betti
+    keeps nothing)."""
     import strata_lab.homology as h
 
-    for name in ("_echelon", "_quotient_basis"):
-        monkeypatch.setattr(h, name, lru_cache(maxsize=None)(getattr(h, name).__wrapped__))
+    monkeypatch.setattr(h, "_echelon", lru_cache(maxsize=None)(h._echelon.__wrapped__))
     return h
 
 
@@ -549,14 +549,20 @@ sys.exit("the integrality check let 15/2 through")
 """
 
 
-def _succeeds_under_O(script):
+def _script_stdout(script, *options):
+    """Stdout of script run in a fresh interpreter with options, on this
+    checkout's package, after checking that it exited 0."""
     src = str(Path(strata_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
+    proc = subprocess.run([sys.executable, *options, "-c", script],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _succeeds_under_O(script):
+    return _script_stdout(script, "-O")
 
 
 def test_exact_audit_survives_python_O():
@@ -787,7 +793,7 @@ def test_filtration_cuts_are_free_column_tails(n, k, seed):
         images = h._side_images(n, representative(t))
         assert all(keys[h._image_column(n, k, c, images)] == keys[c] for c in range(len(cols)))
     primes = prime_stream(seed)
-    reduced = h._quotient_basis(n, k, next(primes) * next(primes))
+    reduced = pivot_normal_forms(h._echelon(n, k, next(primes) * next(primes)))
     cuts = sorted({h._cut(n, k, key) for key in keys})
     assert cuts == sorted({keys.index(key) for key in keys})
     for cut in cuts:
@@ -926,6 +932,48 @@ def _fraction_level_traces(n, k, r):
         assert tr.denominator == 1
         traces[parts] = int(tr)
     return traces
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 7) for k in range(n - 2)] + [(7, 2)])
+def test_reduce_gives_the_normal_form_over_q(n, k):
+    """At a prime and at a pair modulus, the normal form of every unit
+    vector e_c has no pivot column in its support and is, mod m, the one
+    over Q: e_c for a free c, minus the RREF row of c off its pivot for a
+    pivot c."""
+    import strata_lab.homology as h
+
+    rref = _fraction_rref(n, k)
+    primes = prime_stream(3)
+    p, q = next(primes), next(primes)
+    for m in (p, p * q):
+        ech = h._echelon(n, k, m)
+        assert ech.pivots.keys() == rref.keys()
+        for c in range(len(_index(n, k))):
+            want = {f: -v for f, v in enumerate(rref[c]) if v and f != c} if c in rref else {c: 1}
+            want = {f: r for f, v in want.items()
+                    if (r := v.numerator * pow(v.denominator, -1, m) % m)}
+            form = ech.reduce({c: 1})
+            assert not form.keys() & ech.pivots.keys(), (m, c)
+            assert form == want, (m, c)
+
+
+CHARACTER_RETENTION = """
+import tracemalloc
+from strata_lab.homology import character_homology, graded_dims
+
+graded_dims(8, 3)  # caches the (8,3) echelons
+tracemalloc.start()
+character_homology(8, 3)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_character_keeps_no_copy_of_the_echelon():
+    """Once graded_dims(8, 3) has cached the (8,3) echelons, the character
+    of H_6 leaves under 1 MB allocated (its side tables): the normal forms
+    it reads are kept for one modulus only."""
+    kept = int(_script_stdout(CHARACTER_RETENTION))
+    assert kept < 1_000_000, kept
 
 
 def test_character_matches_fraction_restriction_oracle():

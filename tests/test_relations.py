@@ -10,6 +10,7 @@ from oracles import (
     brute_force_relations,
     brute_force_vertex_flags,
     in_lattice,
+    pivot_normal_forms,
     rank_fraction,
     solve_fraction,
 )
@@ -17,7 +18,7 @@ from test_homology import _succeeds_under_O
 
 import strata_lab.homology as h
 import strata_lab.relations as rel_mod
-from strata_lab.exact_linalg import ModEchelon, prime_stream, quotient_basis
+from strata_lab.exact_linalg import ModEchelon, prime_stream
 from strata_lab.relations import relations_jsonl
 from strata_lab.trees import (
     DomainError,
@@ -316,7 +317,7 @@ def test_spanning_family_gives_the_same_quotient_basis():
     p = next(iter(prime_stream(5)))
     full = ModEchelon(p)
     full.add_rows(_oracle_rows(n, k))
-    assert h._quotient_basis(n, k, p) == quotient_basis(full)
+    assert pivot_normal_forms(h._echelon(n, k, p)) == pivot_normal_forms(full)
 
 
 @pytest.mark.parametrize("m", range(4, 10))
@@ -355,13 +356,13 @@ def test_site_basis_is_an_integer_basis(m):
 
 @pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
 def test_site_basis_gives_the_same_quotient_basis_mod_a_pair(n, k):
-    # the reduced quotient basis mod p*q from the relation rows, row for
-    # row, is the one from every row through the two least flags
+    # the normal forms of the pivot columns mod p*q from the relation rows,
+    # row for row, are those from every row through the two least flags
     primes = prime_stream(5)
     m = next(primes) * next(primes)
     full = ModEchelon(m)
     full.add_rows(_oracle_rows(n, k, _through))
-    assert h._quotient_basis(n, k, m) == quotient_basis(full)
+    assert pivot_normal_forms(h._echelon(n, k, m)) == pivot_normal_forms(full)
 
 
 @pytest.mark.parametrize("m", [10, 11])

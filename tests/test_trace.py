@@ -28,10 +28,10 @@ def _traced_worker_run(tmp_path, workload: str) -> dict:
 
 def test_traced_benchmark_worker_sees_every_layer(tmp_path):
     """A traced filtration-n8 run of the benchmark worker passes its oracles
-    and charges calls to the elimination and to the quotient basis: a rename
+    and charges calls to the elimination and to the character: a rename
     that unhooks a traced function would zero its per-layer metric."""
     agg = _traced_worker_run(tmp_path, "filtration-n8")["trace"]["agg"]
-    for name in ("exact_linalg.eliminate", "exact_linalg.quotient_basis"):
+    for name in ("exact_linalg.eliminate", "homology.character_homology"):
         assert agg.get(name, [0])[0] > 0, name
 
 
