@@ -1,14 +1,13 @@
 """Closed-form candidate dimensions for the graded pieces.
 
-The candidate for the level-r piece is a 1/r!-weighted sum of
-multinomials over weight compositions and admissible size vectors; it is
-exact big-integer arithmetic throughout and is cross-validated against
+The candidate for the level-r piece is a sum of multinomials over weight
+compositions and admissible size vectors, divided by r!; it is exact
+big-integer arithmetic throughout and is cross-validated against
 the rank-computed dimensions elsewhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .trees import DomainError
@@ -45,14 +44,21 @@ def q_dim_formula(n: int, k: int, r: int) -> int:
     """Candidate dimension of the level-r graded piece of H_{2k}.
 
     Sum over weight compositions (a_1..a_r) of k and sizes p_i >= a_i + 2
-    with p_1 + .. + p_r + b = n + r - 2, of multinomial(n+r-2; p, b) / r!.
-    The accumulated rational must be an integer; FormulaError otherwise.
+    with p_1 + .. + p_r + b = n + r - 2, of multinomial(n+r-2; p, b) / r!,
+    summed as integers and divided by r! once.  The quotient is an integer:
+    the index set of pairs (a, p) is closed under permuting the r parts,
+    and the summand is invariant under that, so the sum over the orbit of
+    (a, p), divided by r!, is multinomial / |Stab|.  Stab is a subgroup of
+    the permutations of equal parts of p, so |Stab| divides the product of
+    the factorials m_v! of the multiplicities of the sizes, and
+    multinomial / prod m_v! counts the set partitions of n + r - 2 into a
+    block of size b and unordered blocks of sizes p.  FormulaError guards
+    an index set that is not closed under those permutations.
     """
     if not 1 <= r <= min(k, n - 2 - k):
         raise DomainError(f"no graded piece for (n, k, r) = ({n}, {k}, {r})")
     budget = n + r - 2
-    rfact = factorial(r)
-    total = Fraction(0)
+    total = 0
     for alphas in _compositions(k, r):
         minima = tuple(a + 2 for a in alphas)
         for ps in _size_vectors(minima, budget):
@@ -60,11 +66,11 @@ def q_dim_formula(n: int, k: int, r: int) -> int:
             multi = factorial(budget)
             for x in ps:
                 multi //= factorial(x)
-            multi //= factorial(b)
-            total += Fraction(multi, rfact)
-    if total.denominator != 1:
-        raise FormulaError(f"non-integral value {total} at ({n},{k},{r})")
-    return int(total)
+            total += multi // factorial(b)
+    value, rest = divmod(total, factorial(r))
+    if rest:
+        raise FormulaError(f"non-integral value {total}/{factorial(r)} at ({n},{k},{r})")
+    return value
 
 
 def betti_formula(n: int, k: int) -> int:

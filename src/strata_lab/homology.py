@@ -239,39 +239,23 @@ def _member(n: int, k: int, diff: dict[int, int], cut: int, seed: int, what: str
     return certified_value(compute, seed, what=what)
 
 
-@lru_cache(maxsize=None)
-def exact_rank(n: int, k: int) -> int:
-    """Rank over Q of the relation matrix, by fraction-free elimination:
-    the audit behind `betti --exact` and the base rank of every exact
-    class_equal audit at (n, k).  Refused before any work for n > 6;
-    RankCertificationError unless |S_{k,n}| minus it is b_k from Keel's
-    recursion, as for `betti`."""
+def exact_betti(n: int, k: int) -> int:
+    """dim H_{2k} of the n-marked space from the rank over Q of the relation
+    matrix, by fraction-free elimination: the audit behind `betti --exact`.
+    Refused before any work for n > 6; RankCertificationError unless it
+    equals b_k from Keel's recursion, as for `betti`."""
     if n > 6:
         raise DomainError("exact audit elimination is limited to n <= 6")
-    rank = rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k)))
-    _keel_checked(n, k, rank)
-    return rank
+    return _keel_checked(n, k, rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k))))
 
 
-def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0,
-                exact: bool = False) -> bool:
-    """Whether two strata have the same homology class.
-
-    Probabilistic-exact via two-prime membership of e_{t1} - e_{t2} in the
-    relation row space; ``exact=True`` reruns with fraction-free integer
-    elimination (audit mode, n <= 6 only) and raises
-    RankCertificationError if the two verdicts differ.
-    """
+def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:
+    """Whether two strata have the same homology class: certified
+    membership of e_{t1} - e_{t2} in the relation row space."""
     diff = _difference(t1, t2)
-    n, k, width = t1.n, t1.k, len(_index(t1.n, t1.k))
-    if exact:
-        base = exact_rank(n, k)
     if t1 == t2:
         return True
-    verdict = _member(n, k, diff, width, seed, "class membership")
-    if exact and verdict != (base == rank_bareiss((*_relation_rows(n, k), diff), width)):
-        raise RankCertificationError(f"modular and exact class membership differ for {t1} and {t2}")
-    return verdict
+    return _member(t1.n, t1.k, diff, len(_index(t1.n, t1.k)), seed, "class membership")
 
 
 def graded_class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:

@@ -4,7 +4,6 @@ import io
 import json
 import re
 import sys
-from functools import lru_cache
 
 import pytest
 from oracles import independent_rows
@@ -188,6 +187,7 @@ def test_conjecture_k_has_graded_pieces(tmp_path, k, code, out):
     ["character", "--n", "5", "--k", "9", "--space", "homology"],
     ["character", "--n", "5", "--k", "9", "--space", "p1"],
     ["character", "--n", "5", "--k", "9", "--space", "p2"],
+    ["verify", "conjecture", "--n", "3"],
 ])
 def test_nothing_to_compute_is_a_domain_error(tmp_path, args):
     assert run_cli(args, tmp_path) == (2, "")
@@ -198,7 +198,7 @@ def test_nothing_to_compute_is_a_domain_error(tmp_path, args):
     (["verify", "wtilde", "--n", "5"], "no level-2 labels for n=5"),
     (["verify", "wtilde", "--n", "7", "--k", "9"], "no level-2 labels for (n, k) = (7, 9)"),
     (["verify", "rewrite", "--n", "5"], "no level-2 labels for n=5"),
-    (["verify", "conjecture", "--n", "2"], "no homology group for n=2"),
+    (["verify", "conjecture", "--n", "2"], "no graded pieces for n=2"),
 ])
 def test_every_k_sweep_refuses_by_one_rule(tmp_path, capsys, args, line):
     """A --k outside a command's range, or an empty sweep, is one
@@ -463,14 +463,12 @@ def test_betti_exact_is_checked_against_keel(monkeypatch, capsys):
     with one relation row of an independent family dropped at (6,2), the
     exact rank falls by one and the command exits 1 with one stderr line
     and nothing on stdout."""
-    import strata_lab.cli as cli
     import strata_lab.homology as h
 
     real = h._relation_rows
     rows = independent_rows(real(6, 2), len(h._index(6, 2)))[1:]
     monkeypatch.setattr(h, "_relation_rows",
                         lambda n, k: rows if (n, k) == (6, 2) else real(n, k))
-    monkeypatch.setattr(cli, "exact_rank", lru_cache(maxsize=None)(h.exact_rank.__wrapped__))
     assert main(["betti", "--n", "6", "--exact"]) == 1
     assert capsys.readouterr() == (
         "", "RankCertificationError: Betti number 17 of (6,2) is not b_2 = 16\n")
@@ -544,6 +542,26 @@ def test_betti_refuses_a_k_before_making_the_cache_dir(tmp_path, capsys, k):
         out, err = capsys.readouterr()
         assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
         assert not cache.exists()
+
+
+@pytest.mark.parametrize("value", [17, 16.0])
+def test_betti_recomputes_a_cached_value_that_is_not_keels(tmp_path, capsys, value):
+    """A Betti entry whose value is not the int b_k of Keel's recursion is
+    a miss even with a matching sha256: the number is recomputed, certified
+    and printed, and the entry rewritten."""
+    from strata_lab.cache import _digest
+
+    argv = ["betti", "--n", "6", "--k", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (entry,) = tmp_path.iterdir()
+    obj = json.loads(entry.read_text())
+    obj.update(value=value, sha256=_digest(value))
+    entry.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split() == ["n", "k", "betti", "6", "2", "16"]
+    stored = json.loads(entry.read_text())["value"]
+    assert (type(stored), stored) == (int, 16)
 
 
 def test_betti_prints_its_table_when_a_cache_entry_cannot_be_written(tmp_path, capsys):

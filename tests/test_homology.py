@@ -473,8 +473,9 @@ def test_every_elimination_is_at_a_pair_modulus(fresh_homology, monkeypatch, see
 
 
 def test_verify_conjecture_eliminates_once_per_k(fresh_homology, monkeypatch, capsys):
-    """At k >= 1 the certified graded dims give the Betti number too, so
-    each relation matrix is generated and eliminated once."""
+    """The certified graded dims give the Betti number too, so each
+    relation matrix of k = 1 .. n-3 is generated and eliminated once, and
+    k = 0, with no graded piece, is not swept."""
     from strata_lab.cli import main
 
     h, n = fresh_homology, 7
@@ -488,30 +489,27 @@ def test_verify_conjecture_eliminates_once_per_k(fresh_homology, monkeypatch, ca
     eliminations = _counting_eliminations(monkeypatch)
     assert main(["verify", "conjecture", "--n", str(n)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
-    assert streamed == Counter({(n, k): 1 for k in range(n - 2)})
-    assert sum(eliminations.values()) == n - 2
+    assert streamed == Counter({(n, k): 1 for k in range(1, n - 2)})
+    assert sum(eliminations.values()) == n - 3
 
 
 def test_class_equal_examples():
     t = MarkedTree.from_sides(4, [(3, 4)])
     assert class_equal(t, t)
     t2 = MarkedTree.from_sides(4, [(2, 4)])
-    assert class_equal(t, t2, exact=True)
+    assert class_equal(t, t2)
 
 
 AUDIT_UNDER_O = """
 import sys
 import strata_lab.homology as h
 from strata_lab.exact_linalg import RankCertificationError
-from strata_lab.trees import MarkedTree
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-t = MarkedTree.from_sides(4, [(3, 4)])
-t2 = MarkedTree.from_sides(4, [(2, 4)])
-h.rank_bareiss = lambda rows, n_cols: len(rows)  # an exact rank that disagrees
+h.rank_bareiss = lambda rows, n_cols: 0  # an exact rank that disagrees with Keel
 try:
-    h.class_equal(t, t2, exact=True)
+    h.exact_betti(4, 0)
 except RankCertificationError:
     sys.exit(0)
 sys.exit("the audit let a disagreement through")
@@ -584,12 +582,10 @@ def test_exact_audit_refuses_large_n_before_any_work(monkeypatch):
     monkeypatch.setattr(h, "certified_value", no_work)
     monkeypatch.setattr(h, "_relation_rows", no_work)
     monkeypatch.setattr(h, "rank_bareiss", no_work)
-    a = MarkedTree.from_sides(7, [(2, 3, 4, 5), (4, 5)])
-    b = MarkedTree.from_sides(7, [(2, 3, 4, 5), (2, 3)])
-    with pytest.raises(DomainError):
-        class_equal(a, b, exact=True)
-    with pytest.raises(DomainError):
-        class_equal(a, a, exact=True)
+    monkeypatch.setattr(h, "enumerate_strata", no_work)
+    for k in range(5):
+        with pytest.raises(DomainError):
+            h.exact_betti(7, k)
 
 
 def test_sum_checks_raise(monkeypatch):
@@ -630,30 +626,7 @@ def test_class_equal_matches_fraction_membership():
         for _ in range(10):
             t1, t2 = rng.sample(list(trees), 2)
             want = in_row_space(rref, {idx[t1]: 1, idx[t2]: -1}, len(trees))
-            assert class_equal(t1, t2, exact=(n <= 6)) == want
-
-
-def test_exact_audit_computes_the_base_rank_once(monkeypatch):
-    import strata_lab.homology as h
-
-    n, k = 6, 2
-    base = len(tuple(h._relation_rows(n, k)))
-    sizes = []
-    rank = h.rank_bareiss
-
-    def counting_rank(rows, n_cols):
-        sizes.append(len(rows))
-        return rank(rows, n_cols)
-
-    monkeypatch.setattr(h, "rank_bareiss", counting_rank)
-    h.exact_rank.cache_clear()
-    trees = enumerate_strata(n, k)
-    try:
-        for t1, t2 in [(trees[0], trees[1]), (trees[2], trees[5])]:
-            class_equal(t1, t2, exact=True)
-    finally:
-        h.exact_rank.cache_clear()
-    assert sorted(sizes) == [base, base + 1, base + 1]
+            assert class_equal(t1, t2) == want
 
 
 def test_class_equal_is_equivalence_on_samples():
