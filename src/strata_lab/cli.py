@@ -28,7 +28,6 @@ from .homology import (
     character_graded,
     character_homology,
     class_equal,
-    exact_betti,
     graded_class_equal,
     graded_dims,
     inner_graded_dims,
@@ -106,22 +105,18 @@ def cmd_betti(args) -> int:
 
     n, seed = args.n, args.seed
     ks = _ks(args, 0, n - 3, "homology group")
-    if not args.exact:  # before any work: a directory that cannot be made is refused
-        cache_dir = args.cache_dir or default_cache_dir()
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise DomainError(f"cannot create cache directory {cache_dir}: "
-                              f"{exc.strerror or exc}") from None
+    cache_dir = args.cache_dir or default_cache_dir()
+    try:  # before any work: a directory that cannot be made is refused
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create cache directory {cache_dir}: "
+                          f"{exc.strerror or exc}") from None
     rows = []
-    for k in ks:
-        if args.exact:
-            b = exact_betti(n, k)  # refuses n > 6 before enumerating
-        else:  # a loaded entry is used only if it is Keel's b_k
-            b_k = _keel_row(n)[k]
-            b = cached("betti", {"n": n, "k": k, "seed": seed},
-                       lambda: betti(n, k, seed), cache_dir,
-                       accept=lambda v: type(v) is int and v == b_k)
+    for k in ks:  # a loaded entry is used only if it is Keel's b_k
+        b_k = _keel_row(n)[k]
+        b = cached("betti", {"n": n, "k": k, "seed": seed},
+                   lambda: betti(n, k, seed), cache_dir,
+                   accept=lambda v: type(v) is int and v == b_k)
         rows.append({"n": n, "k": k, "betti": b})
     _emit_table(rows, args.format)
     return EXIT_OK
@@ -342,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti numbers from the rank oracle")
     common(p, opt_k=True)
-    p.add_argument("--exact", action="store_true",
-                   help="audit mode: fraction-free elimination (n <= 6)")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("graded", help="graded dimensions by filtration level")

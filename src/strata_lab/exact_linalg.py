@@ -6,8 +6,9 @@ modulo m, `ModEchelon`.  The normal form of a vector (`ModEchelon.reduce`)
 is the one vector congruent to it modulo the row space whose support has
 no pivot column; it is the one reduction that membership tests and
 character traces read.  Values are certified by `certified_value`, the
-one loop that repeats across random 62-bit primes.  `rank_bareiss`, a
-fraction-free integer elimination, is the exact audit for small matrices.
+one loop that repeats across random 62-bit primes.  A rank mod p is at
+most the rank over Q, which is at most |S_{k,n}| - b_k for the relation
+rows (`homology._keel_checked`), so a rank that meets that bound is exact.
 
 `certified_value` takes the primes two at a time and eliminates once,
 modulo their product m = p*q, which costs well under two eliminations
@@ -223,9 +224,9 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
     default the result is the value).  When compute raises _NonUnitLead,
     compute(p) and compute(q) are evaluated one at a time instead (see the
     module docstring for why either way gives the value at each prime).
-    A wrong value is returned only if two primes err alike; where a theorem
-    gives the value (a Betti number, by Keel's recursion) the caller checks
-    it as well.
+    A wrong value is returned only if two primes err alike; a relation
+    rank must also meet Keel's bound, rank mod p <= rank over Q <=
+    |S_{k,n}| - b_k, which makes it exact (`homology._keel_checked`).
     """
     seen: list = []
     primes = prime_stream(seed)
@@ -243,37 +244,6 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
                 raise RankCertificationError(
                     f"no value of {what} certified at {MAX_PRIMES} primes: {seen}"
                 )
-
-
-def rank_bareiss(rows: Iterable[dict[int, int]], n_cols: int) -> int:
-    """Rank over Q of sparse integer rows on columns 0 .. n_cols-1, by
-    fraction-free elimination; exact, for audit runs on small inputs.
-    Raises ValueError on a column outside that range."""
-    mat = []
-    for r in rows:
-        for c in r:
-            if not 0 <= c < n_cols:
-                raise ValueError(f"column {c} out of range")
-        mat.append([r.get(c, 0) for c in range(n_cols)])
-    n_rows = len(mat)
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, n_rows):
-            if not any(mat[i][c:]):
-                continue
-            for j in range(c + 1, n_cols):
-                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
 
 
 def lift_symmetric(x: int, p: int) -> int:

@@ -51,7 +51,8 @@ computation mod that prime alone gives.  Traces are summed mod p*q and
 lifted to the symmetric range at each prime, so the two primes still
 check each other.  When a lead is not a unit the pair is evaluated one
 prime at a time.  A Betti number must equal b_k from Keel's recursion (a
-theorem), and the graded dimensions must sum to it.
+theorem), and the graded dimensions must sum to it.  As rank mod p <=
+rank over Q <= |S_{k,n}| - b_k (`_keel_checked`), a rank that passes is exact.
 
 The argument p of the closures and cached helpers below is the modulus:
 a prime, or a product of two.
@@ -71,7 +72,6 @@ from .exact_linalg import (
     RankCertificationError,
     certified_value,
     lift_symmetric,
-    rank_bareiss,
 )
 from .relations import _site_basis, _sites
 from .trees import (
@@ -152,8 +152,15 @@ def _keel_row(n: int) -> tuple[int, ...]:
 
 
 def _keel_checked(n: int, k: int, rank: int) -> int:
-    """|S_{k,n}| minus a relation rank of (n, k); RankCertificationError
-    unless it equals b_k from Keel's recursion."""
+    """|S_{k,n}| minus a certified relation rank of (n, k);
+    RankCertificationError unless it equals b_k from Keel's recursion.
+
+    A rank that passes is the rank over Q.  The relation rows are integer
+    relations that hold in H_{2k}, and the strata span H_{2k} (Keel, Trans.
+    AMS 330, 1992).  A minor that is nonzero mod p is a nonzero integer.  So
+        rank mod p <= rank over Q <= |S_{k,n}| - b_k,
+    and a certified rank equal to |S_{k,n}| - b_k is the rank over Q.  A
+    wrong or missing row can make this raise, never return a wrong number."""
     b = len(enumerate_strata(n, k)) - rank
     if b != (want := _keel_row(n)[k]):
         raise RankCertificationError(f"Betti number {b} of ({n},{k}) is not b_{k} = {want}")
@@ -237,16 +244,6 @@ def _member(n: int, k: int, diff: dict[int, int], cut: int, seed: int, what: str
         return min(_echelon(n, k, p).reduce(diff), default=cut) >= cut
 
     return certified_value(compute, seed, what=what)
-
-
-def exact_betti(n: int, k: int) -> int:
-    """dim H_{2k} of the n-marked space from the rank over Q of the relation
-    matrix, by fraction-free elimination: the audit behind `betti --exact`.
-    Refused before any work for n > 6; RankCertificationError unless it
-    equals b_k from Keel's recursion, as for `betti`."""
-    if n > 6:
-        raise DomainError("exact audit elimination is limited to n <= 6")
-    return _keel_checked(n, k, rank_bareiss(tuple(_relation_rows(n, k)), len(_index(n, k))))
 
 
 def class_equal(t1: MarkedTree, t2: MarkedTree, seed: int = 0) -> bool:

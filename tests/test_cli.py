@@ -6,7 +6,6 @@ import re
 import sys
 
 import pytest
-from oracles import independent_rows
 
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
@@ -103,30 +102,19 @@ def test_table_format(tmp_path):
 
 
 def test_betti_exact_audit(tmp_path):
-    code, out = run_cli(
-        ["betti", "--n", "5", "--exact", "--format", "json"], tmp_path
-    )
+    code, out = run_cli(["betti", "--n", "5", "--format", "json"], tmp_path)
     assert code == 0
     vals = [json.loads(line)["betti"] for line in out.strip().splitlines()]
     assert vals == [1, 5, 1]
 
 
-def test_betti_exact_refuses_large_n_before_any_work(tmp_path, monkeypatch):
-    import strata_lab.homology as h
-    import strata_lab.trees as tr
-
-    def no_work(*_):
-        raise AssertionError("work started before the size guard")
-
-    monkeypatch.setattr(h, "rank_bareiss", no_work)
-    monkeypatch.setattr(tr, "_level", no_work)
-    assert run_cli(["betti", "--n", "7", "--exact"], tmp_path) == (2, "")
-
-
-def test_exact_is_offered_on_betti_only(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["graded", "--n", "5", "--k", "1", "--exact"], tmp_path)
-    assert exc.value.code == 2
+def test_exact_is_offered_on_betti_only(tmp_path, capsys):
+    # no command takes --exact: argparse refuses it with exit 2, stdout empty
+    for argv in (["betti", "--n", "6"], ["graded", "--n", "5", "--k", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--exact", "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_graded_and_inner_tables(tmp_path):
@@ -458,22 +446,6 @@ def test_failed_checks_outside_verify_exit_1_with_one_stderr_line(
     assert list(cache.glob("*")) == []
 
 
-def test_betti_exact_is_checked_against_keel(monkeypatch, capsys):
-    """`betti --exact` meets the same Keel check as every Betti number:
-    with one relation row of an independent family dropped at (6,2), the
-    exact rank falls by one and the command exits 1 with one stderr line
-    and nothing on stdout."""
-    import strata_lab.homology as h
-
-    real = h._relation_rows
-    rows = independent_rows(real(6, 2), len(h._index(6, 2)))[1:]
-    monkeypatch.setattr(h, "_relation_rows",
-                        lambda n, k: rows if (n, k) == (6, 2) else real(n, k))
-    assert main(["betti", "--n", "6", "--exact"]) == 1
-    assert capsys.readouterr() == (
-        "", "RankCertificationError: Betti number 17 of (6,2) is not b_2 = 16\n")
-
-
 def test_character_generic_graded_space(tmp_path):
     code, out = run_cli(
         ["character", "--n", "6", "--k", "2", "--space", "q", "--r", "1",
@@ -526,22 +498,15 @@ def test_betti_refuses_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys,
     assert out == ""
     assert err.startswith("domain error: ") and err.count("\n") == 1, err
     assert blocker.read_text() == ""
-    # --exact never touches the cache
-    monkeypatch.undo()
-    code, out = run_cli(["betti", "--n", "5", "--exact", "--cache-dir", str(blocker)], tmp_path)
-    assert code == 0 and out.split() == ["n", "k", "betti", "5", "0", "1", "5", "1", "5", "5",
-                                         "2", "1"]
 
 
 @pytest.mark.parametrize("k", ["9", "-1"])
 def test_betti_refuses_a_k_before_making_the_cache_dir(tmp_path, capsys, k):
-    # --exact included: both modes refuse by the same rule, with the same line
     cache = tmp_path / "cache"
-    for exact in ([], ["--exact"]):
-        assert main(["betti", "--n", "6", "--k", k, *exact, "--cache-dir", str(cache)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
-        assert not cache.exists()
+    assert main(["betti", "--n", "6", "--k", k, "--cache-dir", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"domain error: no homology group for (n, k) = (6, {k})\n"
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("value", [17, 16.0])
@@ -590,7 +555,7 @@ PINNED_STDOUT = {
         (0, "8793dd2b83cef6cb8789fb8dfa58cfc5a9041209a985f9d852c8302f7cba8c35"),
     "betti --n 8 --k 3":
         (0, "46d0f14a5d1c8976f21067cb1de73728d2bae07dcbb3cc22550b809ca85d18bb"),
-    "betti --n 6 --exact":
+    "betti --n 6":
         (0, "f6d07bbd1537b516f0159d7c6209955e676aaac836df4f2aec6ffa8da527d904"),
     "graded --n 8 --k 3":
         (0, "a30292c69586e874b58ecc64f05de72ea2911475171598c3366b6f1b29013291"),

@@ -24,7 +24,6 @@ from strata_lab.exact_linalg import (
     is_probable_prime,
     lift_symmetric,
     prime_stream,
-    rank_bareiss,
 )
 from strata_lab.homology import _echelon, _relation_rows
 from strata_lab.trees import enumerate_strata
@@ -124,7 +123,6 @@ def test_rank_matches_fraction_oracle_on_random_matrices():
         rows = _random_sparse(rng, rng.randint(1, 12), n_cols)
         want = rank_fraction(rows, n_cols)
         assert rank_exact(rows, seed=trial) == want
-        assert rank_bareiss(rows, n_cols) == want
 
 
 def test_two_prime_agreement_across_suite():
@@ -133,18 +131,6 @@ def test_two_prime_agreement_across_suite():
         rows, _ = _relation_matrix(n, k)
         ranks = {_rank_mod_p(rows, p) for p in ps}
         assert len(ranks) == 1
-
-
-def test_bareiss_agrees_on_relation_matrices():
-    for n, k in [(4, 0), (5, 0), (5, 1), (6, 2)]:
-        rows, n_cols = _relation_matrix(n, k)
-        assert rank_bareiss(rows, n_cols) == rank_exact(rows)
-
-
-@pytest.mark.parametrize("row", [{3: 1}, {0: 1, -1: 2}, {7: 1}])
-def test_bareiss_refuses_out_of_range_columns(row):
-    with pytest.raises(ValueError, match="out of range"):
-        rank_bareiss([{0: 1, 1: 1}, row], 3)
 
 
 def test_quotient_basis_and_reduce():

@@ -500,19 +500,19 @@ def test_class_equal_examples():
     assert class_equal(t, t2)
 
 
-AUDIT_UNDER_O = """
+KEEL_UNDER_O = """
 import sys
 import strata_lab.homology as h
 from strata_lab.exact_linalg import RankCertificationError
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-h.rank_bareiss = lambda rows, n_cols: 0  # an exact rank that disagrees with Keel
+h._relation_rows = lambda n, k: iter(())  # rank 0, so Keel's b_k is missed
 try:
-    h.exact_betti(4, 0)
+    h.betti(6, 2)
 except RankCertificationError:
     sys.exit(0)
-sys.exit("the audit let a disagreement through")
+sys.exit("the Keel check let a wrong Betti number through")
 """
 
 
@@ -563,29 +563,14 @@ def _succeeds_under_O(script):
     return _script_stdout(script, "-O")
 
 
-def test_exact_audit_survives_python_O():
-    _succeeds_under_O(AUDIT_UNDER_O)
+def test_keel_check_survives_python_O():
+    _succeeds_under_O(KEEL_UNDER_O)
 
 
 @pytest.mark.parametrize("script", [REWRITE_UNDER_O, FORMULA_UNDER_O],
                          ids=["rewrite-end", "integrality"])
 def test_named_checks_survive_python_O(script):
     _succeeds_under_O(script)
-
-
-def test_exact_audit_refuses_large_n_before_any_work(monkeypatch):
-    import strata_lab.homology as h
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the size guard")
-
-    monkeypatch.setattr(h, "certified_value", no_work)
-    monkeypatch.setattr(h, "_relation_rows", no_work)
-    monkeypatch.setattr(h, "rank_bareiss", no_work)
-    monkeypatch.setattr(h, "enumerate_strata", no_work)
-    for k in range(5):
-        with pytest.raises(DomainError):
-            h.exact_betti(7, k)
 
 
 def test_sum_checks_raise(monkeypatch):
@@ -912,10 +897,11 @@ def test_reduce_gives_the_normal_form_over_q(n, k):
     """At a prime and at a pair modulus, the normal form of every unit
     vector e_c has no pivot column in its support and is, mod m, the one
     over Q: e_c for a free c, minus the RREF row of c off its pivot for a
-    pivot c."""
+    pivot c.  The rank over Q is |S_{k,n}| - b_k."""
     import strata_lab.homology as h
 
     rref = _fraction_rref(n, k)
+    assert len(rref) == len(_index(n, k)) - h._keel_row(n)[k]
     primes = prime_stream(3)
     p, q = next(primes), next(primes)
     for m in (p, p * q):
