@@ -267,7 +267,7 @@ def _verify_conjecture(args) -> dict:
     n = args.n
     failures = []
     for k in _ks(args, 1, n - 3, "graded pieces"):
-        # one elimination per k: the certified dims sum to b_k
+        # one elimination per k: the echelon's Keel check makes the dims sum to b_k
         dims = graded_dims(n, k, seed=args.seed)
         want = sum(dims)
         got = betti_formula(n, k)

@@ -6,9 +6,7 @@ modulo m, `ModEchelon`.  The normal form of a vector (`ModEchelon.reduce`)
 is the one vector congruent to it modulo the row space whose support has
 no pivot column; it is the one reduction that membership tests and
 character traces read.  Values are certified by `certified_value`, the
-one loop that repeats across random 62-bit primes.  A rank mod p is at
-most the rank over Q, which is at most |S_{k,n}| - b_k for the relation
-rows (`homology._keel_checked`), so a rank that meets that bound is exact.
+one loop that repeats across random 62-bit primes.
 
 `certified_value` takes the primes two at a time and eliminates once,
 modulo their product m = p*q, which costs well under two eliminations
@@ -224,9 +222,12 @@ def certified_value(compute: Callable[[int], object], seed: int = 0,
     default the result is the value).  When compute raises _NonUnitLead,
     compute(p) and compute(q) are evaluated one at a time instead (see the
     module docstring for why either way gives the value at each prime).
-    A wrong value is returned only if two primes err alike; a relation
-    rank must also meet Keel's bound, rank mod p <= rank over Q <=
-    |S_{k,n}| - b_k, which makes it exact (`homology._keel_checked`).
+    A wrong value is returned only if two primes err alike.  Relation
+    ranks, Betti numbers and chi(H_{2k}) are proven at each prime: the rank
+    meets Keel's bound where its echelon is built (`homology._keel_checked`,
+    `homology._character`).  Graded dimensions, graded characters and
+    membership verdicts are only agreed: they rest on ranks of truncated
+    relation rows, which mod p may fall short of those over Q.
     """
     seen: list = []
     primes = prime_stream(seed)

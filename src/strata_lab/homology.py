@@ -44,15 +44,12 @@ come from one table per (n, g), shared by every k and every modulus
 
 Every reported number is certified at two independent primes by
 `exact_linalg.certified_value`, which evaluates each closure below once
-per pair of primes p, q, at the modulus p*q: all of its eliminations
-have unit leads or raise, so the ranks, pivots and reduced forms it
-finds reduce to those mod p and mod q, and each prime reads the value a
-computation mod that prime alone gives.  Traces are summed mod p*q and
-lifted to the symmetric range at each prime, so the two primes still
-check each other.  When a lead is not a unit the pair is evaluated one
-prime at a time.  A Betti number must equal b_k from Keel's recursion (a
-theorem), and the graded dimensions must sum to it.  As rank mod p <=
-rank over Q <= |S_{k,n}| - b_k (`_keel_checked`), a rank that passes is exact.
+per pair of primes p, q, at the modulus p*q, where each prime reads the
+value a computation mod that prime alone gives (its module docstring
+says why).  Traces are summed mod p*q and lifted to the symmetric range
+at each prime, so the two primes still check each other.  Every
+echelon's rank passes Keel's check where it is built (`_eliminate`,
+`_keel_checked`), so it is the rank over Q.
 
 The argument p of the closures and cached helpers below is the modulus:
 a prime, or a product of two.
@@ -122,9 +119,11 @@ def _relation_rows(n: int, k: int) -> Iterator[dict[int, int]]:
 
 
 def _eliminate(n: int, k: int, p: int) -> ModEchelon:
-    """The natural-order echelon of the relation matrix of (n, k) mod p."""
+    """The natural-order echelon of the relation matrix of (n, k) mod p;
+    RankCertificationError unless its rank passes `_keel_checked`."""
     ech = ModEchelon(p)
     ech.add_rows(_relation_rows(n, k))
+    _keel_checked(n, k, ech.rank)
     return ech
 
 
@@ -151,20 +150,17 @@ def _keel_row(n: int) -> tuple[int, ...]:
     return tuple(c + (pairs[i - 1] // 2 if i else 0) for i, c in enumerate(row))
 
 
-def _keel_checked(n: int, k: int, rank: int) -> int:
-    """|S_{k,n}| minus a certified relation rank of (n, k);
-    RankCertificationError unless it equals b_k from Keel's recursion.
-
-    A rank that passes is the rank over Q.  The relation rows are integer
-    relations that hold in H_{2k}, and the strata span H_{2k} (Keel, Trans.
-    AMS 330, 1992).  A minor that is nonzero mod p is a nonzero integer.  So
-        rank mod p <= rank over Q <= |S_{k,n}| - b_k,
-    and a certified rank equal to |S_{k,n}| - b_k is the rank over Q.  A
-    wrong or missing row can make this raise, never return a wrong number."""
-    b = len(enumerate_strata(n, k)) - rank
+def _keel_checked(n: int, k: int, rank: int) -> None:
+    """RankCertificationError unless |S_{k,n}| minus the relation rank of
+    (n, k) modulo a prime, or a pair's product, is b_k from Keel's recursion.
+    A rank that passes is the rank over Q: the relation rows are integer
+    relations that hold in H_{2k}, the strata span H_{2k} (Keel, Trans. AMS
+    330, 1992), and a minor that is nonzero mod p is a nonzero integer, so
+        rank mod p <= rank over Q <= |S_{k,n}| - b_k.
+    A wrong or missing row can make this raise, never pass a wrong rank."""
+    b = len(_index(n, k)) - rank
     if b != (want := _keel_row(n)[k]):
         raise RankCertificationError(f"Betti number {b} of ({n},{k}) is not b_{k} = {want}")
-    return b
 
 
 def betti(n: int, k: int, seed: int = 0) -> int:
@@ -174,7 +170,7 @@ def betti(n: int, k: int, seed: int = 0) -> int:
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     rank = certified_value(lambda m: _eliminate(n, k, m).rank, seed, f"relation rank ({n},{k})")
-    return _keel_checked(n, k, rank)
+    return len(_index(n, k)) - rank
 
 
 def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) -> list[int]:
@@ -192,17 +188,14 @@ def _graded_pieces(n: int, k: int, key_mins: list[int], seed: int, what: str) ->
 
 
 def graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
-    """Dimensions of the graded pieces for r = 1 .. min(k, n-2-k); they must
-    sum to b_k from Keel's recursion, not to a rank of the same matrix."""
+    """Dimensions of the graded pieces for r = 1 .. min(k, n-2-k), the levels
+    of all strata: the cuts run from 0 to the width, so they sum to b_k."""
     if n < 3 or not 0 <= k <= n - 3:
         raise DomainError(f"no homology group for (n, k) = ({n}, {k})")
     if k == 0:
         return []
     key_mins = [n * r for r in range(1, min(k, n - 2 - k) + 2)]
-    dims = _graded_pieces(n, k, key_mins, seed, f"graded dims ({n},{k})")
-    if sum(dims) != _keel_row(n)[k]:
-        raise RankCertificationError(f"graded dims {dims} do not sum to b_{k} of n={n}")
-    return dims
+    return _graded_pieces(n, k, key_mins, seed, f"graded dims ({n},{k})")
 
 
 def inner_graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
@@ -210,10 +203,7 @@ def inner_graded_dims(n: int, k: int, seed: int = 0) -> list[int]:
     if not 2 <= k <= n - 4:
         raise DomainError(f"inner filtration needs 2 <= k <= n-4, got ({n}, {k})")
     key_mins = [2 * n + b for b in range(n - k - 2)]
-    dims = _graded_pieces(n, k, key_mins, seed, f"inner dims ({n},{k})")
-    if sum(dims) != graded_dims(n, k, seed)[1]:
-        raise RankCertificationError(f"inner dims {dims} do not sum to level 2 of ({n},{k})")
-    return dims
+    return _graded_pieces(n, k, key_mins, seed, f"inner dims ({n},{k})")
 
 
 def _difference(t1: MarkedTree, t2: MarkedTree) -> dict[int, int]:
@@ -301,7 +291,15 @@ def _character(n: int, k: int, lo: int, hi: int, seed: int, what: str) -> Charac
     modulo that of the columns >= hi, lo and hi cuts: one trace per cycle
     type, the sum over the free columns f in [lo, hi) (those that are no
     pivot) of the entry at f of the normal form of e_{g f}.  The normal
-    forms are kept for one modulus only."""
+    forms are kept for one modulus only.
+
+    On H_{2k} one prime p gives chi exactly.  Let L = Z^S / R_Z, R_Z the
+    integer span of the relation rows, which is that of all the relations
+    (`relations._site_basis`); S_n permutes them, so it acts on L.  As the
+    echelon passed Keel's check, rank L = b_k = dim L (x) F_p, so L has no
+    p-torsion and L (x) F_p is Lambda (x) F_p for the lattice Lambda =
+    L/torsion of H_{2k}(Q).  The trace read mod p is chi(g) mod p, and
+    |chi(g)| <= b_k < p/2, so its symmetric lift is chi(g)."""
     def compute(p: int) -> tuple[int, ...]:
         ech = _echelon(n, k, p)
         free = [c for c in range(lo, hi) if c not in ech.pivots]

@@ -4,9 +4,11 @@ import io
 import json
 import re
 import sys
+from functools import lru_cache
 
 import pytest
 
+import strata_lab.homology as h
 from strata_lab.cli import main
 from strata_lab.conjecture import FormulaError
 from strata_lab.exact_linalg import RankCertificationError
@@ -101,14 +103,14 @@ def test_table_format(tmp_path):
     assert lines[2].split() == ["6", "2", "2", "10"]
 
 
-def test_betti_exact_audit(tmp_path):
+def test_betti_json_rows_at_n5(tmp_path):
     code, out = run_cli(["betti", "--n", "5", "--format", "json"], tmp_path)
     assert code == 0
     vals = [json.loads(line)["betti"] for line in out.strip().splitlines()]
     assert vals == [1, 5, 1]
 
 
-def test_exact_is_offered_on_betti_only(tmp_path, capsys):
+def test_exact_is_refused_by_every_command(tmp_path, capsys):
     # no command takes --exact: argparse refuses it with exit 2, stdout empty
     for argv in (["betti", "--n", "6"], ["graded", "--n", "5", "--k", "1"]):
         with pytest.raises(SystemExit) as exc:
@@ -426,18 +428,27 @@ def _broken_formula(*args, **kwargs):
     raise FormulaError("broken on purpose")
 
 
+KEEL_FAILURE = r"RankCertificationError: Betti number \d+ of \(6,2\) is not b_2 = 16"
+
+
 @pytest.mark.parametrize("argv, module, name, fake, err", [
     (["betti", "--n", "6", "--k", "2"], "strata_lab.homology", "_relation_rows", _no_relations,
-     r"RankCertificationError: Betti number \d+ of \(6,2\) is not b_2 = 16"),
+     KEEL_FAILURE),
+    (["character", "--n", "6", "--k", "2"], "strata_lab.homology", "_relation_rows",
+     _no_relations, KEEL_FAILURE),
+    (["inner", "--n", "6", "--k", "2"], "strata_lab.homology", "_relation_rows", _no_relations,
+     KEEL_FAILURE),
     (["conjecture", "--n", "6"], "strata_lab.cli", "q_dim_formula", _broken_formula,
      "FormulaError: broken on purpose"),
-], ids=["betti", "conjecture"])
+], ids=["betti", "character", "inner", "conjecture"])
 def test_failed_checks_outside_verify_exit_1_with_one_stderr_line(
         tmp_path, monkeypatch, capsys, argv, module, name, fake, err):
     """A check that fails in a command other than verify ends in exit 1 and
     one stderr line naming the error, not a traceback: nothing is printed
     on stdout and no cache entry is written."""
     monkeypatch.setattr(sys.modules[module], name, fake)
+    # echelons on a cache of their own, so the faked rows are the ones read
+    monkeypatch.setattr(h, "_echelon", lru_cache(maxsize=None)(h._eliminate))
     cache = tmp_path / "cache"
     assert main([*argv, "--cache-dir", str(cache)]) == 1
     out, stderr = capsys.readouterr()

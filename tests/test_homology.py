@@ -409,18 +409,43 @@ def test_betti_refuses_a_faulty_relation_matrix(fresh_homology, monkeypatch):
         assert eliminations == Counter([pq])
 
 
-def test_graded_sum_check_catches_a_dropped_relation(fresh_homology, monkeypatch):
+def _level_two_pair(n, k):
+    return [t for t in enumerate_strata(n, k) if filtration_level(t) == 2][:2]
+
+
+# every reader of a relation echelon at (6,2), level 2 there being of
+# inner level 0 only
+ECHELON_READERS = {
+    "betti": lambda h: h.betti(6, 2),
+    "graded_dims": lambda h: h.graded_dims(6, 2),
+    "inner_graded_dims": lambda h: h.inner_graded_dims(6, 2),
+    "class_equal": lambda h: h.class_equal(*enumerate_strata(6, 2)[:2]),
+    "graded_class_equal": lambda h: h.graded_class_equal(*_level_two_pair(6, 2)),
+    "character_homology": lambda h: h.character_homology(6, 2),
+    "character_graded": lambda h: h.character_graded(6, 2, 1),
+}
+
+
+@pytest.mark.parametrize("reader, fault", [
+    *((reader, "dropped-row") for reader in ECHELON_READERS),
+    ("graded_dims", "keel-row"),
+])
+def test_every_echelon_reader_refuses_a_faulty_relation_matrix(
+        fresh_homology, monkeypatch, reader, fault):
     """Without one independent row the relation rank falls by one at every
-    prime, so the graded pieces and the rank agree on a wrong total; Keel's
-    b_k does not, and both betti and graded_dims raise."""
+    prime, so every value read off the echelon would rest on it; the Keel
+    check where the echelon is built raises first, for every reader.  So
+    it does when Keel's b_k is what differs."""
     h = fresh_homology
-    n, k = 6, 2
-    rows = _independent_relation_rows(n, k)[1:]
-    monkeypatch.setattr(h, "_relation_rows", lambda n, k: rows)
-    with pytest.raises(RankCertificationError, match=f"Betti number {h._keel_row(n)[k] + 1} "):
-        h.betti(n, k)
-    with pytest.raises(RankCertificationError, match="do not sum"):
-        h.graded_dims(n, k)
+    if fault == "dropped-row":
+        rows = _independent_relation_rows(6, 2)[1:]
+        monkeypatch.setattr(h, "_relation_rows", lambda n, k: rows)
+        message = r"^Betti number 17 of \(6,2\) is not b_2 = 16$"
+    else:
+        monkeypatch.setattr(h, "_keel_row", lambda n: (-1,) * (n - 2))
+        message = r"^Betti number 16 of \(6,2\) is not b_2 = -1$"
+    with pytest.raises(RankCertificationError, match=message):
+        ECHELON_READERS[reader](h)
 
 
 def test_betti_eliminates_once_at_a_pair_modulus(fresh_homology, monkeypatch):
@@ -508,11 +533,12 @@ from strata_lab.exact_linalg import RankCertificationError
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 h._relation_rows = lambda n, k: iter(())  # rank 0, so Keel's b_k is missed
-try:
-    h.betti(6, 2)
-except RankCertificationError:
-    sys.exit(0)
-sys.exit("the Keel check let a wrong Betti number through")
+for read in (h.betti, h.character_homology):
+    try:
+        read(6, 2)
+    except RankCertificationError:
+        continue
+    sys.exit(f"the Keel check let a wrong value of {read.__name__} through")
 """
 
 
@@ -571,17 +597,6 @@ def test_keel_check_survives_python_O():
                          ids=["rewrite-end", "integrality"])
 def test_named_checks_survive_python_O(script):
     _succeeds_under_O(script)
-
-
-def test_sum_checks_raise(monkeypatch):
-    import strata_lab.homology as h
-
-    monkeypatch.setattr(h, "_keel_row", lambda n: (-1,) * (n - 2))
-    with pytest.raises(RankCertificationError):
-        h.graded_dims(6, 2)
-    monkeypatch.setattr(h, "graded_dims", lambda n, k, seed=0: [0, -1])
-    with pytest.raises(RankCertificationError):
-        h.inner_graded_dims(7, 2)
 
 
 def test_two_term_swap_pair_is_graded_equal_only():
