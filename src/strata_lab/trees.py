@@ -40,8 +40,10 @@ on, so re-attaching mark n at every place of every (n-1)-marked tree
 yields each n-marked tree exactly once.  `_families` generates those
 split families, unsorted and unvalidated, from the cached (n-1)-marked
 level; `_level` sorts them, validates each as a MarkedTree and caches
-the level.  A caller that keeps only some of the strata
-(`wtilde._square_trees`) streams `_families` and caches no level.
+the level.  `_at_vertex` and `_in_edge` re-attach the mark, and
+`wtilde._square_trees` calls them too: it keeps a few of the
+(n+1)-marked strata, reads the level of each from its n-marked parent
+and the place, and builds only those, caching no level on n+1 marks.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ def _bits_side(bits: int) -> tuple[int, ...]:
     return tuple(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
+@lru_cache(maxsize=None)
+def _side_json(s: Side) -> str:
+    """A side as a JSON list, its marks written as json writes ints
+    (int.__repr__, for int subclasses too)."""
+    return "[" + ",".join(map(int.__repr__, s)) + "]"
+
+
 def _bits_splits(family: Iterable[int]) -> tuple[Side, ...]:
     """The sorted sides of split bitmasks: a tree's splits, if they are valid."""
     return tuple(sorted(map(_bits_side, family)))
@@ -195,7 +204,9 @@ class MarkedTree:
         return {"n": self.n, "splits": [list(s) for s in self.splits]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+        """json.dumps(self.to_obj(), separators=(",", ":")), written from
+        one cached string per side."""
+        return '{"n":%d,"splits":[%s]}' % (self.n, ",".join(map(_side_json, self.splits)))
 
     @staticmethod
     def from_obj(obj: dict) -> "MarkedTree":
@@ -359,6 +370,21 @@ def forget_mark(t: MarkedTree) -> tuple[MarkedTree, bool]:
     return out, len(kept) < len(t.splits)
 
 
+def _at_vertex(bits: list[int], b: int, new: int) -> tuple[Side, ...]:
+    """The splits of a tree, given as the bitmasks bits, after the mark
+    bit new joins the vertex at the far end of the edge whose side is b:
+    new joins b and every split containing b.  At vertex 0 no split
+    changes."""
+    return _bits_splits(u | new if b & u == b else u for u in bits)
+
+
+def _in_edge(bits: list[int], b: int, new: int) -> tuple[Side, ...]:
+    """The splits after the mark bit new lands on a new trivalent vertex
+    inside the edge whose far side b is a leaf {m} or a split: b stays,
+    b + new is new, and new joins every split strictly above b."""
+    return _bits_splits([b | new, *(u | new if b & u == b != u else u for u in bits)])
+
+
 def _families(n: int, n_edges: int) -> Iterator[tuple[Side, ...]]:
     """Every split family of a stable n-marked tree with n_edges internal
     edges, each once, unsorted and not validated: the forget-map recursion
@@ -371,21 +397,18 @@ def _families(n: int, n_edges: int) -> Iterator[tuple[Side, ...]]:
     # every family is worked out on the split bitmasks of its parent tree
     # and read back through _bits_splits, so all strata share one tuple per side
     new = 1 << n
-    # mark n at vertex 0 (no split changes) or at the far end of edge b:
-    # n joins b and every split containing b
+    # mark n at vertex 0 or at the far end of an edge
     for t in _level(n - 1, n_edges):
         bits = [_side_bits(n - 1, s) for s in t.splits]
         yield t.splits
         for b in bits:
-            yield _bits_splits(u | new if b & u == b else u for u in bits)
-    # mark n on a new trivalent vertex inside the leaf edge of mark 1 (new
-    # split {2..n-1}), or inside the edge whose far side b is a leaf {m} or
-    # a split: b stays, b + {n} is new, n joins every split strictly above b
+            yield _at_vertex(bits, b, new)
+    # mark n inside the leaf edge of mark 1, of a mark m, or of a split
     for t in _level(n - 1, n_edges - 1):
         bits = [_side_bits(n - 1, s) for s in t.splits]
         yield _bits_splits([*bits, _full(n - 1) ^ 2])
         for b in [1 << m for m in range(2, n)] + bits:
-            yield _bits_splits([b | new, *(u | new if b & u == b != u else u for u in bits)])
+            yield _in_edge(bits, b, new)
 
 
 @lru_cache(maxsize=None)

@@ -36,12 +36,12 @@ from .relations import _every_template, _sites
 from .trees import (
     DomainError,
     MarkedTree,
+    _at_vertex,
     _away,
     _bits_side,
     _bits_splits,
-    _families,
-    _filtration_key,
     _full,
+    _in_edge,
     _json_fields,
     _json_list,
     _marks_bits,
@@ -224,19 +224,78 @@ class SquareReport:
 @lru_cache(maxsize=None)
 def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
     """The level-2 strata of S_{k,n+1} of inner level b+1 at index b, for
-    0 <= b < n-k-3, each group in enumeration order.  One pass over the
-    split families of S_{k,n+1} (`trees._families`), each validated as a
-    MarkedTree and keyed by `trees._filtration_key`; no other stratum is
-    kept, and no level on n+1 marks is cached."""
-    base = 2 * (n + 1) + 1  # the key of level 2, inner level 1, on n+1 marks
-    groups: list[list[MarkedTree]] = [[] for _ in range(n - k - 3)]
-    for splits in _families(n + 1, n - 2 - k):
-        t = MarkedTree(n + 1, splits)
-        # lower levels key below base, level >= 3 at or above 3(n+1), past every group
-        b = _filtration_key(t) - base
-        if 0 <= b < len(groups):
-            groups[b].append(t)
-    return tuple(tuple(sorted(g)) for g in groups)
+    0 <= b < n-k-3, each group in enumeration order.
+
+    Each is derived from its forget-map parent: forgetting mark n+1 sends
+    a tree sigma to one tree tau on n marks and one place of tau, a vertex
+    (tau in S_{k-1,n}: mark n+1 sat at a vertex of valence >= 4, which
+    stays) or an edge (tau in S_{k,n}: it sat at a trivalent vertex, which
+    is suppressed), and every tree and place arise this way, so each sigma
+    is met once, as in `trees._families`.  sigma's level and inner level
+    are read off tau's one `_vertex_pass` and the place, with sizes of
+    sides taken in tau (vertex 0 of size n), and P1 and P2 from
+    `_two_vertex_bits(tau)`, which give tau's inner level n - |P1 + P2|:
+
+    - at a vertex v of a level-2 tau, v must be fat and the inner level
+      stays; any other v gives level 3;
+    - at a vertex v != u of a level-1 tau with fat vertex u, the fat
+      vertices are u and v and the inner level is |side(x)| - |side(v)|
+      if v lies below u, x the child of u toward v, |side(y)| - |side(u)|
+      if u lies below v, y the child of v toward u, else
+      n - |side(u)| - |side(v)|; parents of level 0 or >= 3 give nothing;
+    - in an edge of a level-2 tau the level stays, and the inner level
+      grows by one when the edge lies in the middle: neither of its two
+      sides is a proper subset of P1 or of P2.
+
+    Splits and a validated MarkedTree are built only for the trees kept,
+    and no level on n+1 marks is asked for."""
+    groups: list[list[tuple]] = [[] for _ in range(n - k - 3)]
+    full, new = _full(n), 1 << n + 1
+    for tau in enumerate_strata(n, k - 1):  # mark n+1 at a vertex of tau
+        passed = _vertex_pass(tau)
+        parent, fat, splits = passed[0], passed[3], tau.splits
+        if len(fat) == 2:
+            p1, _, p2, _ = _two_vertex_bits(tau, passed)
+            g = n - (p1 | p2).bit_count() - 1  # the inner level, less one
+            if 0 <= g < len(groups):
+                bits = [_side_bits(n, s) for s in splits]
+                groups[g] += [_at_vertex(bits, bits[v - 1], new) if v else splits for v in fat]
+        elif len(fat) == 1:
+            (u,) = fat
+            size = [n, *map(len, splits)]
+            toward = {u: 0}  # each vertex from u up to vertex 0 -> its child toward u
+            x = u
+            while x:
+                toward[parent[x]] = x
+                x = parent[x]
+            bits = [_side_bits(n, s) for s in splits]
+            for v in range(len(size)):
+                if v == u:
+                    continue
+                below, x = 0, v  # climb from v to u's path; below is the last vertex off it
+                while x not in toward:
+                    below, x = x, parent[x]
+                if x == u:  # v below u
+                    inner = size[below] - size[v]
+                elif x == v:  # u below v
+                    inner = size[toward[v]] - size[u]
+                else:
+                    inner = n - size[u] - size[v]
+                if 0 < inner <= len(groups):
+                    groups[inner - 1].append(_at_vertex(bits, bits[v - 1], new) if v else splits)
+    for tau in enumerate_strata(n, k):  # mark n+1 inside an edge of tau
+        passed = _vertex_pass(tau)
+        if len(passed[3]) != 2:
+            continue
+        p1, _, p2, _ = _two_vertex_bits(tau, passed)
+        inner = n - (p1 | p2).bit_count()
+        bits = [_side_bits(n, s) for s in tau.splits]
+        for b in [full ^ 2, *(1 << m for m in range(2, n + 1)), *bits]:
+            middle = not any(x & p == x != p for x in (b, full ^ b) for p in (p1, p2))
+            g = inner + middle - 1
+            if 0 <= g < len(groups):
+                groups[g].append(_bits_splits([*bits, b]) if b == full ^ 2 else _in_edge(bits, b, new))
+    return tuple(tuple(MarkedTree(n + 1, s) for s in sorted(g)) for g in groups)
 
 
 def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
@@ -244,10 +303,13 @@ def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
     the last mark commutes with the cut map (both sides zero when the last
     mark sits on a fat-vertex component).
 
-    The trees come from `_square_trees(n, k)`, which keeps only the
-    level-2 strata of S_{k,n+1} that some b checks, so S_{k,n+1} is never
-    enumerated whole; the checks themselves run afresh on every call, in
-    enumeration order."""
+    The trees come from `_square_trees(n, k)`, which derives the level-2
+    strata of S_{k,n+1} that some b checks from their forget-map parents
+    on n marks: each tree is one place of mark n+1 (a vertex, or a new
+    trivalent vertex in an edge) on one parent, so each arises once, and
+    its level and inner level are read off the parent's vertex pass by the
+    rules listed there.  S_{k,n+1} is never enumerated whole; the checks
+    themselves run afresh on every call, in enumeration order."""
     if not 2 <= k <= (n + 1) - 4 or b < 0 or b + 1 > (n + 1) - k - 4:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
     report = SquareReport(n, k, b, 0)
@@ -417,15 +479,21 @@ def apply_move(t: MarkedTree, move: RewriteMove) -> MarkedTree:
         raise DomainError(f"{move.kind} does not fit the tree {t.to_json()}: {exc}") from None
 
 
-@lru_cache(maxsize=1 << 16)
 def standard_tree(n: int, pair: PairLabel) -> MarkedTree:
     """Canonical level-2 tree in the fiber of a weighted pair: the first
     a_i + 1 marks of each side sit at the fat vertex, everything else is
     combed into caterpillars, middle marks ascending away from side 1."""
+    return _standard_tree(n, (_marks_bits(pair.p1, n), pair.a1, _marks_bits(pair.p2, n), pair.a2))
+
+
+@lru_cache(maxsize=1 << 16)
+def _standard_tree(n: int, key: PairBits) -> MarkedTree:
+    """standard_tree(n, pair) of the pair on mark bitmasks: the one tree
+    object the public function and the rewrite both return."""
     full = _full(n)
-    p1, p2 = _marks_bits(pair.p1, n), _marks_bits(pair.p2, n)
+    p1, a1, p2, a2 = key
     sides = {p1, p2, *_middle_chain(p1, full & ~(p1 | p2))}
-    for p, a in ((p1, pair.a1), (p2, pair.a2)):
+    for p, a in ((p1, a1), (p2, a2)):
         sides.update(_comb_bits(p & ~_least_marks(p, a + 1)))
     return MarkedTree(n, _bits_splits({_away(x, full) for x in sides}))
 
@@ -508,7 +576,7 @@ def rewrite_to_standard(t: MarkedTree) -> tuple[MarkedTree, list[RewriteMove]]:
     mid = full & ~(p1 | p2)
     if mid:
         rearrange(("middle", p1, mid), _middle_chain(p1, mid))
-    expected = standard_tree(n, _pair_label(pair))
+    expected = _standard_tree(n, pair)
     if (ended := _bits_splits(family)) != expected.splits:
         raise RewriteError(f"rewrite ended at splits {ended} instead of {expected}")
     return expected, moves

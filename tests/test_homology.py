@@ -550,7 +550,7 @@ from strata_lab.trees import MarkedTree, enumerate_strata, filtration_level
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 t = next(t for t in enumerate_strata(6, 2) if filtration_level(t) == 2)
-w.standard_tree = lambda n, pair: MarkedTree.star(n)  # a form no rewrite reaches
+w._standard_tree = lambda n, key: MarkedTree.star(n)  # a form no rewrite reaches
 try:
     w.rewrite_to_standard(t)
 except w.RewriteError:

@@ -407,6 +407,26 @@ def test_json_round_trip():
     )
 
 
+def test_to_json_is_the_json_dump_of_to_obj():
+    # written from cached side strings, byte for byte what json writes
+    def dumped(t):
+        return json.dumps(t.to_obj(), separators=(",", ":"))
+
+    for n in range(3, 9):
+        for k in range(n - 2):
+            for t in enumerate_strata(n, k):
+                assert t.to_json() == dumped(t), t
+    t = MarkedTree.from_json('{"n": 8, "splits": [[2, 3], [2, 3, 4, 5]]}')
+    assert t.to_json() == dumped(t) == '{"n":8,"splits":[[2,3],[2,3,4,5]]}'
+
+    class Mark(int):  # json writes an int subclass by int.__repr__
+        def __repr__(self):
+            return "mark"
+
+    t = MarkedTree(8, ((Mark(2), 7),))
+    assert t.to_json() == dumped(t) == '{"n":8,"splits":[[2,7]]}'
+
+
 @pytest.mark.parametrize("n", ["7.9", '"7"', "7.0", "true"])
 def test_from_json_refuses_an_n_that_is_not_an_int(n):
     # n reaches the validator as given: 7.9 is not truncated to a 7-marked tree

@@ -348,15 +348,18 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
 
 
 
-@pytest.mark.parametrize("n, k", [(n, k) for n in range(5, 8) for k in range(2, n - 3)])
+@pytest.mark.parametrize("n, k", [
+    (n, k) if n < 8 else pytest.param(n, k, marks=pytest.mark.slow)
+    for n in range(5, 9) for k in range(2, n - 3)])
 def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
-    # every valid (n, k, b) with n <= 7
+    # every valid (n, k, b) with n <= 8
     import strata_lab.trees as tr
     from strata_lab.trees import _filtration_keys
 
     import strata_lab.wtilde as w
 
-    # the check streams the families on n+1 marks and asks for no level of them
+    # the check derives its trees from their parents on n marks and asks
+    # for no level on n+1 marks
     asked = []
     real_level = tr._level
 
@@ -391,6 +394,38 @@ def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
                 want.append(t.to_obj())
         rep = verify_forgetful_square(n, k, b)
         assert want and [m["sigma"] for m in rep.mismatches] == want, b
+
+
+def test_square_trees_build_and_key_only_the_trees_they_keep(monkeypatch):
+    import strata_lab.trees as tr
+
+    import strata_lab.wtilde as w
+
+    built, keyed = [], []
+    real_init, real_key = MarkedTree.__post_init__, tr._filtration_key
+
+    def counting_init(self):
+        built.append(self.n)
+        real_init(self)
+
+    def counting_key(t):
+        keyed.append(t.n)
+        return real_key(t)
+
+    n = 7
+    for k in range(2, n - 3):
+        for j in (k - 1, k):
+            enumerate_strata(n, j)  # the parents, cached
+        w._square_trees.cache_clear()
+        built.clear()
+        keyed.clear()
+        monkeypatch.setattr(MarkedTree, "__post_init__", counting_init)
+        monkeypatch.setattr(tr, "_filtration_key", counting_key)
+        groups = w._square_trees(n, k)
+        monkeypatch.undo()
+        # a MarkedTree for each tree kept, and no (n+1)-marked tree keyed
+        assert built == [n + 1] * sum(map(len, groups)) and n + 1 not in keyed, k
+
 
 def test_forgetful_square_bad_range():
     with pytest.raises(DomainError):
@@ -648,7 +683,7 @@ def test_rewrite_refuses_to_end_off_the_standard_tree(monkeypatch):
     import strata_lab.wtilde as w
 
     t = MarkedTree.from_sides(8, [(2, 6), (2, 6, 7, 8)])
-    monkeypatch.setattr(w, "standard_tree", lambda n, pair: MarkedTree.star(n))
+    monkeypatch.setattr(w, "_standard_tree", lambda n, key: MarkedTree.star(n))
     with pytest.raises(RewriteError, match="rewrite ended at splits"):
         rewrite_to_standard(t)
 
