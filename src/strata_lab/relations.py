@@ -21,8 +21,8 @@ order of first use and keyed by the flag positions on the side away from
 fl[0], and its relations, both pairings of every 4-subset, as rows
 {local id: coeff} over those numbers.  `_site_basis` keeps a basis of
 them, m(m-3)/2 rows per site, which `homology` eliminates; every row is
-checked by `wtilde.verify_relations_killed` and serialized by
-`relations_jsonl`.
+checked by `wtilde.verify_relations_killed` (through the basis rows at a
+site where none of those fails) and serialized by `relations_jsonl`.
 
 `_sites` maps each split of the template onto a site's flags, as mark
 bitmasks, and looks the split family up once in its caller's index,

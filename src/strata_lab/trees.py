@@ -41,9 +41,10 @@ yields each n-marked tree exactly once.  `_families` generates those
 split families, unsorted and unvalidated, from the cached (n-1)-marked
 level; `_level` sorts them, validates each as a MarkedTree and caches
 the level.  `_at_vertex` and `_in_edge` re-attach the mark, and
-`wtilde._square_trees` calls them too: it keeps a few of the
-(n+1)-marked strata, reads the level of each from its n-marked parent
-and the place, and builds only those, caching no level on n+1 marks.
+`wtilde._square_trees` calls `_in_edge` too: it reads the level of a few
+of the (n+1)-marked strata from each n-marked parent and the place,
+counts most of them and builds only those with the mark in a middle
+edge, caching no level on n+1 marks.
 """
 
 from __future__ import annotations

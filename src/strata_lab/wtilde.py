@@ -32,11 +32,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .psets import PairLabel
-from .relations import _every_template, _sites
+from .relations import _every_template, _site_basis, _sites
 from .trees import (
     DomainError,
     MarkedTree,
-    _at_vertex,
     _away,
     _bits_side,
     _bits_splits,
@@ -139,6 +138,20 @@ class KilledReport:
         }
 
 
+def _residual(row: dict[int, int], local: list[dict[int, int]]) -> dict[int, int]:
+    """The half-units the relation row {local id: coeff} leaves over the
+    images `local` of its site's terms, by pair number, zeros dropped."""
+    acc: dict[int, int] = {}
+    for i, coeff in row.items():
+        for g, h in local[i].items():
+            val = acc.get(g, 0) + coeff * h
+            if val:
+                acc[g] = val
+            else:
+                acc.pop(g, None)
+    return acc
+
+
 def verify_relations_killed(n: int, k: int) -> KilledReport:
     """Check the covering-pair component of wtilde(R) vanishes for every
     relation R of S_{k,n}, both pairings of every 4-subset at every site
@@ -152,6 +165,14 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
     each relation is summed in integers over the local ids of its site's
     template splits.  `_sites` gives each term as its enumeration id, so
     the images are kept in a list by id and each term is looked up once.
+
+    At each site the rows of the site basis (`relations._site_basis`) are
+    summed first.  Every relation of the site is an integer combination of
+    them as formal sums over the site's splits (the proof is in
+    `_site_basis`), and the residual is linear in the row, so when no basis
+    row leaves one no relation of the site does, and its relations are
+    counted without being summed.  Otherwise every relation of the site is
+    summed, so the failures and their residuals come in the same order.
     PairLabels are built only for the residual of a failure.
     """
     if not 2 <= k <= n - 4:
@@ -170,16 +191,10 @@ def verify_relations_killed(n: int, k: int) -> KilledReport:
                 img = images[i] = _covering_image(strata[i], full, number)
             local.append(img)
         report.relations += len(rows)
+        if not any(_residual(row, local) for *_, row in _site_basis(len(marks))[1]):
+            continue
         for quad, pairing, row in rows:
-            acc: dict[int, int] = {}
-            for i, coeff in row.items():
-                for g, h in local[i].items():
-                    val = acc.get(g, 0) + coeff * h
-                    if val:
-                        acc[g] = val
-                    else:
-                        acc.pop(g, None)
-            if acc:
+            if acc := _residual(row, local):
                 pairs = list(number)
                 residual = {_pair_label(pairs[g]): Fraction(h, 2) for g, h in acc.items()}
                 report.max_residual = max(
@@ -222,9 +237,10 @@ class SquareReport:
 
 
 @lru_cache(maxsize=None)
-def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
-    """The level-2 strata of S_{k,n+1} of inner level b+1 at index b, for
-    0 <= b < n-k-3, each group in enumeration order.
+def _square_trees(n: int, k: int) -> tuple[tuple[int, tuple[MarkedTree, ...]], ...]:
+    """(counted, built) at index b, for 0 <= b < n-k-3: the level-2 strata
+    of S_{k,n+1} of inner level b+1, those whose mark n+1 lies in P1 + P2
+    counted and the rest built, in enumeration order.
 
     Each is derived from its forget-map parent: forgetting mark n+1 sends
     a tree sigma to one tree tau on n marks and one place of tau, a vertex
@@ -247,9 +263,11 @@ def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
       grows by one when the edge lies in the middle: neither of its two
       sides is a proper subset of P1 or of P2.
 
-    Splits and a validated MarkedTree are built only for the trees kept,
-    and no level on n+1 marks is asked for."""
+    A vertex place, or an edge outside the middle, puts mark n+1 in P1 + P2;
+    only a middle edge gets splits and a validated MarkedTree, and no
+    level on n+1 marks is asked for."""
     groups: list[list[tuple]] = [[] for _ in range(n - k - 3)]
+    counted = [0] * len(groups)
     full, new = _full(n), 1 << n + 1
     for tau in enumerate_strata(n, k - 1):  # mark n+1 at a vertex of tau
         passed = _vertex_pass(tau)
@@ -258,8 +276,7 @@ def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
             p1, _, p2, _ = _two_vertex_bits(tau, passed)
             g = n - (p1 | p2).bit_count() - 1  # the inner level, less one
             if 0 <= g < len(groups):
-                bits = [_side_bits(n, s) for s in splits]
-                groups[g] += [_at_vertex(bits, bits[v - 1], new) if v else splits for v in fat]
+                counted[g] += 2
         elif len(fat) == 1:
             (u,) = fat
             size = [n, *map(len, splits)]
@@ -268,7 +285,6 @@ def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
             while x:
                 toward[parent[x]] = x
                 x = parent[x]
-            bits = [_side_bits(n, s) for s in splits]
             for v in range(len(size)):
                 if v == u:
                     continue
@@ -282,7 +298,7 @@ def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
                 else:
                     inner = n - size[u] - size[v]
                 if 0 < inner <= len(groups):
-                    groups[inner - 1].append(_at_vertex(bits, bits[v - 1], new) if v else splits)
+                    counted[inner - 1] += 1
     for tau in enumerate_strata(n, k):  # mark n+1 inside an edge of tau
         passed = _vertex_pass(tau)
         if len(passed[3]) != 2:
@@ -291,34 +307,34 @@ def _square_trees(n: int, k: int) -> tuple[tuple[MarkedTree, ...], ...]:
         inner = n - (p1 | p2).bit_count()
         bits = [_side_bits(n, s) for s in tau.splits]
         for b in [full ^ 2, *(1 << m for m in range(2, n + 1)), *bits]:
-            middle = not any(x & p == x != p for x in (b, full ^ b) for p in (p1, p2))
-            g = inner + middle - 1
-            if 0 <= g < len(groups):
-                groups[g].append(_bits_splits([*bits, b]) if b == full ^ 2 else _in_edge(bits, b, new))
-    return tuple(tuple(MarkedTree(n + 1, s) for s in sorted(g)) for g in groups)
+            if any(x & p == x != p for x in (b, full ^ b) for p in (p1, p2)):
+                if 0 < inner <= len(groups):
+                    counted[inner - 1] += 1  # mark n+1 joins P1 or P2
+            elif inner < len(groups):
+                groups[inner].append(_bits_splits([*bits, b]) if b == full ^ 2 else _in_edge(bits, b, new))
+    return tuple((c, tuple(MarkedTree(n + 1, s) for s in sorted(g))) for c, g in zip(counted, groups))
 
 
 def verify_forgetful_square(n: int, k: int, b: int) -> SquareReport:
     """For every level-2 tree on n+1 marks with inner level b+1, forgetting
-    the last mark commutes with the cut map (both sides zero when the last
-    mark sits on a fat-vertex component).
+    the last mark commutes with the cut map, from inner level b+1 to b.
 
     The trees come from `_square_trees(n, k)`, which derives the level-2
     strata of S_{k,n+1} that some b checks from their forget-map parents
     on n marks: each tree is one place of mark n+1 (a vertex, or a new
     trivalent vertex in an edge) on one parent, so each arises once, and
     its level and inner level are read off the parent's vertex pass by the
-    rules listed there.  S_{k,n+1} is never enumerated whole; the checks
-    themselves run afresh on every call, in enumeration order."""
+    rules listed there.  The places with the last mark in P1 + P2 are only
+    counted: forgetting it leaves their pairs at inner level b+1, so both
+    routes vanish.  Every built tree is decomposed, forgotten and compared,
+    afresh on every call, in enumeration order."""
     if not 2 <= k <= (n + 1) - 4 or b < 0 or b + 1 > (n + 1) - k - 4:
         raise DomainError(f"no trees to check for (n, k, b) = ({n}, {k}, {b})")
-    report = SquareReport(n, k, b, 0)
-    last = 1 << n + 1
-    for sigma in _square_trees(n, k)[b]:
+    counted, built = _square_trees(n, k)[b]
+    report = SquareReport(n, k, b, counted)
+    for sigma in built:
         pair = _two_vertex_bits(sigma)
         report.checked += 1
-        if (pair[0] | pair[2]) & last:
-            continue  # the last mark sits at a fat vertex: both routes are zero
         image, _ = forget_mark(sigma)
         tree_route = _two_vertex_bits(image)
         if pair != tree_route:

@@ -338,13 +338,17 @@ def test_forgetful_square_decomposes_only_its_inner_level(monkeypatch):
         calls.append(t)
         return real(t, *args)
 
+    groups = w._square_trees(n, k)
     monkeypatch.setattr(w, "_two_vertex_bits", counting)
     for b in range(n - k - 3):
         calls.clear()
         rep = verify_forgetful_square(n, k, b)
-        # the n-marked images are decomposed too; count the (n+1)-marked trees
+        # the n-marked images are decomposed too; count the (n+1)-marked trees,
+        # one per built tree: the counted places are decomposed nowhere
         selected = [t for t in calls if t.n == n + 1]
-        assert rep.passed and len(selected) == rep.checked == keys.count(2 * (n + 1) + b + 1) > 0
+        built = groups[b][1]
+        assert rep.passed and selected == list(built) and len(built) > 0
+        assert rep.checked == keys.count(2 * (n + 1) + b + 1)
 
 
 
@@ -375,9 +379,13 @@ def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
     groups = w._square_trees(n, k)
     strata, keys = enumerate_strata(n + 1, k), _filtration_keys(n + 1, k)
     assert len(groups) == len(reports) == n - k - 3
-    for b, (group, rep) in enumerate(zip(groups, reports)):
-        assert list(group) == [t for t, key in zip(strata, keys) if key == 2 * (n + 1) + b + 1]
-        assert rep.passed and rep.checked == len(group) > 0
+    for b, ((counted, built), rep) in enumerate(zip(groups, reports)):
+        # counted: mark n+1 at a fat vertex or inside a fat vertex's component
+        level = [t for t, key in zip(strata, keys) if key == 2 * (n + 1) + b + 1]
+        outer = [n + 1 in p1 | p2 for p1, _, p2, _, _ in map(decompose_two_vertex, level)]
+        assert counted == sum(outer) > 0
+        assert list(built) == [t for t, out in zip(level, outer) if not out]
+        assert rep.passed and rep.checked == len(level)
     # under a forget_mark that moves pairs, the mismatches come in enumeration order
     real_forget = w.forget_mark
     swap = (2, 1, *range(3, n + 1))
@@ -386,12 +394,8 @@ def test_square_trees_are_the_checked_strata_in_order(monkeypatch, n, k):
         return apply_permutation(real_forget(t)[0], swap), False
 
     monkeypatch.setattr(w, "forget_mark", swapped)
-    for b, group in enumerate(groups):
-        want = []
-        for t in group:
-            p1, _, p2, _, _ = decompose_two_vertex(t)
-            if n + 1 not in p1 | p2 and w_map(t) != w_map(swapped(t)[0]):
-                want.append(t.to_obj())
+    for b, (_, built) in enumerate(groups):
+        want = [t.to_obj() for t in built if w_map(t) != w_map(swapped(t)[0])]
         rep = verify_forgetful_square(n, k, b)
         assert want and [m["sigma"] for m in rep.mismatches] == want, b
 
@@ -423,8 +427,10 @@ def test_square_trees_build_and_key_only_the_trees_they_keep(monkeypatch):
         monkeypatch.setattr(tr, "_filtration_key", counting_key)
         groups = w._square_trees(n, k)
         monkeypatch.undo()
-        # a MarkedTree for each tree kept, and no (n+1)-marked tree keyed
-        assert built == [n + 1] * sum(map(len, groups)) and n + 1 not in keyed, k
+        # a MarkedTree for each built tree, none for the counted places, and
+        # no (n+1)-marked tree keyed
+        assert built == [n + 1] * sum(len(g[1]) for g in groups) and n + 1 not in keyed, k
+        assert all(g[0] > 0 for g in groups), k
 
 
 def test_forgetful_square_bad_range():
